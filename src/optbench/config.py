@@ -127,19 +127,32 @@ def register_optimizer_defaults(name: str, tree: dict) -> None:
     _EXTRA_DEFAULTS["optimizers"][name] = {"name": name, **copy.deepcopy(tree)}
 
 
+@lru_cache(maxsize=None)
+def _packaged_defaults() -> dict:
+    """The packaged default files, parsed once per process; never mutate."""
+    return {
+        "tasks": {
+            name: _load_yaml_resource(f"tasks/{name}/default.yaml")
+            for name in _registered_names("tasks")
+        },
+        "optimizers": {
+            name: _load_yaml_resource(f"optimizers/{name}/default.yaml")
+            for name in _registered_names("optimizers")
+        },
+        "engine": _load_yaml_resource("engine/default.yaml"),
+        "evaluation": _load_yaml_resource("evaluation/default.yaml"),
+    }
+
+
 def load_defaults() -> dict:
-    """Packaged defaults: per-name task/optimizer files plus engine/evaluation."""
-    defaults: dict = {"tasks": {}, "optimizers": {}}
-    for name in _registered_names("tasks"):
-        defaults["tasks"][name] = _load_yaml_resource(f"tasks/{name}/default.yaml")
-    for name in _registered_names("optimizers"):
-        defaults["optimizers"][name] = _load_yaml_resource(
-            f"optimizers/{name}/default.yaml"
-        )
-    defaults["tasks"].update(copy.deepcopy(_EXTRA_DEFAULTS["tasks"]))
-    defaults["optimizers"].update(copy.deepcopy(_EXTRA_DEFAULTS["optimizers"]))
-    defaults["engine"] = _load_yaml_resource("engine/default.yaml")
-    defaults["evaluation"] = _load_yaml_resource("evaluation/default.yaml")
+    """Packaged defaults: per-name task/optimizer files plus engine/evaluation.
+
+    Every call returns a fresh copy that includes the defaults registered
+    so far, so callers may mutate it.
+    """
+    defaults = copy.deepcopy(_packaged_defaults())
+    for kind in ("tasks", "optimizers"):
+        defaults[kind].update(copy.deepcopy(_EXTRA_DEFAULTS[kind]))
     return defaults
 
 

@@ -137,7 +137,8 @@ class Checkpoint:
         )
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+def encode_checkpoint(ckpt: Checkpoint) -> bytes:
+    """Canonical file bytes of a checkpoint: JSON body plus SHA-256 trailer."""
     payload = {
         "version": ckpt.version,
         "epoch": ckpt.epoch,
@@ -152,10 +153,21 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     trailer = "sha256 " + hashlib.sha256(body.encode("utf-8")).hexdigest() + "\n"
+    return (body + trailer).encode("utf-8")
+
+
+def _write_atomic(path: str | Path, data: bytes) -> None:
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(body + trailer, encoding="utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> bytes:
+    """Write a checkpoint atomically; returns the bytes written."""
+    data = encode_checkpoint(ckpt)
+    _write_atomic(path, data)
+    return data
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -488,19 +500,6 @@ def _train_loop(
         },
     )
 
-    def _write_ckpt(epoch):
-        ck = Checkpoint(
-            epoch=epoch,
-            step_count=step_count,
-            params=params.copy(),
-            optimizer_state=encode_optimizer_state(opt_state),
-            rng_states={name: f"{seed:016x}" for name, seed in seeds.items()},
-            best_val=best_val,
-            run_id=rid,
-        )
-        save_checkpoint(ck, paths["last"])
-        return ck
-
     aborted_error = None
     for epoch in range(start_epoch + 1, task.max_epochs + 1):
         epoch_start = time.monotonic()
@@ -541,9 +540,18 @@ def _train_loop(
         )
         if improved:
             best_val = {"value": val_metric, "epoch": epoch}
-        ck = _write_ckpt(epoch)
+        ck = Checkpoint(
+            epoch=epoch,
+            step_count=step_count,
+            params=params,
+            optimizer_state=encode_optimizer_state(opt_state),
+            rng_states={name: f"{seed:016x}" for name, seed in seeds.items()},
+            best_val=best_val,
+            run_id=rid,
+        )
+        ckpt_bytes = save_checkpoint(ck, paths["last"])
         if improved:
-            save_checkpoint(ck, paths["best"])
+            _write_atomic(paths["best"], ckpt_bytes)  # same bytes, encoded once
 
         if stop_after_epoch is not None and epoch >= stop_after_epoch and epoch < task.max_epochs:
             result.status = "interrupted"

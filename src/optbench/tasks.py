@@ -15,8 +15,10 @@ Registered tasks:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,8 +100,31 @@ def _softmax_ce(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, dlogits
 
 
+# task config keys that shape training only, never the generated data
+_TRAINING_KEYS = ("max_epochs", "batch_size")
+
+# the most recently generated splits, keyed by _data_key: grids put the task
+# axis slowest and budget extensions change only max_epochs, so consecutive
+# builds in one process usually share one data set
+_SPLITS_MEMO: dict[tuple, dict[str, DataSplit]] = {}
+
+
+def _data_key(task_cls: type, cfg: dict, data_seed: int) -> tuple | None:
+    """Memo key for a task's splits, or None if its config has no JSON form."""
+    data_cfg = {k: v for k, v in cfg.items() if k not in _TRAINING_KEYS}
+    try:
+        return (task_cls, json.dumps(data_cfg, sort_keys=True), data_seed)
+    except (TypeError, ValueError):
+        return None
+
+
 class TaskInstance:
-    """A fully built task: model + splits + metric + training budget."""
+    """A fully built task: model + splits + metric + training budget.
+
+    ``_generate_splits`` may depend only on ``data_seed`` and on task config
+    keys other than ``max_epochs`` and ``batch_size``: tasks of one class
+    built from the same data config share read-only split arrays.
+    """
 
     name: str = ""
     metric: MetricSpec
@@ -117,12 +142,24 @@ class TaskInstance:
         if any(v < 1 for v in sizes.values()):
             raise BadParameterError("split sizes must be positive")
         self._sizes = sizes
-        data_rng = Xoshiro256StarStar(derive_stream(self.data_seed, "data"))
-        self.splits = self._generate_splits(data_rng)
+        key = _data_key(type(self), cfg, self.data_seed)
+        splits = _SPLITS_MEMO.get(key)
+        if splits is None:
+            data_rng = Xoshiro256StarStar(derive_stream(self.data_seed, "data"))
+            splits = self._generate_splits(data_rng)
+            for split in splits.values():
+                for array in (split.inputs, split.targets, split.indices):
+                    array.flags.writeable = False
+            _SPLITS_MEMO.clear()
+            if key is not None:
+                _SPLITS_MEMO[key] = splits
+        self.splits = dict(splits)
         self.groups = self._build_groups()
-        self.params = self.init_params(
-            Xoshiro256StarStar(derive_stream(self.data_seed, "init"))
-        )
+
+    @cached_property
+    def params(self) -> np.ndarray:
+        """Default initialization from the data seed's ``init`` stream."""
+        return self.init_params(Xoshiro256StarStar(derive_stream(self.data_seed, "init")))
 
     # per-task hooks ------------------------------------------------------
     def _generate_splits(self, rng) -> dict[str, DataSplit]:

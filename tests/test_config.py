@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optbench import config as config_module
 from optbench.config import (
     dump_config,
     expand_grid,
@@ -13,6 +15,7 @@ from optbench.config import (
     load_defaults,
     merge_defaults,
     parse_experiment,
+    register_task_defaults,
     run_id,
 )
 from optbench.errors import (
@@ -332,3 +335,17 @@ class TestRoundTrip:
             "adamcpr",
             "adafactor",
         }
+
+    def test_late_registered_defaults_visible(self, monkeypatch):
+        monkeypatch.setattr(config_module, "_EXTRA_DEFAULTS", {"tasks": {}, "optimizers": {}})
+        assert "late_task" not in load_defaults()["tasks"]
+        register_task_defaults("late_task", {"max_epochs": 3})
+        assert load_defaults()["tasks"]["late_task"] == {"name": "late_task", "max_epochs": 3}
+
+    def test_returned_defaults_are_fresh_copies(self):
+        first = load_defaults()
+        expected = copy.deepcopy(first)
+        first["tasks"]["mlp_synth"]["model"]["num_hidden"] = -1
+        first["engine"].clear()
+        del first["optimizers"]["adamcpr"]
+        assert load_defaults() == expected

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from optbench import tasks as tasks_module
+from optbench.engine import extend_budget, train_run
 from optbench.errors import BadParameterError, ShapeMismatchError, UnknownNameError
 from optbench.rng import Xoshiro256StarStar
 from optbench.tasks import (
+    TASKS,
     MetricSpec,
+    MlpSynthTask,
     accuracy,
     build_task,
     evaluate,
@@ -12,6 +16,7 @@ from optbench.tasks import (
     parameter_groups,
     rmse,
 )
+from conftest import resolve
 
 ALL_TASKS = ["quadratic", "rosenbrock", "blobs_logreg", "mlp_synth"]
 
@@ -73,12 +78,21 @@ class TestBuild:
 
     def test_build_deterministic(self):
         for name in ALL_TASKS:
-            a = build_task({"name": name}, data_seed=7)
-            b = build_task({"name": name}, data_seed=7)
-            assert a.params.tobytes() == b.params.tobytes()
-            for split in ("train", "val", "test"):
-                assert a.splits[split].inputs.tobytes() == b.splits[split].inputs.tobytes()
-                assert a.splits[split].targets.tobytes() == b.splits[split].targets.tobytes()
+            tasks_module._SPLITS_MEMO.clear()
+            a = build_task({"name": name}, data_seed=7)  # cold: generates the splits
+            b = build_task({"name": name}, data_seed=7)  # warm: reuses them
+            tasks_module._SPLITS_MEMO.clear()
+            c = build_task({"name": name}, data_seed=7)  # cold again
+            assert b.splits["train"].inputs is a.splits["train"].inputs
+            assert c.splits["train"].inputs is not a.splits["train"].inputs
+            for other in (b, c):
+                assert a.params.tobytes() == other.params.tobytes()
+                for split in ("train", "val", "test"):
+                    for field in ("inputs", "targets", "indices"):
+                        assert (
+                            getattr(a.splits[split], field).tobytes()
+                            == getattr(other.splits[split], field).tobytes()
+                        )
 
     def test_data_seed_changes_data(self):
         a = build_task({"name": "blobs_logreg"}, data_seed=1)
@@ -113,6 +127,82 @@ class TestBuild:
 
         with pytest.raises(SchemaError):
             build_task({"name": "quadratic", "dmi": 10})
+
+
+MLP_GRID = """
+task:
+  name: mlp_synth
+  max_epochs: 2
+optimizer:
+  name: sgd_baseline
+engine:
+  seed: [0, 1, 2]
+"""
+
+
+class TestSplitMemo:
+    def test_memoized_splits_are_read_only(self):
+        tasks_module._SPLITS_MEMO.clear()
+        for task in (build_task({"name": "mlp_synth"}), build_task({"name": "mlp_synth"})):
+            for split in task.splits.values():
+                for array in (split.inputs, split.targets, split.indices):
+                    with pytest.raises(ValueError):
+                        array[0] = 1
+
+    def test_training_keys_share_splits_data_keys_do_not(self):
+        a = build_task({"name": "blobs_logreg", "max_epochs": 3, "batch_size": 8})
+        b = build_task({"name": "blobs_logreg", "max_epochs": 9, "batch_size": 16})
+        assert b.splits["train"].inputs is a.splits["train"].inputs
+        c = build_task({"name": "blobs_logreg", "separation": 2.0})
+        d = build_task({"name": "blobs_logreg"}, data_seed=43)
+        for other in (c, d):
+            assert other.splits["train"].inputs.tobytes() != a.splits["train"].inputs.tobytes()
+
+    def test_other_class_under_same_name_gets_own_splits(self, monkeypatch):
+        class ShiftedSpirals(MlpSynthTask):
+            def _generate_splits(self, rng):
+                splits = super()._generate_splits(rng)
+                return {
+                    name: tasks_module.DataSplit(s.inputs + 1.0, s.targets, s.indices)
+                    for name, s in splits.items()
+                }
+
+        plain = build_task({"name": "mlp_synth"})
+        monkeypatch.setitem(TASKS, "mlp_synth", ShiftedSpirals)
+        shifted = build_task({"name": "mlp_synth"})
+        assert isinstance(shifted, ShiftedSpirals)
+        np.testing.assert_array_equal(
+            shifted.splits["train"].inputs, plain.splits["train"].inputs + 1.0
+        )
+
+    def test_unkeyable_config_still_builds(self, monkeypatch):
+        # a plugin task without default file accepts any value; one with no
+        # JSON form skips the memo instead of failing the build
+        monkeypatch.setitem(TASKS, "tagged_quadratic", tasks_module.QuadraticTask)
+        cfg = {"name": "tagged_quadratic", "dim": 3, "tag": object()}
+        cfg.update(max_epochs=1, batch_size=1, train_size=2, val_size=2, test_size=2)
+        a = build_task(cfg)
+        b = build_task(cfg)
+        assert a.splits["train"].inputs is not b.splits["train"].inputs
+        assert a.splits["train"].inputs.tobytes() == b.splits["train"].inputs.tobytes()
+
+    def test_grid_and_extension_generate_data_once(self, monkeypatch, tmp_path):
+        calls = []
+        generate = MlpSynthTask._generate_splits
+
+        def counting(self, rng):
+            calls.append(self.data_seed)
+            return generate(self, rng)
+
+        monkeypatch.setattr(MlpSynthTask, "_generate_splits", counting)
+        tasks_module._SPLITS_MEMO.clear()
+        configs = resolve(MLP_GRID)
+        assert len(configs) == 3
+        for i, cfg in enumerate(configs):
+            train_run(cfg, tmp_path / f"run{i}")
+        result = extend_budget(configs[0], tmp_path / "run0", 3)
+        assert result.status == "completed" and len(result.history) == 3
+        assert calls == [42]
 
 
 class TestForwardBackward:
