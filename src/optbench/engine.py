@@ -9,10 +9,24 @@ in its own working directory:
     <workdir>/checkpoints/last.ckpt    every epoch (epoch 0 = untrained)
     <workdir>/checkpoints/best.ckpt    best validation so far
 
+Fresh start, resume and budget extension share one lifecycle, ``_run``: it
+builds the task, starts from a checkpoint (the one it is given, else
+``last.ckpt``, else a new epoch-0 one), trains up to ``task.max_epochs`` and
+writes ``result.json``. ``train_run``, ``resume_run`` and ``extend_budget``
+only choose the checkpoint and the budget history it starts from.
+
+Each epoch appends its metrics line, writes ``best.ckpt`` if the epoch
+improved, and writes ``last.ckpt`` last. ``last.ckpt`` is the resume point
+and its ``best_val`` names the best epoch so far, so it must never be on
+disk before the ``best.ckpt`` it names: a kill between the two writes then
+leaves ``last.ckpt`` one epoch behind, and the resumed run redoes that
+epoch and rewrites both. Every file but the metrics append is written to a
+temporary file and renamed into place.
+
 Checkpoints are canonical JSON where every float is stored as its IEEE-754
 bit pattern plus a SHA-256 trailer, so a load/save round trip reproduces
-the identical bytes and resumed runs are bit-identical to uninterrupted
-ones. Batch order depends only on (shuffle seed, epoch index).
+the identical bytes and a resumed run is bit-identical to one that never
+stopped. Batch order depends only on (shuffle seed, epoch index).
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +224,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 @dataclass
 class RunResult:
     run_id: str
-    status: str  # completed | aborted | interrupted (never persisted)
+    status: str  # completed | aborted
     history: list[dict] = field(default_factory=list)
     test_best: float | None = None
     test_last: float | None = None
@@ -223,29 +237,15 @@ class RunResult:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "status": self.status,
-            "history": self.history,
-            "test_best": self.test_best,
-            "test_last": self.test_last,
-            "best_val": self.best_val,
-            "seeds_used": self.seeds_used,
-            "budgets": self.budgets,
-            "metric": self.metric,
-            "schedule_info": self.schedule_info,
-            "wall_time_s": self.wall_time_s,
-            "error": self.error,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
         return cls(**d)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        _write_atomic(path, text.encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunResult":
@@ -265,24 +265,17 @@ def _paths(workdir: Path) -> dict[str, Path]:
     }
 
 
-def _read_history(metrics_path: Path, up_to_epoch: int) -> list[dict]:
+def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
+    """Drop metric lines past the checkpointed epoch (mid-epoch crashes)."""
     history = []
     if metrics_path.exists():
         for line in metrics_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            if entry["epoch"] <= up_to_epoch:
-                history.append(entry)
-    return history
-
-
-def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
-    """Drop metric lines past the checkpointed epoch (mid-epoch crashes)."""
-    history = _read_history(metrics_path, up_to_epoch)
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        for entry in history:
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
+            if line.strip():
+                entry = json.loads(line)
+                if entry["epoch"] <= up_to_epoch:
+                    history.append(entry)
+    text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
+    _write_atomic(metrics_path, text.encode("utf-8"))
     return history
 
 
@@ -302,82 +295,31 @@ def _build_schedule(task: TaskInstance, opt_cfg_dict: dict, max_epochs: int) -> 
 
 # --- training ----------------------------------------------------------------
 
-def train_run(config: dict, workdir: str | Path, stop_after_epoch: int | None = None) -> RunResult:
+def train_run(config: dict, workdir: str | Path) -> RunResult:
     """Execute one resolved run to completion (idempotent, resumable).
 
     A completed run returns its stored result without retraining. A
     partial run (existing last.ckpt) continues from the checkpoint.
-    ``stop_after_epoch`` simulates an interruption: training stops after
-    that epoch without writing a result, leaving a resumable directory.
     """
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    paths = _paths(workdir)
-    rid = run_id(config)
-
-    if paths["result"].exists():
-        stored = RunResult.load(paths["result"])
+    result_path = _paths(workdir)["result"]
+    if result_path.exists():
+        stored = RunResult.load(result_path)
+        rid = run_id(config)
         if stored.run_id != rid:
             raise RunIdMismatchError(
                 f"workdir {workdir} holds run {stored.run_id}, config is {rid}"
             )
         if stored.status == "completed":
             return stored
-
-    if paths["last"].exists():
-        return _continue(config, workdir, stop_after_epoch=stop_after_epoch)
-
-    # fresh start
-    paths["ckpt_dir"].mkdir(parents=True, exist_ok=True)
-    paths["config"].write_text(dump_config(config), encoding="utf-8")
-    paths["metrics"].write_text("", encoding="utf-8")
-
-    task = build_task(config["task"])
-    seeds = derive_seeds(int(config["engine"]["seed"]))
-    params = task.init_params(Xoshiro256StarStar(seeds["init"]))
-    schedule = _build_schedule(task, config["optimizer"], task.max_epochs)
-    opt_cfg = OptimizerConfig.from_dict(config["optimizer"], schedule)
-    opt_state = configure_optimizer(task.groups, opt_cfg)
-
-    ckpt = Checkpoint(
-        epoch=0,
-        step_count=0,
-        params=params.copy(),
-        optimizer_state=encode_optimizer_state(opt_state),
-        rng_states={name: f"{seed:016x}" for name, seed in seeds.items()},
-        best_val=None,
-        run_id=rid,
-    )
-    save_checkpoint(ckpt, paths["last"])
-    return _train_loop(
-        config,
-        workdir,
-        task,
-        params,
-        opt_state,
-        schedule,
-        seeds,
-        start_epoch=0,
-        step_count=0,
-        best_val=None,
-        history=[],
-        budgets=[task.max_epochs],
-        stop_after_epoch=stop_after_epoch,
-    )
+    return _run(config, workdir)
 
 
 def resume_run(config: dict, workdir: str | Path) -> RunResult:
-    """Continue an interrupted run; completed runs return their result."""
-    workdir = Path(workdir)
-    paths = _paths(workdir)
-    rid = run_id(config)
-    if paths["result"].exists():
-        stored = RunResult.load(paths["result"])
-        if stored.run_id == rid and stored.status == "completed":
-            return stored
-    if not paths["last"].exists():
+    """Finish a run that stopped early; completed runs return their result."""
+    if not _paths(Path(workdir))["last"].exists():
         raise CheckpointError(f"nothing to resume in {workdir}")
-    return _continue(config, workdir)
+    return train_run(config, workdir)
 
 
 def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> RunResult:
@@ -394,9 +336,8 @@ def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> Run
         out["task"]["max_epochs"] = epochs
         return out
 
-    if run_id(_with_budget(stored_cfg, new_max_epochs)) != run_id(
-        _with_budget(config, new_max_epochs)
-    ):
+    new_config = _with_budget(config, new_max_epochs)
+    if run_id(_with_budget(stored_cfg, new_max_epochs)) != run_id(new_config):
         raise RunIdMismatchError("config differs from the stored run beyond max_epochs")
     ckpt = load_checkpoint(paths["last"])
     if ckpt.run_id != run_id(stored_cfg):
@@ -411,87 +352,67 @@ def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> Run
         paths["result"].unlink()
     else:
         budgets = [int(stored_cfg["task"]["max_epochs"])]
-    new_config = _with_budget(config, new_max_epochs)
-    paths["config"].write_text(dump_config(new_config), encoding="utf-8")
-    return _continue(
-        new_config,
-        workdir,
-        prior_run_id=ckpt.run_id,
-        budgets=budgets + [new_max_epochs],
-    )
+    return _run(new_config, workdir, ckpt, budgets + [new_max_epochs])
 
 
-def _continue(
+def _run(
     config: dict,
     workdir: Path,
-    prior_run_id: str | None = None,
+    ckpt: Checkpoint | None = None,
     budgets: list[int] | None = None,
-    stop_after_epoch: int | None = None,
 ) -> RunResult:
+    """The one run lifecycle: train ``config`` from ``ckpt`` (else from
+    ``last.ckpt``, else from a new epoch-0 checkpoint) up to
+    ``task.max_epochs`` and write ``result.json``.
+
+    A ``ckpt`` that is passed in has been checked by the caller; one read
+    from ``last.ckpt`` must belong to ``config``.
+    """
     paths = _paths(workdir)
     rid = run_id(config)
-    ckpt = load_checkpoint(paths["last"])
-    if ckpt.run_id not in {rid, prior_run_id}:
-        raise RunIdMismatchError(
-            f"checkpoint run {ckpt.run_id} does not match config {rid}"
-        )
-
     task = build_task(config["task"])
-    seeds = {name: int(h, 16) for name, h in ckpt.rng_states.items()}
-    params = ckpt.params.copy()
     schedule = _build_schedule(task, config["optimizer"], task.max_epochs)
     opt_cfg = OptimizerConfig.from_dict(config["optimizer"], schedule)
     opt_state = configure_optimizer(task.groups, opt_cfg)
-    restore_optimizer_state(ckpt.optimizer_state, opt_state)
 
-    paths["config"].write_text(dump_config(config), encoding="utf-8")
+    if ckpt is None and paths["last"].exists():
+        ckpt = load_checkpoint(paths["last"])
+        if ckpt.run_id != rid:
+            raise RunIdMismatchError(
+                f"checkpoint run {ckpt.run_id} does not match config {rid}"
+            )
+    paths["ckpt_dir"].mkdir(parents=True, exist_ok=True)
+    _write_atomic(paths["config"], dump_config(config).encode("utf-8"))
+    if ckpt is None:
+        seeds = derive_seeds(int(config["engine"]["seed"]))
+        ckpt = Checkpoint(
+            epoch=0,
+            step_count=0,
+            params=task.init_params(Xoshiro256StarStar(seeds["init"])),
+            optimizer_state=encode_optimizer_state(opt_state),
+            rng_states={name: f"{seed:016x}" for name, seed in seeds.items()},
+            best_val=None,
+            run_id=rid,
+        )
+        save_checkpoint(ckpt, paths["last"])
+    else:
+        restore_optimizer_state(ckpt.optimizer_state, opt_state)
     history = _truncate_metrics(paths["metrics"], ckpt.epoch)
-    return _train_loop(
-        config,
-        workdir,
-        task,
-        params,
-        opt_state,
-        schedule,
-        seeds,
-        start_epoch=ckpt.epoch,
-        step_count=ckpt.step_count,
-        best_val=ckpt.best_val,
-        history=history,
-        budgets=budgets or [task.max_epochs],
-        stop_after_epoch=stop_after_epoch,
-        prior_run_id=prior_run_id,
-    )
 
-
-def _train_loop(
-    config: dict,
-    workdir: Path,
-    task: TaskInstance,
-    params: np.ndarray,
-    opt_state: OptimizerState,
-    schedule: ScheduleSpec,
-    seeds: dict[str, int],
-    start_epoch: int,
-    step_count: int,
-    best_val: dict | None,
-    history: list[dict],
-    budgets: list[int],
-    stop_after_epoch: int | None = None,
-    prior_run_id: str | None = None,
-) -> RunResult:
-    paths = _paths(workdir)
-    rid = run_id(config)
+    seeds = {name: int(h, 16) for name, h in ckpt.rng_states.items()}
+    params = ckpt.params.copy()
+    step_count = ckpt.step_count
+    best_val = ckpt.best_val
+    best_params = None  # set once an epoch of this process improves
     train = task.splits["train"]
     batch = task.batch_size
     spe = steps_per_epoch(task)
-    t_start = time.monotonic()
-
     result = RunResult(
         run_id=rid,
         status="completed",
+        history=history,
         seeds_used=seeds,
-        budgets=budgets,
+        budgets=budgets or [task.max_epochs],
         metric={"kind": task.metric.kind, "direction": task.metric.direction},
         schedule_info={
             "total_steps": schedule.total_steps,
@@ -499,9 +420,9 @@ def _train_loop(
             "warmup_clamped": schedule.warmup_clamped,
         },
     )
+    t_start = time.monotonic()
 
-    aborted_error = None
-    for epoch in range(start_epoch + 1, task.max_epochs + 1):
+    for epoch in range(ckpt.epoch + 1, task.max_epochs + 1):
         epoch_start = time.monotonic()
         perm = Xoshiro256StarStar(derive_child(seeds["shuffle"], epoch)).shuffled_indices(
             train.n
@@ -519,7 +440,8 @@ def _train_loop(
                 step_count += 1
                 losses.append(loss)
         except NonFiniteError as exc:
-            aborted_error = f"epoch {epoch}: {exc}"
+            result.status = "aborted"
+            result.error = f"epoch {epoch}: {exc}"
             break
 
         train_loss = float(np.mean(losses))
@@ -540,35 +462,27 @@ def _train_loop(
         )
         if improved:
             best_val = {"value": val_metric, "epoch": epoch}
+            best_params = params.copy()
         ck = Checkpoint(
             epoch=epoch,
             step_count=step_count,
             params=params,
             optimizer_state=encode_optimizer_state(opt_state),
-            rng_states={name: f"{seed:016x}" for name, seed in seeds.items()},
+            rng_states=ckpt.rng_states,
             best_val=best_val,
             run_id=rid,
         )
-        ckpt_bytes = save_checkpoint(ck, paths["last"])
+        # best before last, encoded once (see the module docstring)
+        ckpt_bytes = save_checkpoint(ck, paths["best"] if improved else paths["last"])
         if improved:
-            _write_atomic(paths["best"], ckpt_bytes)  # same bytes, encoded once
+            _write_atomic(paths["last"], ckpt_bytes)
 
-        if stop_after_epoch is not None and epoch >= stop_after_epoch and epoch < task.max_epochs:
-            result.status = "interrupted"
-            result.history = history
-            result.best_val = best_val
-            result.wall_time_s = time.monotonic() - t_start
-            return result
-
-    result.history = history
     result.best_val = best_val
     result.wall_time_s = time.monotonic() - t_start
-    if aborted_error is not None:
-        result.status = "aborted"
-        result.error = aborted_error
-    else:
-        best_ckpt = load_checkpoint(paths["best"])
-        result.test_best = evaluate(task, best_ckpt.params, "test")
+    if result.status == "completed":
+        if best_params is None:  # the best epoch was trained by an earlier process
+            best_params = load_checkpoint(paths["best"]).params
+        result.test_best = evaluate(task, best_params, "test")
         result.test_last = evaluate(task, params, "test")
     result.save(paths["result"])
     return result

@@ -29,7 +29,7 @@ from optbench.rng import Xoshiro256StarStar
 from optbench.sched import ScheduleSpec, lr_at
 from optbench.tasks import build_task, forward_backward
 
-from conftest import resolve
+from conftest import Interrupted, resolve, stop_after_epoch
 from test_optim import (
     assert_close,
     make_groups,
@@ -220,7 +220,7 @@ RESUME_OPTIMIZERS = ("sgd_baseline", "adamw_baseline", "adamcpr", "adafactor")
 
 
 @criterion("resume determinism (all interrupt epochs, bit-exact)")
-def test_resume_determinism(tmp_path):
+def test_resume_determinism(tmp_path, monkeypatch):
     for task_name in ("quadratic", "mlp_synth"):
         for opt_name in RESUME_OPTIMIZERS:
             cfg = resolve(
@@ -233,8 +233,11 @@ def test_resume_determinism(tmp_path):
             full_ckpt = load_checkpoint(base_dir / "checkpoints" / "last.ckpt")
             for interrupt in range(1, 10):
                 wd = tmp_path / f"{task_name}_{opt_name}_stop{interrupt}"
-                partial = train_run(cfg, wd, stop_after_epoch=interrupt)
-                assert partial.status == "interrupted"
+                with monkeypatch.context() as mp:
+                    stop_after_epoch(mp, interrupt)
+                    with pytest.raises(Interrupted):
+                        train_run(cfg, wd)
+                assert load_checkpoint(wd / "checkpoints" / "last.ckpt").epoch == interrupt
                 resume_run(cfg, wd)
                 ckpt = load_checkpoint(wd / "checkpoints" / "last.ckpt")
                 assert ckpt.params.tobytes() == full_ckpt.params.tobytes(), (

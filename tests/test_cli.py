@@ -5,6 +5,8 @@ import pytest
 
 from optbench.cli import main
 
+from conftest import Interrupted, stop_after_epoch
+
 TINY_EXPERIMENT = """
 task:
   name: quadratic
@@ -211,14 +213,16 @@ evaluation:
         assert len(lines) == 5
         assert all("completed" in l for l in lines[1:])
 
-    def test_list_shows_incomplete(self, project, capsys):
+    def test_list_shows_incomplete(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
         from optbench.engine import train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         name, configs = _expand_file(exp)
         exp_dir = _experiment_dir(configs, name)
-        train_run(configs[0], _run_workdir(exp_dir, configs[0]), stop_after_epoch=1)
+        stop_after_epoch(monkeypatch, 1)
+        with pytest.raises(Interrupted):
+            train_run(configs[0], _run_workdir(exp_dir, configs[0]))
         capsys.readouterr()
         assert main(["list", str(project / "output")]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -281,7 +285,7 @@ evaluation:
 
 
 class TestResumeCommand:
-    def test_resumes_incomplete_runs(self, project, capsys):
+    def test_resumes_incomplete_runs(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
         from optbench.engine import train_run
 
@@ -290,7 +294,10 @@ class TestResumeCommand:
         exp_dir = _experiment_dir(configs, name)
         # interrupt three of the four runs mid-way
         for cfg in configs[:3]:
-            train_run(cfg, _run_workdir(exp_dir, cfg), stop_after_epoch=1)
+            with monkeypatch.context() as mp:
+                stop_after_epoch(mp, 1)
+                with pytest.raises(Interrupted):
+                    train_run(cfg, _run_workdir(exp_dir, cfg))
         assert main(["resume", exp]) == 0
         out = capsys.readouterr().out
         assert "resumed 3 run(s)" in out

@@ -21,7 +21,7 @@ from optbench.errors import (
     VersionMismatchError,
 )
 from optbench.tasks import MetricSpec, ParamGroup, TaskInstance, register_task
-from conftest import quad_config, resolve
+from conftest import Interrupted, fail_write, quad_config, resolve, stop_after_epoch
 
 
 def strip_wall(obj):
@@ -186,11 +186,13 @@ class TestTrainRun:
 
 class TestResume:
     @pytest.mark.parametrize("interrupt", [1, 4, 9])
-    def test_resume_bit_identical(self, tmp_path, interrupt):
+    def test_resume_bit_identical(self, tmp_path, monkeypatch, interrupt):
         cfg = quad_config(epochs=10)
-        full = train_run(cfg, tmp_path / "full")
-        partial = train_run(cfg, tmp_path / "part", stop_after_epoch=interrupt)
-        assert partial.status == "interrupted"
+        train_run(cfg, tmp_path / "full")
+        stop_after_epoch(monkeypatch, interrupt)
+        with pytest.raises(Interrupted):
+            train_run(cfg, tmp_path / "part")
+        assert load_checkpoint(tmp_path / "part" / "checkpoints" / "last.ckpt").epoch == interrupt
         assert not (tmp_path / "part" / "result.json").exists()
         resumed = resume_run(cfg, tmp_path / "part")
         assert resumed.status == "completed"
@@ -202,9 +204,11 @@ class TestResume:
         d2 = strip_wall(json.loads((tmp_path / "part" / "result.json").read_text()))
         assert d1 == d2
 
-    def test_resume_rejects_changed_config(self, workdir):
+    def test_resume_rejects_changed_config(self, workdir, monkeypatch):
         cfg = quad_config(epochs=6)
-        train_run(cfg, workdir, stop_after_epoch=2)
+        stop_after_epoch(monkeypatch, 2)
+        with pytest.raises(Interrupted):
+            train_run(cfg, workdir)
         changed = copy.deepcopy(cfg)
         changed["optimizer"]["learning_rate"] = 0.123
         with pytest.raises(RunIdMismatchError):
@@ -253,6 +257,28 @@ class TestExtendBudget:
         changed["optimizer"]["learning_rate"] = 0.5
         with pytest.raises(RunIdMismatchError):
             extend_budget(changed, workdir, 9)
+
+    def test_each_lifecycle_writes_config_once_and_reads_last_at_most_once(
+        self, workdir, monkeypatch
+    ):
+        from optbench import engine
+
+        calls = []
+        for name in ("load_checkpoint", "dump_config"):
+            real = getattr(engine, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        cfg = quad_config(epochs=3)
+        train_run(cfg, workdir)  # best params stay in memory: no load
+        assert calls == ["dump_config"]
+        calls.clear()
+        result = extend_budget(cfg, workdir, 6)
+        assert result.best_val["epoch"] > 3  # so best.ckpt need not be read back
+        assert sorted(calls) == ["dump_config", "load_checkpoint"]
 
     def test_double_extension_accumulates_budgets(self, workdir):
         cfg = quad_config(epochs=2)
@@ -376,3 +402,64 @@ class TestBestLastProtocol:
         assert result.best_val["epoch"] == 1
         best_ckpt = load_checkpoint(workdir / "checkpoints" / "best.ckpt")
         assert best_ckpt.epoch == 1
+
+    def test_kill_between_best_and_last_keeps_best(self, tmp_path, monkeypatch):
+        # epochs 1-3 all improve, so the third best.ckpt write is epoch 3's;
+        # a kill there must not leave last.ckpt naming an epoch best.ckpt lacks
+        register_task("valley", ValleyTask)
+        full = train_run(copy.deepcopy(VALLEY_CONFIG), tmp_path / "full")
+        assert full.best_val["epoch"] == 3
+        fail_write(monkeypatch, "best.ckpt", 3)
+        with pytest.raises(Interrupted):
+            train_run(copy.deepcopy(VALLEY_CONFIG), tmp_path / "part")
+        resumed = resume_run(copy.deepcopy(VALLEY_CONFIG), tmp_path / "part")
+        assert resumed.test_best == full.test_best
+        assert load_checkpoint(tmp_path / "part" / "checkpoints" / "best.ckpt").epoch == 3
+
+
+def _run_files(workdir):
+    """Every file of a finished run, wall-clock fields dropped."""
+    files = {
+        "result": strip_wall(json.loads((workdir / "result.json").read_text())),
+        "metrics": [
+            strip_wall(json.loads(line))
+            for line in (workdir / "metrics.jsonl").read_text().splitlines()
+        ],
+        "config": (workdir / "config.resolved.yaml").read_text(),
+    }
+    for name in ("last.ckpt", "best.ckpt"):
+        files[name] = (workdir / "checkpoints" / name).read_bytes()
+    return files
+
+
+class TestCrashRecovery:
+    def test_kill_at_every_write_resumes_identically(self, tmp_path, monkeypatch):
+        register_task("valley", ValleyTask)
+        cfg = copy.deepcopy(VALLEY_CONFIG)  # 10 epochs, epochs 1-3 improve
+        from optbench import engine
+
+        writes = []
+        real_write = engine._write_atomic
+
+        def record(path, data):
+            writes.append(path.name)
+            real_write(path, data)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_write_atomic", record)
+            train_run(cfg, tmp_path / "full")
+        expected = _run_files(tmp_path / "full")
+        # config, epoch 0, metrics reset, 10 x last.ckpt, 3 x best.ckpt, result.json
+        assert len(writes) == 17 and writes.count("best.ckpt") == 3
+
+        for i, name in enumerate(writes):
+            nth = writes[: i + 1].count(name)
+            wd = tmp_path / f"kill{i}"
+            with monkeypatch.context() as mp:
+                fail_write(mp, name, nth)
+                with pytest.raises(Interrupted):
+                    train_run(cfg, wd)
+            # optbench resume needs last.ckpt; before it exists, optbench run restarts
+            finish = resume_run if (wd / "checkpoints" / "last.ckpt").exists() else train_run
+            assert finish(cfg, wd).status == "completed"
+            assert _run_files(wd) == expected, (i, name, nth)
