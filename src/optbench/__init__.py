@@ -2,7 +2,7 @@
 
 Typical library usage::
 
-    from optbench import parse_experiment, merge_defaults, expand_grid, train_run
+    from optbench import parse_experiment, merge_defaults, expand_grid, run_id, train_run
 
     spec = parse_experiment(open("experiment.yaml").read())
     for cfg in expand_grid(merge_defaults(spec)):

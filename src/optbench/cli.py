@@ -23,10 +23,18 @@ from .evaluation import run_evaluation
 
 
 def _expand_file(experiment_file: str) -> tuple[str, list[dict]]:
+    """Expand an experiment file; two grid points with one run id are an error,
+    since they would share (and train twice) one run directory."""
     text = Path(experiment_file).read_text(encoding="utf-8")
     spec = cfgmod.parse_experiment(text)
     merged = cfgmod.merge_defaults(spec)
     configs = cfgmod.expand_grid(merged)
+    first_index: dict[str, int] = {}
+    for i, cfg in enumerate(configs):
+        rid = cfgmod.run_id(cfg)
+        j = first_index.setdefault(rid, i)
+        if j != i:
+            raise ConfigError(f"grid points {j} and {i} are the same run {rid}")
     return Path(experiment_file).stem, configs
 
 
@@ -57,10 +65,6 @@ def _print_run_table(configs: list[dict]) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)))
 
 
-def _train_one(cfg: dict, workdir: str) -> dict:
-    return train_run(cfg, workdir).to_dict()
-
-
 def cmd_run(args) -> int:
     name, configs = _expand_file(args.experiment_file)
 
@@ -83,8 +87,8 @@ def cmd_run(args) -> int:
     results: list[RunResult] = []
     if args.workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_train_one, cfg, str(wd)) for cfg, wd in jobs]
-            results = [RunResult.from_dict(f.result()) for f in futures]
+            futures = [pool.submit(train_run, cfg, wd) for cfg, wd in jobs]
+            results = [f.result() for f in futures]
     else:
         for cfg, wd in jobs:
             results.append(train_run(cfg, wd))

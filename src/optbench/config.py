@@ -33,9 +33,9 @@ from .errors import (
 
 TOP_LEVEL_KEYS = ("task", "optimizer", "engine", "evaluation")
 
-# name under which an optimizer's defaults are looked up; lets variant
-# names share one implementation without duplicating default files
-OPTIMIZER_DEFAULT_ALIASES = {"adamcpr_fast": "adamcpr"}
+# variant name -> the optimizer whose defaults and implementation it uses;
+# a variant keeps its own name, so its runs keep their own identity
+OPTIMIZER_ALIASES = {"adamcpr_fast": "adamcpr"}
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
@@ -69,16 +69,10 @@ def parse_experiment(yaml_text: str) -> dict:
         node = raw.get(key, {})
         if node is None:
             node = {}
-        if key == "optimizer":
-            if not isinstance(node, (dict, list)):
-                raise SchemaError("`optimizer` must be a mapping or a list of mappings")
-            if isinstance(node, list) and not all(isinstance(b, dict) for b in node):
-                raise SchemaError("`optimizer` list entries must be mappings")
-        elif key == "task":
-            if not isinstance(node, (dict, list)):
-                raise SchemaError("`task` must be a mapping or a list of mappings")
-            if isinstance(node, list) and not all(isinstance(b, dict) for b in node):
-                raise SchemaError("`task` list entries must be mappings")
+        if key in ("task", "optimizer"):
+            branches = node if isinstance(node, list) else [node]
+            if not all(isinstance(b, dict) for b in branches):
+                raise SchemaError(f"`{key}` must be a mapping or a list of mappings")
         elif not isinstance(node, dict):
             raise SchemaError(f"`{key}` must be a mapping")
         spec[key] = copy.deepcopy(node)
@@ -186,7 +180,7 @@ def _merge_named_node(node, table: dict, kind: str):
             raise SchemaError(
                 f"every {kind} entry needs a scalar `name`; registered: {sorted(table)}"
             )
-        lookup = OPTIMIZER_DEFAULT_ALIASES.get(name, name) if kind == "optimizer" else name
+        lookup = OPTIMIZER_ALIASES.get(name, name) if kind == "optimizer" else name
         if lookup not in table:
             raise UnknownNameError(
                 f"unknown {kind} {name!r}; registered: {sorted(table)}"

@@ -236,20 +236,13 @@ class RunResult:
     wall_time_s: float = 0.0
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunResult":
-        return cls(**d)
-
     def save(self, path: str | Path) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        text = json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"
         _write_atomic(path, text.encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunResult":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # --- run directory helpers ---------------------------------------------------
@@ -266,14 +259,23 @@ def _paths(workdir: Path) -> dict[str, Path]:
 
 
 def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
-    """Drop metric lines past the checkpointed epoch (mid-epoch crashes)."""
+    """Drop metric lines past the checkpointed epoch (mid-epoch crashes).
+
+    An unparseable final line was torn by a kill inside the per-epoch
+    append, so it lies past the checkpoint too; one anywhere else raises.
+    """
+    raw = metrics_path.read_text(encoding="utf-8") if metrics_path.exists() else ""
+    lines = [ln for ln in raw.splitlines() if ln.strip()]
     history = []
-    if metrics_path.exists():
-        for line in metrics_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                entry = json.loads(line)
-                if entry["epoch"] <= up_to_epoch:
-                    history.append(entry)
+    for n, line in enumerate(lines, 1):
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError:
+            if n < len(lines):
+                raise
+            break
+        if entry["epoch"] <= up_to_epoch:
+            history.append(entry)
     text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
     _write_atomic(metrics_path, text.encode("utf-8"))
     return history

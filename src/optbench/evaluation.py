@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,20 +30,6 @@ class AggregateCell:
     std_best: float
     mean_last: float
     std_last: float
-
-    def to_dict(self) -> dict:
-        return {
-            "group_key": self.group_key,
-            "n": self.n,
-            "mean_best": self.mean_best,
-            "std_best": self.std_best,
-            "mean_last": self.mean_last,
-            "std_last": self.std_last,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AggregateCell":
-        return cls(**d)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -99,17 +84,10 @@ def aggregate(results: list[tuple[dict, RunResult]]) -> list[AggregateCell]:
 STAT_COLUMNS = ("n", "mean_best", "std_best", "mean_last", "std_last")
 
 
-def export_table(cells: list[AggregateCell], fmt: str, path: str | Path) -> None:
-    """Write cells to CSV or JSON; output is byte-stable across calls."""
+def export_table(cells: list[AggregateCell], path: str | Path) -> None:
+    """Write cells to CSV; output is byte-stable across calls."""
     if not cells:
         raise EmptyGridError("no cells to export")
-    path = Path(path)
-    if fmt == "json":
-        payload = [c.to_dict() for c in cells]
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        return
-    if fmt != "csv":
-        raise SchemaError(f"unknown table format {fmt!r}")
     key_columns = sorted({k for c in cells for k in c.group_key})
     rows = []
     for c in cells:
@@ -121,12 +99,7 @@ def export_table(cells: list[AggregateCell], fmt: str, path: str | Path) -> None
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(key_columns + list(STAT_COLUMNS))
     writer.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
-
-
-def import_table(path: str | Path) -> list[AggregateCell]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [AggregateCell.from_dict(d) for d in payload]
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -134,18 +107,12 @@ class HeatmapSpec:
     x_key: str
     y_key: str = "optimizer.learning_rate"
     value: str = "best"  # best | last
-    output_types: tuple[str, ...] = ("svg", "csv")
 
     def __post_init__(self):
         if self.x_key == self.y_key:
             raise SchemaError("heatmap needs two distinct axes")
         if self.value not in ("best", "last"):
             raise SchemaError(f"heatmap value must be best or last, got {self.value!r}")
-        unknown = set(self.output_types) - ALLOWED_OUTPUT_TYPES
-        if unknown:
-            raise SchemaError(
-                f"unsupported output types {sorted(unknown)}; allowed: {sorted(ALLOWED_OUTPUT_TYPES)}"
-            )
 
 
 def _axis_label(value, scientific: bool) -> str:
@@ -302,7 +269,7 @@ def run_evaluation(
     written = []
     if "csv" in output_types:
         table_path = out_dir / "aggregated.csv"
-        export_table(cells, "csv", table_path)
+        export_table(cells, table_path)
         written.append(table_path)
     if "svg" not in output_types:
         return written
@@ -330,9 +297,7 @@ def run_evaluation(
             if not all(x_key in c.group_key for c in opt_cells):
                 continue  # axis not applicable to this optimizer
             for value in values:
-                spec = HeatmapSpec(
-                    x_key=x_key, y_key=y_key, value=value, output_types=tuple(output_types)
-                )
+                spec = HeatmapSpec(x_key=x_key, y_key=y_key, value=value)
                 svg = render_heatmap(opt_cells, spec, direction)
                 plots_dir.mkdir(parents=True, exist_ok=True)
                 path = plots_dir / f"{opt_name}.{x_key}.{value}.svg"

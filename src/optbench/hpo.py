@@ -163,18 +163,19 @@ def _objective_from(result: RunResult) -> float:
 
 
 def _evaluate_trial(trial: Trial, budget: int, rung: int) -> None:
-    """Run or extend a trial to the given budget and record its objective."""
+    """Run or extend a trial to the given budget and record its objective.
+
+    Only an aborted (diverged) run is a failed trial; any error propagates.
+    """
     target_cfg = _apply_overlay(trial.config, {}, budget)
-    try:
-        if trial.status == "pending":
-            result = train_run(target_cfg, trial.workdir)
-        else:
-            result = extend_budget(target_cfg, trial.workdir, budget)
-        if result.status != "completed":
-            raise BenchmarkError(result.error or "run did not complete")
+    if trial.status == "pending":
+        result = train_run(target_cfg, trial.workdir)
+    else:
+        result = extend_budget(target_cfg, trial.workdir, budget)
+    if result.status == "completed":
         trial.objective = _objective_from(result)
         trial.status = "completed"
-    except BenchmarkError:
+    else:
         trial.objective = math.inf  # worst possible, keeps budget accounting exact
         trial.status = "failed"
     trial.budget_epochs = budget

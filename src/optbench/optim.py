@@ -4,14 +4,15 @@ Every optimizer is a pair of functions: ``configure`` builds zeroed state
 for a list of parameter groups, and ``step`` advances flat parameters in
 place given flat gradients and the scheduled learning rate. Adding an
 optimizer means adding one entry to ``OPTIMIZERS`` plus a default file;
-nothing else in the harness changes.
+nothing else in the harness changes. Variant names resolve through
+``config.OPTIMIZER_ALIASES``.
 
 Weight regularization differs by design between the baselines:
 
 - ``sgd_baseline``    coupled L2 (decay added to the gradient)
 - ``adamw_baseline``  decoupled decay applied directly to the parameters
 - ``adamcpr``         no decay; a per-group constraint on mean(theta^2)
-  activated after a warm-start phase (``adamcpr_fast`` is an alias)
+  activated after a warm-start phase
 - ``adafactor``       decoupled decay, factored second moments
 """
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import OPTIMIZER_ALIASES
 from .errors import (
     BadHyperparameterError,
     NonFiniteError,
@@ -308,7 +310,6 @@ OPTIMIZERS: dict[str, OptimizerImpl] = {
     "adamcpr": OptimizerImpl(_configure_adamcpr, adamcpr_step),
     "adafactor": OptimizerImpl(_configure_adafactor, adafactor_step),
 }
-OPTIMIZERS["adamcpr_fast"] = OPTIMIZERS["adamcpr"]
 
 
 def register_optimizer(name: str, configure, step) -> None:
@@ -316,16 +317,20 @@ def register_optimizer(name: str, configure, step) -> None:
     OPTIMIZERS[name] = OptimizerImpl(configure, step)
 
 
+def _impl(name: str) -> OptimizerImpl:
+    impl = OPTIMIZERS.get(OPTIMIZER_ALIASES.get(name, name))
+    if impl is None:
+        raise UnknownNameError(f"unknown optimizer {name!r}; registered: {sorted(OPTIMIZERS)}")
+    return impl
+
+
 def configure_optimizer(groups: list[ParamGroup], config: OptimizerConfig) -> OptimizerState:
     """Zero-initialized state with buffer shapes matching the groups."""
-    if config.name not in OPTIMIZERS:
-        raise UnknownNameError(
-            f"unknown optimizer {config.name!r}; registered: {sorted(OPTIMIZERS)}"
-        )
+    impl = _impl(config.name)
     if not groups:
         raise ShapeMismatchError("need at least one parameter group")
-    return OPTIMIZERS[config.name].configure(groups, config)
+    return impl.configure(groups, config)
 
 
 def optimizer_step(params, grads, state: OptimizerState, lr_t: float) -> None:
-    OPTIMIZERS[state.config.name].step(params, grads, state, lr_t)
+    _impl(state.config.name).step(params, grads, state, lr_t)

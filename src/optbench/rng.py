@@ -54,10 +54,7 @@ def _rotl(x: int, k: int) -> int:
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** with SplitMix64 seeding.
-
-    State is four 64-bit words, serializable as hex via :meth:`state`.
-    """
+    """xoshiro256** with SplitMix64 seeding; state is four 64-bit words."""
 
     __slots__ = ("s",)
 
@@ -68,15 +65,6 @@ class Xoshiro256StarStar:
             s, z = splitmix64(s)
             words.append(z)
         self.s = words
-
-    def state(self) -> list[str]:
-        return [f"{w:016x}" for w in self.s]
-
-    @classmethod
-    def from_state(cls, words: list[str]) -> "Xoshiro256StarStar":
-        gen = cls.__new__(cls)
-        gen.s = [int(w, 16) & _MASK64 for w in words]
-        return gen
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self.s
@@ -110,7 +98,7 @@ class Xoshiro256StarStar:
 
     def normal(self) -> float:
         # Box-Muller without the cached twin: stateless apart from the
-        # integer words, so serialization never has hidden float state.
+        # integer words, so the generator never has hidden float state.
         u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
         u2 = self.random()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

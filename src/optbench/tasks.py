@@ -34,11 +34,11 @@ from .rng import Xoshiro256StarStar, derive_stream
 
 @dataclass(frozen=True)
 class MetricSpec:
-    kind: str  # accuracy | rmse | loss
+    kind: str  # accuracy | loss
     direction: str  # maximize | minimize
 
     def __post_init__(self):
-        expected = {"accuracy": "maximize", "rmse": "minimize", "loss": "minimize"}
+        expected = {"accuracy": "maximize", "loss": "minimize"}
         if self.kind not in expected:
             raise BadParameterError(f"unknown metric kind {self.kind!r}")
         if self.direction != expected[self.kind]:
@@ -79,11 +79,6 @@ class DataSplit:
 
 def accuracy(predicted_classes: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(predicted_classes == targets))
-
-
-def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:
-    diff = np.asarray(predictions, dtype=np.float64) - np.asarray(targets, dtype=np.float64)
-    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def _softmax_ce(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

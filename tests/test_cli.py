@@ -111,6 +111,15 @@ class TestRun:
         exp = write(project / "bad.yaml", "task: {name: not_a_task}\noptimizer: {name: adamw_baseline}")
         assert main(["run", exp]) == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["run", "--dry-run"], ["resume"],
+                                         ["plot"], ["slurm-script"]])
+    def test_duplicate_grid_points_exit_2(self, project, capsys, command):
+        exp = write(project / "dup.yaml", TINY_EXPERIMENT.replace("[1, 2]", "[1, 1]"))
+        assert main([command[0], exp, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "grid points 0 and 1" in err
+        assert not (project / "output").exists()
+
     def test_aborting_run_exit_1(self, project, capsys):
         exp = write(
             project / "diverge.yaml",

@@ -463,3 +463,22 @@ class TestCrashRecovery:
             finish = resume_run if (wd / "checkpoints" / "last.ckpt").exists() else train_run
             assert finish(cfg, wd).status == "completed"
             assert _run_files(wd) == expected, (i, name, nth)
+
+    def test_only_a_torn_final_metrics_line_is_dropped(self, tmp_path, monkeypatch):
+        cfg = quad_config(epochs=6)
+        train_run(cfg, tmp_path / "full")
+        for name in ("torn", "corrupt"):
+            with monkeypatch.context() as mp:
+                stop_after_epoch(mp, 3)
+                with pytest.raises(Interrupted):
+                    train_run(cfg, tmp_path / name)
+        with open(tmp_path / "torn" / "metrics.jsonl", "a", encoding="utf-8") as f:
+            f.write('{"epoch": 5, "lr_l')  # a kill inside the next append
+        assert resume_run(cfg, tmp_path / "torn").status == "completed"
+        assert _run_files(tmp_path / "torn") == _run_files(tmp_path / "full")
+        # an unparseable line before the last is corruption, not a torn append
+        metrics = tmp_path / "corrupt" / "metrics.jsonl"
+        lines = metrics.read_text().splitlines(keepends=True)
+        metrics.write_text(lines[0] + '{"epoch": 2, "lr_l\n' + "".join(lines[2:]))
+        with pytest.raises(json.JSONDecodeError):
+            resume_run(cfg, tmp_path / "corrupt")

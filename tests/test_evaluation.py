@@ -16,7 +16,6 @@ from optbench.evaluation import (
     HeatmapSpec,
     aggregate,
     export_table,
-    import_table,
     render_heatmap,
     run_evaluation,
 )
@@ -117,7 +116,7 @@ class TestExportTable:
     def test_csv_header_and_row(self, tmp_path):
         cells = [AggregateCell({"optimizer.learning_rate": 0.1}, 1, 2.0, 0.0, 3.0, 0.0)]
         path = tmp_path / "t.csv"
-        export_table(cells, "csv", path)
+        export_table(cells, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "optimizer.learning_rate,n,mean_best,std_best,mean_last,std_last"
@@ -126,22 +125,13 @@ class TestExportTable:
     def test_reexport_byte_identical(self, tmp_path):
         cells = self.make_cells()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_table(cells, "csv", p1)
-        export_table(cells, "csv", p2)
+        export_table(cells, p1)
+        export_table(cells, p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_json_round_trip(self, tmp_path):
-        cells = self.make_cells()
-        path = tmp_path / "cells.json"
-        export_table(cells, "json", path)
-        again = import_table(path)
-        assert [c.to_dict() for c in again] == [c.to_dict() for c in cells]
-        export_table(again, "json", tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyGridError):
-            export_table([], "csv", tmp_path / "t.csv")
+            export_table([], tmp_path / "t.csv")
 
 
 def grid_cells(values, x_key="optimizer.kappa_init_param", y_key="optimizer.learning_rate"):
@@ -227,8 +217,6 @@ class TestHeatmap:
             HeatmapSpec(x_key="a", y_key="a")
         with pytest.raises(SchemaError):
             HeatmapSpec(x_key="a", value="median")
-        with pytest.raises(SchemaError):
-            HeatmapSpec(x_key="a", output_types=("pdf",))
 
 
 class TestRunEvaluation:

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from optbench.engine import train_run
-from optbench.errors import BadParameterError, SchemaError
+from optbench.engine import RunResult, train_run
+from optbench.errors import BadParameterError, RunIdMismatchError, SchemaError
 from optbench.hpo import (
     Categorical,
     LogUniform,
@@ -240,6 +241,25 @@ class TestRunHpo:
         assert (tmp_path / "a" / "trials.jsonl").read_text() == (
             tmp_path / "b" / "trials.jsonl"
         ).read_text()
+
+    def test_only_aborted_runs_are_failed_trials(self, tmp_path):
+        base = resolve(
+            "task: {name: rosenbrock, max_epochs: 3}\n"
+            "optimizer: {name: sgd_baseline}\nengine: {seed: 1}"
+        )[0]
+        space = parse_space({"optimizer.learning_rate": {"categorical": [100.0, 0.001]}})
+        args = (base, space, 5, 1e-9, 3, 3, 1, tmp_path)
+        with np.errstate(all="ignore"):
+            outcome = run_hpo(*args)
+            assert {t.status for t in outcome.trials} == {"completed", "failed"}
+            assert max(t.rung for t in outcome.trials) == 1
+            for t in outcome.trials:
+                aborted = RunResult.load(t.workdir / "result.json").status == "aborted"
+                assert (t.status == "failed") == aborted == (t.objective == math.inf)
+            # the promoted trial's dir holds a larger budget than rung 0 asks
+            # for, so rerunning into the used dir is an error, not a failed trial
+            with pytest.raises(RunIdMismatchError):
+                run_hpo(*args)
 
     def test_validation(self, tmp_path):
         with pytest.raises(BadParameterError):

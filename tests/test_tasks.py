@@ -14,7 +14,6 @@ from optbench.tasks import (
     evaluate,
     forward_backward,
     parameter_groups,
-    rmse,
 )
 from conftest import resolve
 
@@ -268,16 +267,10 @@ class TestMetricHelpers:
     def test_accuracy(self):
         assert accuracy(np.array([0, 1, 1]), np.array([0, 1, 0])) == pytest.approx(2 / 3)
 
-    def test_rmse(self):
-        assert rmse(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == pytest.approx(
-            np.sqrt(2.5)
-        )
-        assert rmse(np.array([3.0]), np.array([3.0])) == 0.0
-
     def test_metric_spec_directions(self):
         assert MetricSpec("accuracy", "maximize").is_improvement(0.9, 0.8)
         assert not MetricSpec("accuracy", "maximize").is_improvement(0.8, 0.8)
-        assert MetricSpec("rmse", "minimize").is_improvement(0.1, 0.2)
+        assert MetricSpec("loss", "minimize").is_improvement(0.1, 0.2)
         with pytest.raises(BadParameterError):
             MetricSpec("accuracy", "minimize")
         with pytest.raises(BadParameterError):
