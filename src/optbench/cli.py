@@ -18,7 +18,7 @@ from pathlib import Path
 from . import config as cfgmod
 from . import hpo as hpomod
 from .engine import RunResult, load_checkpoint, resume_run, train_run
-from .errors import BenchmarkError, ConfigError
+from .errors import BenchmarkError, CheckpointError, ConfigError
 from .evaluation import run_evaluation
 
 
@@ -159,25 +159,31 @@ def cmd_plot(args) -> int:
 
 
 def cmd_list(args) -> int:
+    """Tabulate every run dir; an unreadable one is a ``corrupt`` row (reason
+    on stderr) and makes the exit code 1 once the table is printed."""
     out_dir = Path(args.output_dir)
     rows = []
-    for result_path in sorted(out_dir.glob("*/runs/*/")):
-        rid = result_path.name
-        rj = result_path / "result.json"
-        last = result_path / "checkpoints" / "last.ckpt"
-        if rj.exists():
-            result = RunResult.load(rj)
-            best = result.best_val["value"] if result.best_val else None
-            rows.append((rid, result.status, len(result.history), best))
-        elif last.exists():
-            ckpt = load_checkpoint(last)
-            best = ckpt.best_val["value"] if ckpt.best_val else None
-            rows.append((rid, "incomplete", ckpt.epoch, best))
+    for run_dir in sorted(out_dir.glob("*/runs/*/")):
+        rid = run_dir.name
+        rj = run_dir / "result.json"
+        last = run_dir / "checkpoints" / "last.ckpt"
+        try:
+            if rj.exists():
+                result = RunResult.load(rj)
+                best = result.best_val["value"] if result.best_val else None
+                rows.append((rid, result.status, len(result.history), best))
+            elif last.exists():
+                ckpt = load_checkpoint(last)
+                best = ckpt.best_val["value"] if ckpt.best_val else None
+                rows.append((rid, "incomplete", ckpt.epoch, best))
+        except (CheckpointError, ValueError, TypeError) as exc:
+            print(f"{rid}: {exc!r}", file=sys.stderr)
+            rows.append((rid, "corrupt", "-", None))
     print(f"{'run_id':<18}{'status':<12}{'epoch':<7}best_val")
     for rid, status, epoch, best in rows:
         best_s = "-" if best is None else f"{best:.6g}"
         print(f"{rid:<18}{status:<12}{epoch:<7}{best_s}")
-    return 0
+    return 1 if any(row[1] == "corrupt" for row in rows) else 0
 
 
 def cmd_hpo(args) -> int:

@@ -7,7 +7,6 @@ in its own working directory:
     <workdir>/metrics.jsonl            one line per epoch
     <workdir>/result.json              written on completion or abort
     <workdir>/checkpoints/last.ckpt    every epoch (epoch 0 = untrained)
-    <workdir>/checkpoints/best.ckpt    best validation so far
 
 Fresh start, resume and budget extension share one lifecycle, ``_run``: it
 builds the task, starts from a checkpoint (the one it is given, else
@@ -15,30 +14,33 @@ builds the task, starts from a checkpoint (the one it is given, else
 writes ``result.json``. ``train_run``, ``resume_run`` and ``extend_budget``
 only choose the checkpoint and the budget history it starts from.
 
-Each epoch appends its metrics line, writes ``best.ckpt`` if the epoch
-improved, and writes ``last.ckpt`` last. ``last.ckpt`` is the resume point
-and its ``best_val`` names the best epoch so far, so it must never be on
-disk before the ``best.ckpt`` it names: a kill between the two writes then
-leaves ``last.ckpt`` one epoch behind, and the resumed run redoes that
-epoch and rewrites both. Every file but the metrics append is written to a
-temporary file and renamed into place.
+``last.ckpt`` is the whole resume state: parameters, optimizer state, seeds,
+the best validation value with its parameters, and the budget history. Each
+epoch appends its metrics line and then rewrites ``last.ckpt``. Every file
+but the metrics append is written to a temporary file and renamed into
+place, so a kill at any write leaves a run that resumes from the last
+checkpointed epoch. A kill inside ``extend_budget`` is finished by calling
+it again with the same arguments; until then ``result.json`` still holds
+the result of the previous budget.
 
-Checkpoints are canonical JSON where every float is stored as its IEEE-754
-bit pattern plus a SHA-256 trailer, so a load/save round trip reproduces
-the identical bytes and a resumed run is bit-identical to one that never
-stopped. Batch order depends only on (shuffle seed, epoch index).
+Checkpoints are canonical JSON plus a SHA-256 trailer. Every float array
+and float scalar is stored as base64 of its little-endian float64 bytes, so
+a load/save round trip reproduces the identical bytes and a resumed run is
+bit-identical to one that never stopped. A checkpoint of another version
+raises ``VersionMismatchError``. Batch order depends only on (shuffle seed,
+epoch index).
 """
 
 from __future__ import annotations
 
+import base64
 import copy
 import hashlib
 import json
 import math
 import os
-import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +59,7 @@ from .rng import Xoshiro256StarStar, derive_child, derive_stream
 from .sched import ScheduleSpec, lr_at
 from .tasks import TaskInstance, build_task, evaluate, forward_backward
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 SEED_STREAMS = ("init", "shuffle")
 
 
@@ -72,27 +74,20 @@ def derive_seeds(engine_seed: int) -> dict[str, int]:
     return {name: derive_stream(engine_seed, name) for name in SEED_STREAMS}
 
 
-# --- bit-exact float encoding ---------------------------------------------
+# --- checkpoints ------------------------------------------------------------
 
-def float_to_hex(x: float) -> str:
-    return struct.pack(">d", x).hex()
-
-
-def hex_to_float(h: str) -> float:
-    return struct.unpack(">d", bytes.fromhex(h))[0]
+def _encode_array(a) -> str:
+    """Base64 of the little-endian float64 bytes of an array or a float."""
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": [float_to_hex(v) for v in a.ravel().tolist()]}
-
-
-def _decode_array(d: dict) -> np.ndarray:
-    a = np.array([hex_to_float(h) for h in d["data"]], dtype=np.float64)
-    return a.reshape(d["shape"])
+def _decode_array(text: str) -> np.ndarray:
+    """Flat float64 array of ``_encode_array`` output; ``.item()`` for a float."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
 
 
 def encode_optimizer_state(state: OptimizerState) -> dict:
-    snap = {
+    return {
         "step_count": state.step_count,
         "buffers": {
             g: {k: _encode_array(a) for k, a in bufs.items()}
@@ -101,13 +96,12 @@ def encode_optimizer_state(state: OptimizerState) -> dict:
         "cpr": {
             g: {
                 "fix_step": cs.fix_step,
-                "lam": float_to_hex(cs.lam),
-                "kappa": None if cs.kappa is None else float_to_hex(cs.kappa),
+                "lam": _encode_array(cs.lam),
+                "kappa": None if cs.kappa is None else _encode_array(cs.kappa),
             }
             for g, cs in state.cpr.items()
         },
     }
-    return snap
 
 
 def restore_optimizer_state(snapshot: dict, state: OptimizerState) -> None:
@@ -115,15 +109,14 @@ def restore_optimizer_state(snapshot: dict, state: OptimizerState) -> None:
     state.step_count = snapshot["step_count"]
     for g, bufs in snapshot["buffers"].items():
         for k, enc in bufs.items():
-            state.buffers[g][k][...] = _decode_array(enc)
+            buf = state.buffers[g][k]
+            buf[...] = _decode_array(enc).reshape(buf.shape)
     for g, enc in snapshot["cpr"].items():
         cs = state.cpr[g]
         cs.fix_step = enc["fix_step"]
-        cs.lam = hex_to_float(enc["lam"])
-        cs.kappa = None if enc["kappa"] is None else hex_to_float(enc["kappa"])
+        cs.lam = _decode_array(enc["lam"]).item()
+        cs.kappa = None if enc["kappa"] is None else _decode_array(enc["kappa"]).item()
 
-
-# --- checkpoints ------------------------------------------------------------
 
 @dataclass
 class Checkpoint:
@@ -133,26 +126,20 @@ class Checkpoint:
     optimizer_state: dict  # snapshot as produced by encode_optimizer_state
     rng_states: dict[str, str]  # stream name -> serialized state (hex)
     best_val: dict | None  # {"value": float, "epoch": int}
+    best_params: np.ndarray | None  # None until the first improving epoch
+    budgets: list[int]  # every max_epochs the run was given, in order
     run_id: str
     version: int = CHECKPOINT_VERSION
 
     def __eq__(self, other):
         if not isinstance(other, Checkpoint):
             return NotImplemented
-        return (
-            self.version == other.version
-            and self.epoch == other.epoch
-            and self.step_count == other.step_count
-            and self.params.tobytes() == other.params.tobytes()
-            and self.optimizer_state == other.optimizer_state
-            and self.rng_states == other.rng_states
-            and self.best_val == other.best_val
-            and self.run_id == other.run_id
-        )
+        return encode_checkpoint(self) == encode_checkpoint(other)
 
 
 def encode_checkpoint(ckpt: Checkpoint) -> bytes:
     """Canonical file bytes of a checkpoint: JSON body plus SHA-256 trailer."""
+    best = ckpt.best_val
     payload = {
         "version": ckpt.version,
         "epoch": ckpt.epoch,
@@ -161,8 +148,10 @@ def encode_checkpoint(ckpt: Checkpoint) -> bytes:
         "optimizer_state": ckpt.optimizer_state,
         "rng_states": ckpt.rng_states,
         "best_val": None
-        if ckpt.best_val is None
-        else {"value": float_to_hex(ckpt.best_val["value"]), "epoch": ckpt.best_val["epoch"]},
+        if best is None
+        else {"value": _encode_array(best["value"]), "epoch": best["epoch"]},
+        "best_params": None if ckpt.best_params is None else _encode_array(ckpt.best_params),
+        "budgets": ckpt.budgets,
         "run_id": ckpt.run_id,
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -177,11 +166,9 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> bytes:
-    """Write a checkpoint atomically; returns the bytes written."""
-    data = encode_checkpoint(ckpt)
-    _write_atomic(path, data)
-    return data
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write a checkpoint atomically."""
+    _write_atomic(path, encode_checkpoint(ckpt))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -202,7 +189,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CorruptCheckpointError(f"unparseable checkpoint {path}") from exc
     if payload.get("version") != CHECKPOINT_VERSION:
         raise VersionMismatchError(
-            f"checkpoint version {payload.get('version')} != {CHECKPOINT_VERSION}"
+            f"{path} has checkpoint version {payload.get('version')}, this optbench "
+            f"reads only version {CHECKPOINT_VERSION}: delete the run directory and rerun"
         )
     best = payload["best_val"]
     return Checkpoint(
@@ -214,7 +202,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         rng_states=payload["rng_states"],
         best_val=None
         if best is None
-        else {"value": hex_to_float(best["value"]), "epoch": best["epoch"]},
+        else {"value": _decode_array(best["value"]).item(), "epoch": best["epoch"]},
+        best_params=None
+        if payload["best_params"] is None
+        else _decode_array(payload["best_params"]),
+        budgets=payload["budgets"],
         run_id=payload["run_id"],
     )
 
@@ -254,7 +246,6 @@ def _paths(workdir: Path) -> dict[str, Path]:
         "result": workdir / "result.json",
         "ckpt_dir": workdir / "checkpoints",
         "last": workdir / "checkpoints" / "last.ckpt",
-        "best": workdir / "checkpoints" / "best.ckpt",
     }
 
 
@@ -326,7 +317,12 @@ def resume_run(config: dict, workdir: str | Path) -> RunResult:
 
 def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> RunResult:
     """Grow a run's epoch budget; the schedule re-totalizes over the new
-    horizon from the resume point on (past steps are not replayed)."""
+    horizon from the resume point on (past steps are not replayed).
+
+    The checkpoint's budget history gains ``new_max_epochs`` unless that is
+    already its last entry, so calling this again with the same arguments
+    after a kill at any of its writes finishes the extension.
+    """
     workdir = Path(workdir)
     paths = _paths(workdir)
     if not paths["config"].exists() or not paths["last"].exists():
@@ -342,27 +338,18 @@ def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> Run
     if run_id(_with_budget(stored_cfg, new_max_epochs)) != run_id(new_config):
         raise RunIdMismatchError("config differs from the stored run beyond max_epochs")
     ckpt = load_checkpoint(paths["last"])
-    if ckpt.run_id != run_id(stored_cfg):
+    if ckpt.run_id != run_id(_with_budget(stored_cfg, ckpt.budgets[-1])):
         raise RunIdMismatchError("checkpoint does not belong to the stored config")
-    if new_max_epochs <= ckpt.epoch:
-        raise BadParameterError(
-            f"new budget {new_max_epochs} must exceed trained epochs {ckpt.epoch}"
-        )
-
-    if paths["result"].exists():
-        budgets = RunResult.load(paths["result"]).budgets
-        paths["result"].unlink()
-    else:
-        budgets = [int(stored_cfg["task"]["max_epochs"])]
-    return _run(new_config, workdir, ckpt, budgets + [new_max_epochs])
+    if ckpt.budgets[-1] != new_max_epochs:
+        if new_max_epochs <= ckpt.epoch:
+            raise BadParameterError(
+                f"new budget {new_max_epochs} must exceed trained epochs {ckpt.epoch}"
+            )
+        ckpt.budgets = ckpt.budgets + [new_max_epochs]
+    return _run(new_config, workdir, ckpt)
 
 
-def _run(
-    config: dict,
-    workdir: Path,
-    ckpt: Checkpoint | None = None,
-    budgets: list[int] | None = None,
-) -> RunResult:
+def _run(config: dict, workdir: Path, ckpt: Checkpoint | None = None) -> RunResult:
     """The one run lifecycle: train ``config`` from ``ckpt`` (else from
     ``last.ckpt``, else from a new epoch-0 checkpoint) up to
     ``task.max_epochs`` and write ``result.json``.
@@ -394,6 +381,8 @@ def _run(
             optimizer_state=encode_optimizer_state(opt_state),
             rng_states={name: f"{seed:016x}" for name, seed in seeds.items()},
             best_val=None,
+            best_params=None,
+            budgets=[task.max_epochs],
             run_id=rid,
         )
         save_checkpoint(ckpt, paths["last"])
@@ -405,7 +394,7 @@ def _run(
     params = ckpt.params.copy()
     step_count = ckpt.step_count
     best_val = ckpt.best_val
-    best_params = None  # set once an epoch of this process improves
+    best_params = ckpt.best_params
     train = task.splits["train"]
     batch = task.batch_size
     spe = steps_per_epoch(task)
@@ -414,7 +403,7 @@ def _run(
         status="completed",
         history=history,
         seeds_used=seeds,
-        budgets=budgets or [task.max_epochs],
+        budgets=ckpt.budgets,
         metric={"kind": task.metric.kind, "direction": task.metric.direction},
         schedule_info={
             "total_steps": schedule.total_steps,
@@ -459,31 +448,24 @@ def _run(
         with open(paths["metrics"], "a", encoding="utf-8") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
 
-        improved = best_val is None or task.metric.is_improvement(
-            val_metric, best_val["value"]
-        )
-        if improved:
+        if best_val is None or task.metric.is_improvement(val_metric, best_val["value"]):
             best_val = {"value": val_metric, "epoch": epoch}
             best_params = params.copy()
-        ck = Checkpoint(
+        ckpt = replace(
+            ckpt,
             epoch=epoch,
             step_count=step_count,
             params=params,
             optimizer_state=encode_optimizer_state(opt_state),
-            rng_states=ckpt.rng_states,
             best_val=best_val,
+            best_params=best_params,
             run_id=rid,
         )
-        # best before last, encoded once (see the module docstring)
-        ckpt_bytes = save_checkpoint(ck, paths["best"] if improved else paths["last"])
-        if improved:
-            _write_atomic(paths["last"], ckpt_bytes)
+        save_checkpoint(ckpt, paths["last"])
 
     result.best_val = best_val
     result.wall_time_s = time.monotonic() - t_start
     if result.status == "completed":
-        if best_params is None:  # the best epoch was trained by an earlier process
-            best_params = load_checkpoint(paths["best"]).params
         result.test_best = evaluate(task, best_params, "test")
         result.test_last = evaluate(task, params, "test")
     result.save(paths["result"])

@@ -280,15 +280,23 @@ def run_hpo(
     return HpoOutcome(best=best, trials=trials, log=log)
 
 
+def _distinct_seeds(seeds: list) -> list[int]:
+    """The seeds as ints; a repeated one would aggregate one run twice."""
+    ints = [int(s) for s in seeds]
+    if len(set(ints)) != len(ints):
+        raise BadParameterError(f"retrain_seeds must not repeat a seed: {seeds}")
+    return ints
+
+
 def retrain_best(
     best_config: dict, seeds: list[int], workdir: str | Path
 ) -> list[AggregateCell]:
     """Train the winning configuration once per seed and aggregate."""
     workdir = Path(workdir)
     results = []
-    for s in seeds:
+    for s in _distinct_seeds(seeds):
         cfg = copy.deepcopy(best_config)
-        cfg["engine"]["seed"] = int(s)
+        cfg["engine"]["seed"] = s
         rid = run_id(cfg)
         result = train_run(cfg, workdir / "retrain" / rid)
         results.append((cfg, result))
@@ -316,4 +324,5 @@ def load_hpo_file(path: str | Path) -> dict:
         raw["experiment_text"] = yaml.safe_dump(raw["experiment"])
     else:
         raise ConfigError("`experiment` must be a mapping or a path string")
+    _distinct_seeds(raw.get("retrain_seeds") or [])  # before the search trains
     return raw

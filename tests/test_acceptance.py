@@ -288,11 +288,10 @@ def test_best_last_protocol(tmp_path):
     vals = [h["val_metric"] for h in result.history]
     best_epoch = min(range(len(vals)), key=lambda i: vals[i]) + 1
     assert 1 < best_epoch < len(vals)  # known interior optimum
-    best_ckpt = load_checkpoint(workdir / "checkpoints" / "best.ckpt")
     last_ckpt = load_checkpoint(workdir / "checkpoints" / "last.ckpt")
-    assert best_ckpt.epoch == best_epoch
+    assert last_ckpt.best_val == {"value": vals[best_epoch - 1], "epoch": best_epoch}
     assert result.best_val["epoch"] == best_epoch
-    assert result.test_best == float((best_ckpt.params[0] - 1.0) ** 2)
+    assert result.test_best == float((last_ckpt.best_params[0] - 1.0) ** 2)
     assert result.test_last == float((last_ckpt.params[0] - 1.0) ** 2)
 
 

@@ -221,6 +221,23 @@ evaluation:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5
         assert all("completed" in l for l in lines[1:])
+        # a truncated result.json and a corrupt last.ckpt are rows, then exit 1
+        runs = sorted((project / "output" / "tiny" / "runs").iterdir())
+        result = runs[0] / "result.json"
+        result.write_text(result.read_text()[:40])
+        (runs[1] / "result.json").unlink()
+        last = runs[1] / "checkpoints" / "last.ckpt"
+        last.write_bytes(last.read_bytes()[:-20])
+        assert main(["list", str(project / "output")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 5
+        assert [l.split()[:2] for l in lines[1:3]] == [
+            [runs[0].name, "corrupt"],
+            [runs[1].name, "corrupt"],
+        ]
+        assert all("completed" in l for l in lines[3:])
+        assert "JSONDecodeError" in captured.err and "CorruptCheckpointError" in captured.err
 
     def test_list_shows_incomplete(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
@@ -363,3 +380,20 @@ n_trials: 4
 """,
         )
         assert main(["hpo", hpo_file]) == 2
+
+    def test_repeated_retrain_seed_exit_2_before_training(self, project, capsys):
+        hpo_file = write(
+            project / "dup.yaml",
+            """
+experiment:
+  task: {name: quadratic, max_epochs: 3}
+  optimizer: {name: adamw_baseline}
+space:
+  optimizer.learning_rate: {log_uniform: [1.0e-5, 1.0e-1]}
+n_trials: 4
+retrain_seeds: [4, 4]
+""",
+        )
+        assert main(["hpo", hpo_file]) == 2
+        assert "repeat" in capsys.readouterr().err
+        assert not (project / "output").exists()

@@ -1,14 +1,22 @@
 import copy
+import hashlib
 import json
+import shutil
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from optbench import build_task
 from optbench.engine import (
     Checkpoint,
+    _build_schedule,
+    _encode_array,
     derive_seeds,
     extend_budget,
     load_checkpoint,
+    restore_optimizer_state,
     resume_run,
     save_checkpoint,
     train_run,
@@ -20,6 +28,7 @@ from optbench.errors import (
     RunIdMismatchError,
     VersionMismatchError,
 )
+from optbench.optim import OptimizerConfig, configure_optimizer
 from optbench.tasks import MetricSpec, ParamGroup, TaskInstance, register_task
 from conftest import Interrupted, fail_write, quad_config, resolve, stop_after_epoch
 
@@ -55,18 +64,29 @@ class TestDeriveSeeds:
 
 
 class TestCheckpointCodec:
+    # -0.0, a subnormal, +-inf and nan must survive bit for bit
+    PARAMS = [1.0, -2.5, 3.75e-300, 0.1 + 0.2, -0.0, 5e-324, np.inf, -np.inf, np.nan]
+
     def make_ckpt(self):
         return Checkpoint(
             epoch=3,
             step_count=12,
-            params=np.array([1.0, -2.5, 3.75e-300, 0.1 + 0.2]),
+            params=np.array(self.PARAMS),
             optimizer_state={
                 "step_count": 12,
-                "buffers": {"g0": {"m": {"shape": [2], "data": ["3fb999999999999a", "0000000000000000"]}}},
-                "cpr": {},
+                "buffers": {"g0": {"m": _encode_array(np.array([0.1, -0.0]))}},
+                "cpr": {
+                    "g0": {
+                        "fix_step": 4,
+                        "lam": _encode_array(-0.0),
+                        "kappa": _encode_array(np.inf),
+                    }
+                },
             },
             rng_states={"init": "00000000deadbeef", "shuffle": "0000000000000042"},
-            best_val={"value": 0.975, "epoch": 2},
+            best_val={"value": 5e-324, "epoch": 2},
+            best_params=np.array([-0.0, -np.inf, 2.5e-310]),
+            budgets=[2, 6],
             run_id="ab" * 8,
         )
 
@@ -76,6 +96,26 @@ class TestCheckpointCodec:
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
         assert loaded == ckpt
+        assert loaded.params.tobytes() == np.array(self.PARAMS).tobytes()
+        assert loaded.best_params.tobytes() == ckpt.best_params.tobytes()
+        assert loaded.best_val == {"value": 5e-324, "epoch": 2}
+        assert loaded.budgets == [2, 6]
+
+    def test_equality_sees_the_sign_of_zero(self):
+        other = self.make_ckpt()
+        other.best_params[0] = 0.0
+        assert other != self.make_ckpt()
+
+    def test_optimizer_scalars_roundtrip(self):
+        from optbench.optim import CprState, OptimizerState
+
+        state = OptimizerState("adamcpr", [], None)
+        state.buffers = {"g0": {"m": np.zeros(2)}}
+        state.cpr = {"g0": CprState(fix_step=0)}
+        restore_optimizer_state(self.make_ckpt().optimizer_state, state)
+        assert state.buffers["g0"]["m"].tobytes() == np.array([0.1, -0.0]).tobytes()
+        assert (state.cpr["g0"].fix_step, state.cpr["g0"].kappa) == (4, np.inf)
+        assert np.signbit(state.cpr["g0"].lam)
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -106,9 +146,71 @@ class TestCheckpointCodec:
         with pytest.raises(VersionMismatchError):
             load_checkpoint(path)
 
+    def test_v1_file_says_how_to_proceed(self, tmp_path):
+        # the hex-float layout of version 1, with a valid trailer
+        payload = {
+            "version": 1,
+            "epoch": 1,
+            "step_count": 2,
+            "params": {"shape": [1], "data": ["3ff0000000000000"]},
+            "optimizer_state": {"step_count": 2, "buffers": {}, "cpr": {}},
+            "rng_states": {"init": "00000000deadbeef", "shuffle": "0000000000000042"},
+            "best_val": {"value": "3ff0000000000000", "epoch": 1},
+            "run_id": "ab" * 8,
+        }
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        path = tmp_path / "last.ckpt"
+        path.write_text(body + "sha256 " + hashlib.sha256(body.encode()).hexdigest() + "\n")
+        with pytest.raises(VersionMismatchError, match="delete the run directory and rerun"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_final_state.json").read_text())
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(np.asarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestGoldenFinalState:
+    """SHA-256 of the final params, best params, optimizer buffers and AdamCPR
+    scalars of every task x optimizer after 2 epochs. The hashes were taken
+    from version-1 (hex-float) checkpoints, so the version-2 codec and any
+    later speed-up of the step must reproduce them bit for bit."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_last_ckpt_decodes_to_golden(self, workdir, key):
+        task_name, opt_name = key.split("/")
+        cfg = resolve(
+            f"task: {{name: {task_name}, max_epochs: 2}}\noptimizer: {{name: {opt_name}}}"
+        )[0]
+        result = train_run(cfg, workdir)
+        ckpt = load_checkpoint(workdir / "checkpoints" / "last.ckpt")
+        task = build_task(cfg["task"])
+        schedule = _build_schedule(task, cfg["optimizer"], 2)
+        opt_cfg = OptimizerConfig.from_dict(cfg["optimizer"], schedule)
+        state = configure_optimizer(task.groups, opt_cfg)
+        restore_optimizer_state(ckpt.optimizer_state, state)
+        got = {
+            "status": result.status,
+            "step_count": state.step_count,
+            "params": _sha256(ckpt.params),
+            "best_params": _sha256(ckpt.best_params),
+            "buffers": {
+                f"{g}/{k}": _sha256(a)
+                for g, bufs in sorted(state.buffers.items())
+                for k, a in sorted(bufs.items())
+            },
+            "cpr": {
+                g: [_sha256(cs.lam), None if cs.kappa is None else _sha256(cs.kappa)]
+                for g, cs in sorted(state.cpr.items())
+            },
+        }
+        assert got == GOLDEN[key]
 
 
 class TestTrainRun:
@@ -153,8 +255,7 @@ class TestTrainRun:
         assert (workdir / "config.resolved.yaml").exists()
         assert (workdir / "metrics.jsonl").exists()
         assert (workdir / "result.json").exists()
-        assert (workdir / "checkpoints" / "last.ckpt").exists()
-        assert (workdir / "checkpoints" / "best.ckpt").exists()
+        assert [p.name for p in (workdir / "checkpoints").iterdir()] == ["last.ckpt"]
         lines = (workdir / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 2
         entry = json.loads(lines[0])
@@ -277,7 +378,6 @@ class TestExtendBudget:
         assert calls == ["dump_config"]
         calls.clear()
         result = extend_budget(cfg, workdir, 6)
-        assert result.best_val["epoch"] > 3  # so best.ckpt need not be read back
         assert sorted(calls) == ["dump_config", "load_checkpoint"]
 
     def test_double_extension_accumulates_budgets(self, workdir):
@@ -287,6 +387,17 @@ class TestExtendBudget:
         result = extend_budget(cfg, workdir, 8)
         assert result.budgets == [2, 4, 8]
         assert len(result.history) == 8
+        assert load_checkpoint(workdir / "checkpoints" / "last.ckpt").budgets == [2, 4, 8]
+
+    def test_same_budget_again_finishes_without_training(self, workdir):
+        cfg = quad_config(epochs=2)
+        train_run(cfg, workdir)
+        first = extend_budget(cfg, workdir, 4)
+        ckpt_bytes = (workdir / "checkpoints" / "last.ckpt").read_bytes()
+        again = extend_budget(cfg, workdir, 4)
+        assert strip_wall(asdict(again)) == strip_wall(asdict(first))
+        assert again.budgets == [2, 4]
+        assert (workdir / "checkpoints" / "last.ckpt").read_bytes() == ckpt_bytes
 
 
 class ValleyTask(TaskInstance):
@@ -385,75 +496,76 @@ class TestBestLastProtocol:
         best_epoch = min(range(len(vals)), key=lambda i: vals[i]) + 1
         assert 1 < best_epoch < 10  # interior optimum by construction
         assert result.best_val == {"value": min(vals), "epoch": best_epoch}
-        best_ckpt = load_checkpoint(workdir / "checkpoints" / "best.ckpt")
         last_ckpt = load_checkpoint(workdir / "checkpoints" / "last.ckpt")
-        assert best_ckpt.epoch == best_epoch
-        assert result.test_best == float((best_ckpt.params[0] - 1.0) ** 2)
+        assert last_ckpt.best_val == result.best_val
+        assert result.test_best == float((last_ckpt.best_params[0] - 1.0) ** 2)
         assert result.test_last == float((last_ckpt.params[0] - 1.0) ** 2)
         assert result.test_best < result.test_last
 
-    def test_tie_keeps_earlier_epoch(self, workdir):
+    def test_tie_keeps_earlier_epoch(self, tmp_path, monkeypatch):
         register_task("valley", ValleyTask)
         cfg = copy.deepcopy(VALLEY_CONFIG)
         cfg["task"]["flat_metric"] = True  # every epoch scores exactly 0.5
-        result = train_run(cfg, workdir)
+        result = train_run(cfg, tmp_path / "full")
         vals = {h["val_metric"] for h in result.history}
         assert vals == {0.5}
         assert result.best_val["epoch"] == 1
-        best_ckpt = load_checkpoint(workdir / "checkpoints" / "best.ckpt")
-        assert best_ckpt.epoch == 1
-
-    def test_kill_between_best_and_last_keeps_best(self, tmp_path, monkeypatch):
-        # epochs 1-3 all improve, so the third best.ckpt write is epoch 3's;
-        # a kill there must not leave last.ckpt naming an epoch best.ckpt lacks
-        register_task("valley", ValleyTask)
-        full = train_run(copy.deepcopy(VALLEY_CONFIG), tmp_path / "full")
-        assert full.best_val["epoch"] == 3
-        fail_write(monkeypatch, "best.ckpt", 3)
+        stop_after_epoch(monkeypatch, 1)
         with pytest.raises(Interrupted):
-            train_run(copy.deepcopy(VALLEY_CONFIG), tmp_path / "part")
-        resumed = resume_run(copy.deepcopy(VALLEY_CONFIG), tmp_path / "part")
-        assert resumed.test_best == full.test_best
-        assert load_checkpoint(tmp_path / "part" / "checkpoints" / "best.ckpt").epoch == 3
+            train_run(cfg, tmp_path / "epoch1")
+        epoch1 = load_checkpoint(tmp_path / "epoch1" / "checkpoints" / "last.ckpt")
+        last = load_checkpoint(tmp_path / "full" / "checkpoints" / "last.ckpt")
+        assert last.best_val == {"value": 0.5, "epoch": 1}
+        assert last.best_params.tobytes() == epoch1.params.tobytes()
+        assert last.best_params.tobytes() != last.params.tobytes()
 
 
 def _run_files(workdir):
     """Every file of a finished run, wall-clock fields dropped."""
-    files = {
+    assert [p.name for p in (workdir / "checkpoints").iterdir()] == ["last.ckpt"]
+    return {
         "result": strip_wall(json.loads((workdir / "result.json").read_text())),
         "metrics": [
             strip_wall(json.loads(line))
             for line in (workdir / "metrics.jsonl").read_text().splitlines()
         ],
         "config": (workdir / "config.resolved.yaml").read_text(),
+        "last.ckpt": (workdir / "checkpoints" / "last.ckpt").read_bytes(),
     }
-    for name in ("last.ckpt", "best.ckpt"):
-        files[name] = (workdir / "checkpoints" / name).read_bytes()
-    return files
+
+
+def _record_writes(monkeypatch, fn, *args):
+    """Call ``fn(*args)`` and return the file names of its atomic writes."""
+    from optbench import engine
+
+    writes = []
+    real_write = engine._write_atomic
+
+    def record(path, data):
+        writes.append(Path(path).name)
+        real_write(path, data)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(engine, "_write_atomic", record)
+        fn(*args)
+    return writes
+
+
+def _kill_points(writes):
+    """(index, file name, nth write of that name) for every write."""
+    return [(i, name, writes[: i + 1].count(name)) for i, name in enumerate(writes)]
 
 
 class TestCrashRecovery:
     def test_kill_at_every_write_resumes_identically(self, tmp_path, monkeypatch):
         register_task("valley", ValleyTask)
         cfg = copy.deepcopy(VALLEY_CONFIG)  # 10 epochs, epochs 1-3 improve
-        from optbench import engine
-
-        writes = []
-        real_write = engine._write_atomic
-
-        def record(path, data):
-            writes.append(path.name)
-            real_write(path, data)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(engine, "_write_atomic", record)
-            train_run(cfg, tmp_path / "full")
+        writes = _record_writes(monkeypatch, train_run, cfg, tmp_path / "full")
         expected = _run_files(tmp_path / "full")
-        # config, epoch 0, metrics reset, 10 x last.ckpt, 3 x best.ckpt, result.json
-        assert len(writes) == 17 and writes.count("best.ckpt") == 3
+        # config, epoch 0, metrics reset, 10 x last.ckpt, result.json
+        assert len(writes) == 14 and writes.count("last.ckpt") == 11
 
-        for i, name in enumerate(writes):
-            nth = writes[: i + 1].count(name)
+        for i, name, nth in _kill_points(writes):
             wd = tmp_path / f"kill{i}"
             with monkeypatch.context() as mp:
                 fail_write(mp, name, nth)
@@ -463,6 +575,29 @@ class TestCrashRecovery:
             finish = resume_run if (wd / "checkpoints" / "last.ckpt").exists() else train_run
             assert finish(cfg, wd).status == "completed"
             assert _run_files(wd) == expected, (i, name, nth)
+
+    def test_kill_at_every_write_of_an_extension(self, tmp_path, monkeypatch):
+        register_task("valley", ValleyTask)
+        cfg = copy.deepcopy(VALLEY_CONFIG)
+        cfg["task"]["max_epochs"] = 4
+        train_run(cfg, tmp_path / "base")
+        shutil.copytree(tmp_path / "base", tmp_path / "full")
+        writes = _record_writes(monkeypatch, extend_budget, cfg, tmp_path / "full", 10)
+        expected = _run_files(tmp_path / "full")
+        assert expected["result"]["budgets"] == [4, 10]
+        # config, metrics reset, 6 x last.ckpt, result.json
+        assert len(writes) == 9 and writes.count("last.ckpt") == 6
+
+        for i, name, nth in _kill_points(writes):
+            wd = tmp_path / f"kill{i}"
+            shutil.copytree(tmp_path / "base", wd)
+            with monkeypatch.context() as mp:
+                fail_write(mp, name, nth)
+                with pytest.raises(Interrupted):
+                    extend_budget(cfg, wd, 10)
+            assert extend_budget(cfg, wd, 10).budgets == [4, 10]
+            assert _run_files(wd) == expected, (i, name, nth)
+            assert load_checkpoint(wd / "checkpoints" / "last.ckpt").budgets == [4, 10]
 
     def test_only_a_torn_final_metrics_line_is_dropped(self, tmp_path, monkeypatch):
         cfg = quad_config(epochs=6)

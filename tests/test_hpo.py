@@ -279,9 +279,8 @@ class TestRetrainBest:
         assert cells[0].n == 1
         assert cells[0].std_best == 0.0
 
-    def test_duplicate_seed_uses_cache(self, tmp_path):
-        cells = retrain_best(quad_base(epochs=3), [4, 4], tmp_path)
-        assert cells[0].n == 2
-        assert cells[0].std_best == 0.0  # identical cached result both times
-        run_dirs = list((tmp_path / "retrain").iterdir())
-        assert len(run_dirs) == 1  # same run_id, one directory
+    def test_duplicate_seed_rejected(self, tmp_path):
+        # one run aggregated twice would report n=2 with std 0
+        with pytest.raises(BadParameterError, match="repeat"):
+            retrain_best(quad_base(epochs=3), [4, 5, 4], tmp_path)
+        assert not (tmp_path / "retrain").exists()  # rejected before any training
