@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import hpo as hpomod
-from .engine import RunResult, load_checkpoint, resume_run, train_run
-from .errors import BenchmarkError, CheckpointError, ConfigError
+from .engine import RunState, read_run, resume_run, train_run
+from .errors import BenchmarkError, ConfigError
 from .evaluation import run_evaluation
 
 
@@ -84,14 +84,11 @@ def cmd_run(args) -> int:
 
     exp_dir = _experiment_dir(configs, name)
     jobs = [(cfg, _run_workdir(exp_dir, cfg)) for cfg in configs_to_run]
-    results: list[RunResult] = []
     if args.workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(train_run, cfg, wd) for cfg, wd in jobs]
-            results = [f.result() for f in futures]
+            results = list(pool.map(train_run, *zip(*jobs)))
     else:
-        for cfg, wd in jobs:
-            results.append(train_run(cfg, wd))
+        results = [train_run(cfg, wd) for cfg, wd in jobs]
 
     for cfg, result in zip(configs_to_run, results):
         print(f"{result.run_id}  {result.status}  epochs={len(result.history)}")
@@ -104,24 +101,28 @@ def cmd_run(args) -> int:
     return 1 if failed else 0
 
 
+def _read_runs(run_dirs: list[Path]) -> tuple[list[tuple[Path, RunState]], bool]:
+    """``read_run`` of each dir, and whether any was corrupt (exit code 1).
+    Each corrupt dir's error, which names the bad file, goes to stderr."""
+    states = [(rd, read_run(rd)) for rd in run_dirs]
+    corrupt = [state for _, state in states if state.status == "corrupt"]
+    for state in corrupt:
+        print(f"{type(state.error).__name__}: {state.error}", file=sys.stderr)
+    return states, bool(corrupt)
+
+
 def cmd_resume(args) -> int:
     name, configs = _expand_file(args.experiment_file)
     exp_dir = _experiment_dir(configs, name)
-    resumed = 0
-    failed = False
-    for cfg in configs:
-        workdir = _run_workdir(exp_dir, cfg)
-        result_path = workdir / "result.json"
-        if result_path.exists() and RunResult.load(result_path).status == "completed":
+    states, corrupt = _read_runs([_run_workdir(exp_dir, cfg) for cfg in configs])
+    results = []
+    for cfg, (workdir, state) in zip(configs, states):
+        if state.ckpt is None or state.finished:  # an extending run's config is not this one
             continue
-        if not (workdir / "checkpoints" / "last.ckpt").exists():
-            continue
-        result = resume_run(cfg, workdir)
-        resumed += 1
-        print(f"{result.run_id}  {result.status}  epochs={len(result.history)}")
-        failed = failed or result.status != "completed"
-    print(f"resumed {resumed} run(s)")
-    return 1 if failed else 0
+        results.append(resume_run(cfg, workdir))
+        print(f"{results[-1].run_id}  {results[-1].status}  epochs={len(results[-1].history)}")
+    print(f"resumed {len(results)} run(s)")
+    return 1 if corrupt or any(r.status != "completed" for r in results) else 0
 
 
 def cmd_plot(args) -> int:
@@ -136,54 +137,35 @@ def cmd_plot(args) -> int:
         run_dirs = [_run_workdir(exp_dir, cfg) for cfg in configs]
         evaluation_cfg = configs[0]["evaluation"]
 
+    states, corrupt = _read_runs(run_dirs)
     pairs = []
-    for rd in run_dirs:
-        result_path = rd / "result.json"
-        config_path = rd / "config.resolved.yaml"
-        if not result_path.exists() or not config_path.exists():
+    for rd, state in states:
+        if state.status != "completed":  # extending: config.resolved.yaml holds the new budget
             continue
-        result = RunResult.load(result_path)
-        if result.status != "completed":
-            continue
-        cfg = cfgmod.load_config(config_path.read_text(encoding="utf-8"))
+        cfg = cfgmod.load_config((rd / "config.resolved.yaml").read_text(encoding="utf-8"))
         if evaluation_cfg is None:
             evaluation_cfg = cfg.get("evaluation", {})
-        pairs.append((cfg, result))
+        pairs.append((cfg, state.result))
     if not pairs:
         print("no completed runs found", file=sys.stderr)
         return 1
     paths = run_evaluation(pairs, evaluation_cfg or {}, exp_dir)
     for p in paths:
         print(f"wrote {p}")
-    return 0
+    return 1 if corrupt else 0
 
 
 def cmd_list(args) -> int:
     """Tabulate every run dir; an unreadable one is a ``corrupt`` row (reason
     on stderr) and makes the exit code 1 once the table is printed."""
-    out_dir = Path(args.output_dir)
-    rows = []
-    for run_dir in sorted(out_dir.glob("*/runs/*/")):
-        rid = run_dir.name
-        rj = run_dir / "result.json"
-        last = run_dir / "checkpoints" / "last.ckpt"
-        try:
-            if rj.exists():
-                result = RunResult.load(rj)
-                best = result.best_val["value"] if result.best_val else None
-                rows.append((rid, result.status, len(result.history), best))
-            elif last.exists():
-                ckpt = load_checkpoint(last)
-                best = ckpt.best_val["value"] if ckpt.best_val else None
-                rows.append((rid, "incomplete", ckpt.epoch, best))
-        except (CheckpointError, ValueError, TypeError) as exc:
-            print(f"{rid}: {exc!r}", file=sys.stderr)
-            rows.append((rid, "corrupt", "-", None))
+    states, corrupt = _read_runs(sorted(Path(args.output_dir).glob("*/runs/*/")))
     print(f"{'run_id':<18}{'status':<12}{'epoch':<7}best_val")
-    for rid, status, epoch, best in rows:
-        best_s = "-" if best is None else f"{best:.6g}"
-        print(f"{rid:<18}{status:<12}{epoch:<7}{best_s}")
-    return 1 if any(row[1] == "corrupt" for row in rows) else 0
+    for run_dir, state in states:
+        ckpt = state.ckpt  # every run past its first write has one
+        epoch = "-" if ckpt is None else ckpt.epoch
+        best = "-" if ckpt is None or ckpt.best_val is None else f"{ckpt.best_val['value']:.6g}"
+        print(f"{run_dir.name:<18}{state.status:<12}{epoch:<7}{best}")
+    return 1 if corrupt else 0
 
 
 def cmd_hpo(args) -> int:

@@ -156,12 +156,7 @@ def _split_by_name(node: dict) -> list[dict]:
     if isinstance(names, list):
         if not names:
             raise EmptyListError("`name` axis has zero entries")
-        branches = []
-        for n in names:
-            branch = copy.deepcopy(node)
-            branch["name"] = n
-            branches.append(branch)
-        return branches
+        return [{**copy.deepcopy(node), "name": n} for n in names]
     return [node]
 
 
@@ -246,11 +241,9 @@ def expand_grid(spec: dict) -> list[dict]:
     }
     resolved = _expand_node(gridded)
     evaluation = spec.get("evaluation", {})
-    out = []
     for cfg in resolved:
         cfg["evaluation"] = copy.deepcopy(evaluation)
-        out.append(cfg)
-    return out
+    return resolved
 
 
 def identity_view(config: dict) -> dict:

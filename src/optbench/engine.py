@@ -8,11 +8,10 @@ in its own working directory:
     <workdir>/result.json              written on completion or abort
     <workdir>/checkpoints/last.ckpt    every epoch (epoch 0 = untrained)
 
-Fresh start, resume and budget extension share one lifecycle, ``_run``: it
-builds the task, starts from a checkpoint (the one it is given, else
-``last.ckpt``, else a new epoch-0 one), trains up to ``task.max_epochs`` and
-writes ``result.json``. ``train_run``, ``resume_run`` and ``extend_budget``
-only choose the checkpoint and the budget history it starts from.
+``read_run`` is the only reader of ``result.json`` and ``last.ckpt``. Fresh
+start, resume and budget extension share one lifecycle, ``_run``: it builds
+the task, starts from the checkpoint its caller read and checked (or a new
+epoch-0 one), trains up to ``task.max_epochs`` and writes ``result.json``.
 
 ``last.ckpt`` is the whole resume state: parameters, optimizer state, seeds,
 the best validation value with its parameters, and the budget history. Each
@@ -20,8 +19,8 @@ epoch appends its metrics line and then rewrites ``last.ckpt``. Every file
 but the metrics append is written to a temporary file and renamed into
 place, so a kill at any write leaves a run that resumes from the last
 checkpointed epoch. A kill inside ``extend_budget`` is finished by calling
-it again with the same arguments; until then ``result.json`` still holds
-the result of the previous budget.
+it again with the same arguments, or, once ``read_run`` reports the run as
+``extending``, by ``resume_run`` with the extended config.
 
 Checkpoints are canonical JSON plus a SHA-256 trailer. Every float array
 and float scalar is stored as base64 of its little-endian float64 bytes, so
@@ -45,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import dump_config, load_config, run_id
+from .config import dump_config, run_id
 from .errors import (
     BadParameterError,
     CheckpointError,
@@ -249,6 +248,39 @@ def _paths(workdir: Path) -> dict[str, Path]:
     }
 
 
+@dataclass
+class RunState:
+    status: str  # new | incomplete | completed | aborted | extending | corrupt
+    result: RunResult | None = None  # kept when only last.ckpt is unreadable
+    ckpt: Checkpoint | None = None
+    error: CheckpointError | None = None  # a corrupt dir's; its message names the file
+
+    @property
+    def finished(self) -> bool:  # result.json holds a completed result (also when extending)
+        return self.result is not None and self.result.status == "completed"
+
+
+def read_run(workdir: str | Path) -> RunState:
+    """Read ``result.json`` and ``last.ckpt`` where they exist. ``extending``:
+    the checkpoint has another run id than the result, as after a budget
+    extension killed once its first extended epoch was checkpointed."""
+    paths = _paths(Path(workdir))
+    result = None
+    try:
+        path = paths["result"]
+        result = RunResult.load(path) if path.exists() else None
+        path = paths["last"]
+        ckpt = load_checkpoint(path) if path.exists() else None
+    except CheckpointError as exc:  # names the file; keeps its type (v1: VersionMismatchError)
+        return RunState("corrupt", result, error=exc)
+    except (OSError, ValueError, TypeError) as exc:
+        return RunState("corrupt", result, error=CheckpointError(f"{path}: {exc!r}"))
+    if result is None:
+        return RunState("new" if ckpt is None else "incomplete", None, ckpt)
+    extending = ckpt is not None and ckpt.run_id != result.run_id
+    return RunState("extending" if extending else result.status, result, ckpt)
+
+
 def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
     """Drop metric lines past the checkpointed epoch (mid-epoch crashes).
 
@@ -291,21 +323,21 @@ def _build_schedule(task: TaskInstance, opt_cfg_dict: dict, max_epochs: int) -> 
 def train_run(config: dict, workdir: str | Path) -> RunResult:
     """Execute one resolved run to completion (idempotent, resumable).
 
-    A completed run returns its stored result without retraining. A
-    partial run (existing last.ckpt) continues from the checkpoint.
+    A completed run returns its stored result without retraining, whatever
+    its checkpoint holds. A partial run continues from its checkpoint, which
+    must belong to ``config``; a corrupt run dir raises its ``CheckpointError``.
     """
     workdir = Path(workdir)
-    result_path = _paths(workdir)["result"]
-    if result_path.exists():
-        stored = RunResult.load(result_path)
-        rid = run_id(config)
-        if stored.run_id != rid:
-            raise RunIdMismatchError(
-                f"workdir {workdir} holds run {stored.run_id}, config is {rid}"
-            )
-        if stored.status == "completed":
-            return stored
-    return _run(config, workdir)
+    state = read_run(workdir)
+    rid = run_id(config)
+    if state.finished and state.result.run_id == rid:
+        return state.result
+    if state.error is not None:
+        raise state.error
+    stored = state.ckpt or state.result
+    if stored is not None and stored.run_id != rid:
+        raise RunIdMismatchError(f"workdir {workdir} holds run {stored.run_id}, config is {rid}")
+    return _run(config, workdir, state.ckpt)
 
 
 def resume_run(config: dict, workdir: str | Path) -> RunResult:
@@ -324,39 +356,34 @@ def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> Run
     after a kill at any of its writes finishes the extension.
     """
     workdir = Path(workdir)
-    paths = _paths(workdir)
-    if not paths["config"].exists() or not paths["last"].exists():
+    state = read_run(workdir)
+    if state.error is not None:
+        raise state.error
+    ckpt = state.ckpt
+    if ckpt is None:
         raise CheckpointError(f"no extendable run in {workdir}")
-    stored_cfg = load_config(paths["config"].read_text(encoding="utf-8"))
 
-    def _with_budget(cfg, epochs):
-        out = copy.deepcopy(cfg)
+    def _with_budget(epochs):
+        out = copy.deepcopy(config)
         out["task"]["max_epochs"] = epochs
         return out
 
-    new_config = _with_budget(config, new_max_epochs)
-    if run_id(_with_budget(stored_cfg, new_max_epochs)) != run_id(new_config):
+    # equal run ids: config matches the stored run in all but max_epochs
+    if run_id(_with_budget(ckpt.budgets[-1])) != ckpt.run_id:
         raise RunIdMismatchError("config differs from the stored run beyond max_epochs")
-    ckpt = load_checkpoint(paths["last"])
-    if ckpt.run_id != run_id(_with_budget(stored_cfg, ckpt.budgets[-1])):
-        raise RunIdMismatchError("checkpoint does not belong to the stored config")
     if ckpt.budgets[-1] != new_max_epochs:
         if new_max_epochs <= ckpt.epoch:
             raise BadParameterError(
                 f"new budget {new_max_epochs} must exceed trained epochs {ckpt.epoch}"
             )
         ckpt.budgets = ckpt.budgets + [new_max_epochs]
-    return _run(new_config, workdir, ckpt)
+    return _run(_with_budget(new_max_epochs), workdir, ckpt)
 
 
-def _run(config: dict, workdir: Path, ckpt: Checkpoint | None = None) -> RunResult:
-    """The one run lifecycle: train ``config`` from ``ckpt`` (else from
-    ``last.ckpt``, else from a new epoch-0 checkpoint) up to
-    ``task.max_epochs`` and write ``result.json``.
-
-    A ``ckpt`` that is passed in has been checked by the caller; one read
-    from ``last.ckpt`` must belong to ``config``.
-    """
+def _run(config: dict, workdir: Path, ckpt: Checkpoint | None) -> RunResult:
+    """The one run lifecycle: train ``config`` from ``ckpt``, which the caller
+    checked against ``config`` (``None``: from a new epoch-0 checkpoint), up
+    to ``task.max_epochs`` and write ``result.json``."""
     paths = _paths(workdir)
     rid = run_id(config)
     task = build_task(config["task"])
@@ -364,12 +391,6 @@ def _run(config: dict, workdir: Path, ckpt: Checkpoint | None = None) -> RunResu
     opt_cfg = OptimizerConfig.from_dict(config["optimizer"], schedule)
     opt_state = configure_optimizer(task.groups, opt_cfg)
 
-    if ckpt is None and paths["last"].exists():
-        ckpt = load_checkpoint(paths["last"])
-        if ckpt.run_id != rid:
-            raise RunIdMismatchError(
-                f"checkpoint run {ckpt.run_id} does not match config {rid}"
-            )
     paths["ckpt_dir"].mkdir(parents=True, exist_ok=True)
     _write_atomic(paths["config"], dump_config(config).encode("utf-8"))
     if ckpt is None:

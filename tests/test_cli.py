@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from optbench.cli import main
 
-from conftest import Interrupted, stop_after_epoch
+from conftest import Interrupted, fail_write, stop_after_epoch
 
 TINY_EXPERIMENT = """
 task:
@@ -241,19 +242,44 @@ evaluation:
 
     def test_list_shows_incomplete(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
-        from optbench.engine import train_run
+        from optbench.engine import extend_budget, train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         name, configs = _expand_file(exp)
         exp_dir = _experiment_dir(configs, name)
-        stop_after_epoch(monkeypatch, 1)
-        with pytest.raises(Interrupted):
-            train_run(configs[0], _run_workdir(exp_dir, configs[0]))
+        with monkeypatch.context() as mp:
+            stop_after_epoch(mp, 1)
+            with pytest.raises(Interrupted):
+                train_run(configs[0], _run_workdir(exp_dir, configs[0]))
+        # an extension from 3 to 6 epochs killed at its final result.json write
+        train_run(configs[1], _run_workdir(exp_dir, configs[1]))
+        with monkeypatch.context() as mp:
+            fail_write(mp, "result.json", 1)
+            with pytest.raises(Interrupted):
+                extend_budget(configs[1], _run_workdir(exp_dir, configs[1]), 6)
         capsys.readouterr()
         assert main(["list", str(project / "output")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2
-        assert "incomplete" in lines[1]
+        assert len(lines) == 3
+        rows = {line.split()[0]: line.split()[1:3] for line in lines[1:]}
+        assert rows == {
+            _run_workdir(exp_dir, configs[0]).name: ["incomplete", "1"],
+            _run_workdir(exp_dir, configs[1]).name: ["extending", "6"],
+        }
+
+    @pytest.mark.parametrize("by_directory", [False, True])
+    def test_plot_skips_a_corrupt_run_then_exits_1(self, project, capsys, by_directory):
+        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
+        assert main(["run", exp]) == 0
+        exp_dir = project / "output" / "tiny"
+        (exp_dir / "aggregated.csv").unlink()
+        bad = sorted((exp_dir / "runs").iterdir())[0] / "result.json"
+        bad.write_text(bad.read_text()[:30])
+        capsys.readouterr()
+        assert main(["plot", str(exp_dir) if by_directory else exp]) == 1
+        captured = capsys.readouterr()
+        assert str(bad.relative_to(project)) in captured.err
+        assert (exp_dir / "aggregated.csv").exists()
 
 
 class TestWorkers:
@@ -330,6 +356,65 @@ class TestResumeCommand:
         for cfg in configs[:3]:
             result = json.loads((_run_workdir(exp_dir, cfg) / "result.json").read_text())
             assert result["status"] == "completed"
+
+    def test_resumes_the_others_past_a_corrupt_run(self, project, capsys, monkeypatch):
+        from optbench.cli import _expand_file, _experiment_dir, _run_workdir
+        from optbench.engine import train_run
+
+        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
+        name, configs = _expand_file(exp)
+        exp_dir = _experiment_dir(configs, name)
+        bad = _run_workdir(exp_dir, configs[0]) / "result.json"
+        train_run(configs[0], bad.parent)
+        bad.write_text(bad.read_text()[:30])
+        for cfg in configs[1:]:
+            with monkeypatch.context() as mp:
+                stop_after_epoch(mp, 1)
+                with pytest.raises(Interrupted):
+                    train_run(cfg, _run_workdir(exp_dir, cfg))
+        assert main(["resume", exp]) == 1
+        captured = capsys.readouterr()
+        assert "resumed 3 run(s)" in captured.out
+        assert str(bad) in captured.err
+        for cfg in configs[1:]:
+            result = json.loads((_run_workdir(exp_dir, cfg) / "result.json").read_text())
+            assert result["status"] == "completed"
+
+    def test_resume_run_and_plot_pass_a_killed_extension(self, project, capsys, monkeypatch):
+        from optbench.cli import _expand_file, _experiment_dir, _run_workdir
+        from optbench.engine import extend_budget, read_run, train_run
+
+        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
+        name, configs = _expand_file(exp)
+        exp_dir = _experiment_dir(configs, name)
+        extending = _run_workdir(exp_dir, configs[0])
+        stored = train_run(configs[0], extending)
+        with monkeypatch.context() as mp:
+            fail_write(mp, "result.json", 1)
+            with pytest.raises(Interrupted):
+                extend_budget(configs[0], extending, 6)
+        assert read_run(extending).status == "extending"
+        for cfg in configs[1:]:
+            with monkeypatch.context() as mp:
+                stop_after_epoch(mp, 1)
+                with pytest.raises(Interrupted):
+                    train_run(cfg, _run_workdir(exp_dir, cfg))
+        capsys.readouterr()
+        # the experiment's 3-epoch run is done; its extension is not resume's to finish
+        assert main(["resume", exp]) == 0
+        assert "resumed 3 run(s)" in capsys.readouterr().out
+        assert main(["run", exp]) == 0
+        assert f"{stored.run_id}  completed  epochs=3" in capsys.readouterr().out
+        assert _cell_sizes(exp_dir / "aggregated.csv") == ["2", "2"]
+        # plot leaves the extending dir out: its config.resolved.yaml holds the new budget
+        assert main(["plot", exp]) == 0
+        assert _cell_sizes(exp_dir / "aggregated.csv") == ["1", "2"]
+        assert read_run(extending).status == "extending"
+        assert extend_budget(configs[0], extending, 6).budgets == [3, 6]
+
+
+def _cell_sizes(table: Path) -> list[str]:
+    return sorted(row["n"] for row in csv.DictReader(table.open()))
 
 
 class TestHpoCommand:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -16,6 +17,7 @@ from optbench.engine import (
     derive_seeds,
     extend_budget,
     load_checkpoint,
+    read_run,
     restore_optimizer_state,
     resume_run,
     save_checkpoint,
@@ -147,26 +149,30 @@ class TestCheckpointCodec:
             load_checkpoint(path)
 
     def test_v1_file_says_how_to_proceed(self, tmp_path):
-        # the hex-float layout of version 1, with a valid trailer
-        payload = {
-            "version": 1,
-            "epoch": 1,
-            "step_count": 2,
-            "params": {"shape": [1], "data": ["3ff0000000000000"]},
-            "optimizer_state": {"step_count": 2, "buffers": {}, "cpr": {}},
-            "rng_states": {"init": "00000000deadbeef", "shuffle": "0000000000000042"},
-            "best_val": {"value": "3ff0000000000000", "epoch": 1},
-            "run_id": "ab" * 8,
-        }
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         path = tmp_path / "last.ckpt"
-        path.write_text(body + "sha256 " + hashlib.sha256(body.encode()).hexdigest() + "\n")
+        write_v1_checkpoint(path)
         with pytest.raises(VersionMismatchError, match="delete the run directory and rerun"):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def write_v1_checkpoint(path: Path) -> None:
+    """The hex-float layout of version 1, with a valid trailer."""
+    payload = {
+        "version": 1,
+        "epoch": 1,
+        "step_count": 2,
+        "params": {"shape": [1], "data": ["3ff0000000000000"]},
+        "optimizer_state": {"step_count": 2, "buffers": {}, "cpr": {}},
+        "rng_states": {"init": "00000000deadbeef", "shuffle": "0000000000000042"},
+        "best_val": {"value": "3ff0000000000000", "epoch": 1},
+        "run_id": "ab" * 8,
+    }
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    path.write_text(body + "sha256 " + hashlib.sha256(body.encode()).hexdigest() + "\n")
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_final_state.json").read_text())
@@ -326,6 +332,87 @@ class TestResume:
     def test_resume_without_checkpoint(self, workdir):
         with pytest.raises(CheckpointError):
             resume_run(quad_config(), workdir)
+
+
+class TestReadRun:
+    def test_new(self, workdir, monkeypatch):
+        assert read_run(workdir).status == "new"
+        with monkeypatch.context() as mp:
+            fail_write(mp, "last.ckpt", 1)  # config written, no checkpoint yet
+            with pytest.raises(Interrupted):
+                train_run(quad_config(epochs=3), workdir)
+        state = read_run(workdir)
+        assert (state.status, state.result, state.ckpt) == ("new", None, None)
+
+    def test_incomplete(self, workdir, monkeypatch):
+        stop_after_epoch(monkeypatch, 2)
+        with pytest.raises(Interrupted):
+            train_run(quad_config(epochs=5), workdir)
+        state = read_run(workdir)
+        assert (state.status, state.result, state.ckpt.epoch) == ("incomplete", None, 2)
+
+    def test_completed(self, workdir):
+        result = train_run(quad_config(epochs=3), workdir)
+        state = read_run(workdir)
+        assert state.status == "completed" and state.error is None
+        assert state.result == result
+        assert state.ckpt == load_checkpoint(workdir / "checkpoints" / "last.ckpt")
+
+    def test_aborted(self, workdir):
+        cfg = resolve(
+            "task: {name: rosenbrock, max_epochs: 6}\n"
+            "optimizer: {name: sgd_baseline, learning_rate: 100.0, momentum: 0.9}"
+        )[0]
+        with np.errstate(all="ignore"):
+            train_run(cfg, workdir)
+        state = read_run(workdir)
+        assert state.status == "aborted"
+        assert state.ckpt.run_id == state.result.run_id
+
+    def test_extending(self, workdir, monkeypatch):
+        cfg = quad_config(epochs=2)
+        train_run(cfg, workdir)
+        with monkeypatch.context() as mp:
+            fail_write(mp, "result.json", 1)
+            with pytest.raises(Interrupted):
+                extend_budget(cfg, workdir, 4)
+        state = read_run(workdir)
+        assert state.status == "extending"
+        assert (state.result.budgets, state.ckpt.budgets, state.ckpt.epoch) == ([2], [2, 4], 4)
+
+    def test_truncated_result_is_corrupt(self, workdir):
+        cfg = quad_config(epochs=3)
+        train_run(cfg, workdir)
+        path = workdir / "result.json"
+        path.write_text(path.read_text()[:30])
+        state = read_run(workdir)
+        assert (state.status, state.result, state.ckpt) == ("corrupt", None, None)
+        assert str(path) in str(state.error) and "JSONDecodeError" in str(state.error)
+        for call in (lambda: train_run(cfg, workdir), lambda: extend_budget(cfg, workdir, 5)):
+            with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                call()
+
+    def test_corrupt_checkpoint(self, workdir):
+        self._check_unreadable_checkpoint(
+            workdir, lambda p: p.write_bytes(p.read_bytes()[:-20]), CorruptCheckpointError
+        )
+
+    def test_v1_checkpoint(self, workdir):
+        self._check_unreadable_checkpoint(workdir, write_v1_checkpoint, VersionMismatchError)
+
+    @staticmethod
+    def _check_unreadable_checkpoint(workdir, damage, error):
+        cfg = quad_config(epochs=3)
+        stored = train_run(cfg, workdir)
+        path = workdir / "checkpoints" / "last.ckpt"
+        damage(path)
+        state = read_run(workdir)
+        assert (state.status, state.result, state.ckpt) == ("corrupt", stored, None)
+        assert type(state.error) is error and str(path) in str(state.error)
+        # the stored result still answers a rerun; the checkpoint cannot be extended
+        assert train_run(cfg, workdir) == stored
+        with pytest.raises(error, match=re.escape(str(path))):
+            extend_budget(cfg, workdir, 5)
 
 
 class TestExtendBudget:
@@ -588,6 +675,9 @@ class TestCrashRecovery:
         # config, metrics reset, 6 x last.ckpt, result.json
         assert len(writes) == 9 and writes.count("last.ckpt") == 6
 
+        extended = copy.deepcopy(cfg)
+        extended["task"]["max_epochs"] = 10
+        seen = set()
         for i, name, nth in _kill_points(writes):
             wd = tmp_path / f"kill{i}"
             shutil.copytree(tmp_path / "base", wd)
@@ -595,9 +685,22 @@ class TestCrashRecovery:
                 fail_write(mp, name, nth)
                 with pytest.raises(Interrupted):
                     extend_budget(cfg, wd, 10)
+            ckpt_rid = load_checkpoint(wd / "checkpoints" / "last.ckpt").run_id
+            extending = ckpt_rid != json.loads((wd / "result.json").read_text())["run_id"]
+            seen.add(extending)
+            assert (read_run(wd).status == "extending") == extending, (i, name, nth)
+            if extending:  # the extended config finishes the run too
+                resumed = tmp_path / f"resumed{i}"
+                shutil.copytree(wd, resumed)
+                assert resume_run(extended, resumed).budgets == [4, 10]
+                assert _run_files(resumed) == expected, (i, name, nth)
+            else:  # no extended epoch is checkpointed: only extend_budget knows the budget
+                with pytest.raises(RunIdMismatchError):
+                    resume_run(extended, wd)
             assert extend_budget(cfg, wd, 10).budgets == [4, 10]
             assert _run_files(wd) == expected, (i, name, nth)
             assert load_checkpoint(wd / "checkpoints" / "last.ckpt").budgets == [4, 10]
+        assert seen == {True, False}
 
     def test_only_a_torn_final_metrics_line_is_dropped(self, tmp_path, monkeypatch):
         cfg = quad_config(epochs=6)
