@@ -169,8 +169,6 @@ def _merge_named_node(node, table: dict, kind: str):
     merged = []
     for branch in branches:
         name = branch.get("name")
-        if name is None and len(table) == 1:
-            name = next(iter(table))  # unambiguous registry needs no name
         if not isinstance(name, str):
             raise SchemaError(
                 f"every {kind} entry needs a scalar `name`; registered: {sorted(table)}"
@@ -186,15 +184,14 @@ def _merge_named_node(node, table: dict, kind: str):
     return merged[0] if len(merged) == 1 and isinstance(node, dict) else merged
 
 
-def merge_defaults(spec: dict, defaults: dict | None = None) -> dict:
+def merge_defaults(spec: dict) -> dict:
     """Fill every key from the matching default files; experiment values win.
 
     When the ``task``/``optimizer`` node is a list (or carries a
     list-valued ``name``), each branch is merged against its own default
     file and the node stays a list of complete subtrees.
     """
-    if defaults is None:
-        defaults = load_defaults()
+    defaults = load_defaults()
     return {
         "task": _merge_named_node(spec.get("task", {}), defaults["tasks"], "task"),
         "optimizer": _merge_named_node(

@@ -13,8 +13,10 @@ start, resume and budget extension share one lifecycle, ``_run``: it builds
 the task, starts from the checkpoint its caller read and checked (or a new
 epoch-0 one), trains up to ``task.max_epochs`` and writes ``result.json``.
 
-``last.ckpt`` is the whole resume state: parameters, optimizer state, seeds,
-the best validation value with its parameters, and the budget history. Each
+``last.ckpt`` is the whole resume state: parameters, optimizer state (one
+array per buffer), the best validation value with its parameters, and the
+budget history. It holds no seeds: ``_run`` derives them from
+``engine.seed`` on every start, and the run id ties the checkpoint to it. Each
 epoch appends its metrics line and then rewrites ``last.ckpt``. Every file
 but the metrics append is written to a temporary file and renamed into
 place, so a kill at any write leaves a run that resumes from the last
@@ -58,7 +60,7 @@ from .rng import Xoshiro256StarStar, derive_child, derive_stream
 from .sched import ScheduleSpec, lr_at
 from .tasks import TaskInstance, build_task, evaluate, forward_backward
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 SEED_STREAMS = ("init", "shuffle")
 
 
@@ -88,10 +90,7 @@ def _decode_array(text: str) -> np.ndarray:
 def encode_optimizer_state(state: OptimizerState) -> dict:
     return {
         "step_count": state.step_count,
-        "buffers": {
-            g: {k: _encode_array(a) for k, a in bufs.items()}
-            for g, bufs in state.buffers.items()
-        },
+        "buffers": {k: _encode_array(a) for k, a in state.buffers.items()},
         "cpr": {
             g: {
                 "fix_step": cs.fix_step,
@@ -106,10 +105,9 @@ def encode_optimizer_state(state: OptimizerState) -> dict:
 def restore_optimizer_state(snapshot: dict, state: OptimizerState) -> None:
     """Load a snapshot into a freshly configured state (shapes must match)."""
     state.step_count = snapshot["step_count"]
-    for g, bufs in snapshot["buffers"].items():
-        for k, enc in bufs.items():
-            buf = state.buffers[g][k]
-            buf[...] = _decode_array(enc).reshape(buf.shape)
+    for k, enc in snapshot["buffers"].items():
+        buf = state.buffers[k]
+        buf[...] = _decode_array(enc).reshape(buf.shape)
     for g, enc in snapshot["cpr"].items():
         cs = state.cpr[g]
         cs.fix_step = enc["fix_step"]
@@ -123,7 +121,6 @@ class Checkpoint:
     step_count: int
     params: np.ndarray
     optimizer_state: dict  # snapshot as produced by encode_optimizer_state
-    rng_states: dict[str, str]  # stream name -> serialized state (hex)
     best_val: dict | None  # {"value": float, "epoch": int}
     best_params: np.ndarray | None  # None until the first improving epoch
     budgets: list[int]  # every max_epochs the run was given, in order
@@ -145,7 +142,6 @@ def encode_checkpoint(ckpt: Checkpoint) -> bytes:
         "step_count": ckpt.step_count,
         "params": _encode_array(ckpt.params),
         "optimizer_state": ckpt.optimizer_state,
-        "rng_states": ckpt.rng_states,
         "best_val": None
         if best is None
         else {"value": _encode_array(best["value"]), "epoch": best["epoch"]},
@@ -198,7 +194,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         step_count=payload["step_count"],
         params=_decode_array(payload["params"]),
         optimizer_state=payload["optimizer_state"],
-        rng_states=payload["rng_states"],
         best_val=None
         if best is None
         else {"value": _decode_array(best["value"]).item(), "epoch": best["epoch"]},
@@ -390,17 +385,16 @@ def _run(config: dict, workdir: Path, ckpt: Checkpoint | None) -> RunResult:
     schedule = _build_schedule(task, config["optimizer"], task.max_epochs)
     opt_cfg = OptimizerConfig.from_dict(config["optimizer"], schedule)
     opt_state = configure_optimizer(task.groups, opt_cfg)
+    seeds = derive_seeds(int(config["engine"]["seed"]))
 
     paths["ckpt_dir"].mkdir(parents=True, exist_ok=True)
     _write_atomic(paths["config"], dump_config(config).encode("utf-8"))
     if ckpt is None:
-        seeds = derive_seeds(int(config["engine"]["seed"]))
         ckpt = Checkpoint(
             epoch=0,
             step_count=0,
             params=task.init_params(Xoshiro256StarStar(seeds["init"])),
             optimizer_state=encode_optimizer_state(opt_state),
-            rng_states={name: f"{seed:016x}" for name, seed in seeds.items()},
             best_val=None,
             best_params=None,
             budgets=[task.max_epochs],
@@ -411,7 +405,6 @@ def _run(config: dict, workdir: Path, ckpt: Checkpoint | None) -> RunResult:
         restore_optimizer_state(ckpt.optimizer_state, opt_state)
     history = _truncate_metrics(paths["metrics"], ckpt.epoch)
 
-    seeds = {name: int(h, 16) for name, h in ckpt.rng_states.items()}
     params = ckpt.params.copy()
     step_count = ckpt.step_count
     best_val = ckpt.best_val

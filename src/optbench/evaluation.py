@@ -160,20 +160,9 @@ def render_heatmap(cells: list[AggregateCell], spec: HeatmapSpec, direction: str
     lo, hi = min(table.values()), max(table.values())
     span = hi - lo
 
-    # best coordinate: scan (x asc, y asc); first optimum wins ties
-    best_coord = None
-    for x in xs:
-        for y in ys:
-            if (x, y) not in table:
-                continue
-            if best_coord is None:
-                best_coord = (x, y)
-            else:
-                v, b = table[(x, y)], table[best_coord]
-                if (direction == "maximize" and v > b) or (
-                    direction == "minimize" and v < b
-                ):
-                    best_coord = (x, y)
+    # max/min keep the first optimum in (x asc, y asc) order on ties
+    pick = max if direction == "maximize" else min
+    best_coord = pick(sorted(table), key=table.__getitem__)
 
     cell_w, cell_h = 90, 50
     margin_left, margin_top, margin_bottom = 110, 40, 50

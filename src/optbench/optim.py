@@ -7,6 +7,13 @@ optimizer means adding one entry to ``OPTIMIZERS`` plus a default file;
 nothing else in the harness changes. Variant names resolve through
 ``config.OPTIMIZER_ALIASES``.
 
+``OptimizerState.buffers`` maps a name to one float array. A moment of
+sgd, adamw or adamcpr is one flat vector over all parameters and is updated
+by one whole-vector expression. Only what the algorithm does per group
+loops over groups: weight decay (eligible groups only), the AdamCPR
+constraint and Adafactor's factored moments, whose buffers are named
+``<group>.row``, ``<group>.col`` and ``<group>.v``.
+
 Weight regularization differs by design between the baselines:
 
 - ``sgd_baseline``    coupled L2 (decay added to the gradient)
@@ -112,7 +119,7 @@ class OptimizerState:
     groups: list[ParamGroup]
     config: OptimizerConfig
     step_count: int = 0
-    buffers: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    buffers: dict[str, np.ndarray] = field(default_factory=dict)
     cpr: dict[str, CprState] = field(default_factory=dict)
 
 
@@ -126,15 +133,18 @@ def _check(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None
         raise NonFiniteError("non-finite gradient")
 
 
-def _zeros_like_group(group: ParamGroup) -> np.ndarray:
-    return np.zeros(group.size)
+def _add_decay(out: np.ndarray, params: np.ndarray, coef: float, groups) -> None:
+    """``out += coef * params`` on the decay-eligible groups only. A 0/1 mask
+    over all groups would not do: ``0 * theta`` flips the sign of a zero and
+    turns an infinite parameter into nan."""
+    for g in groups:
+        if g.weight_decay_eligible:
+            out[g.start : g.end] += coef * params[g.start : g.end]
 
 
 def _configure_sgd(groups, config):
-    state = OptimizerState("sgd_baseline", list(groups), config)
-    for g in groups:
-        state.buffers[g.name] = {"velocity": _zeros_like_group(g)}
-    return state
+    n = groups[-1].end
+    return OptimizerState("sgd_baseline", list(groups), config, buffers={"velocity": np.zeros(n)})
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, lr_t: float) -> None:
@@ -145,22 +155,19 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, lr_t:
     _check(params, grads, state)
     cfg = state.config
     state.step_count += 1
-    for g in state.groups:
-        sl = slice(g.start, g.end)
-        grad = grads[sl]
-        if g.weight_decay_eligible and cfg.weight_decay != 0.0:
-            grad = grad + cfg.weight_decay * params[sl]
-        v = state.buffers[g.name]["velocity"]
-        v *= cfg.momentum
-        v += grad
-        params[sl] -= lr_t * v
+    grad = grads
+    if cfg.weight_decay != 0.0:
+        grad = grads.copy()
+        _add_decay(grad, params, cfg.weight_decay, state.groups)
+    v = state.buffers["velocity"]
+    v *= cfg.momentum
+    v += grad
+    params -= lr_t * v
 
 
 def _configure_adam_buffers(name, groups, config):
-    state = OptimizerState(name, list(groups), config)
-    for g in groups:
-        state.buffers[g.name] = {"m": _zeros_like_group(g), "v": _zeros_like_group(g)}
-    return state
+    n = groups[-1].end
+    return OptimizerState(name, list(groups), config, buffers={"m": np.zeros(n), "v": np.zeros(n)})
 
 
 def _adam_core(params, grads, state, lr_t, weight_decay):
@@ -171,21 +178,17 @@ def _adam_core(params, grads, state, lr_t, weight_decay):
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for g in state.groups:
-        sl = slice(g.start, g.end)
-        grad = grads[sl]
-        buf = state.buffers[g.name]
-        m, v = buf["m"], buf["v"]
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / bc1
-        v_hat = v / bc2
-        update = lr_t * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        if g.weight_decay_eligible and weight_decay != 0.0:
-            update = update + lr_t * weight_decay * params[sl]
-        params[sl] -= update
+    m, v = state.buffers["m"], state.buffers["v"]
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    m_hat = m / bc1
+    v_hat = v / bc2
+    update = lr_t * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    if weight_decay != 0.0:
+        _add_decay(update, params, lr_t * weight_decay, state.groups)
+    params -= update
 
 
 def adamw_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, lr_t: float) -> None:
@@ -247,9 +250,10 @@ def _configure_adafactor(groups, config):
     for g in groups:
         if len(g.shape) == 2:
             rows, cols = g.shape
-            state.buffers[g.name] = {"row": np.zeros(rows), "col": np.zeros(cols)}
+            state.buffers[f"{g.name}.row"] = np.zeros(rows)
+            state.buffers[f"{g.name}.col"] = np.zeros(cols)
         else:
-            state.buffers[g.name] = {"v": _zeros_like_group(g)}
+            state.buffers[f"{g.name}.v"] = np.zeros(g.size)
     return state
 
 
@@ -268,10 +272,9 @@ def adafactor_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
     for g in state.groups:
         sl = slice(g.start, g.end)
         grad = grads[sl]
-        buf = state.buffers[g.name]
         if len(g.shape) == 2:
             sq = (grad * grad).reshape(g.shape)
-            row, col = buf["row"], buf["col"]
+            row, col = state.buffers[f"{g.name}.row"], state.buffers[f"{g.name}.col"]
             row *= beta2t
             row += (1.0 - beta2t) * sq.mean(axis=1)
             col *= beta2t
@@ -282,7 +285,7 @@ def adafactor_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
             else:
                 v_hat = np.zeros(g.size)
         else:
-            v = buf["v"]
+            v = state.buffers[f"{g.name}.v"]
             v *= beta2t
             v += (1.0 - beta2t) * grad * grad
             v_hat = v

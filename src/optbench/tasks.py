@@ -85,12 +85,13 @@ def _softmax_ce(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and d(loss)/d(logits) for integer class targets."""
     z = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(z)
-    p = expz / expz.sum(axis=1, keepdims=True)
+    total = expz.sum(axis=1, keepdims=True)
     n = logits.shape[0]
-    logp = z - np.log(expz.sum(axis=1, keepdims=True))
-    loss = -float(np.mean(logp[np.arange(n), y]))
-    dlogits = p.copy()
-    dlogits[np.arange(n), y] -= 1.0
+    rows = np.arange(n)
+    logp = z - np.log(total)
+    loss = -float(np.mean(logp[rows, y]))
+    dlogits = expz / total
+    dlogits[rows, y] -= 1.0
     dlogits /= n
     return loss, dlogits
 
@@ -185,14 +186,14 @@ class TaskInstance:
             )
         return params
 
-    def _dummy_splits(self, rng, d: int = 1) -> dict[str, DataSplit]:
+    def _dummy_splits(self) -> dict[str, DataSplit]:
         """Splits for analytic tasks whose loss ignores the data."""
         splits = {}
         offset = 0
         for split_name in ("train", "val", "test"):
             n = self._sizes[f"{split_name}_size"]
             splits[split_name] = DataSplit(
-                inputs=np.zeros((n, d)),
+                inputs=np.zeros((n, 1)),
                 targets=np.zeros(n),
                 indices=np.arange(offset, offset + n, dtype=np.int64),
             )
@@ -243,7 +244,7 @@ class QuadraticTask(TaskInstance):
         self.a_matrix = b @ b.T / self.dim + 0.5 * np.eye(self.dim)
 
     def _generate_splits(self, rng):
-        return self._dummy_splits(rng)
+        return self._dummy_splits()
 
     def _build_groups(self):
         return [ParamGroup("theta", 0, self.dim, (self.dim,), True)]
@@ -271,7 +272,7 @@ class RosenbrockTask(TaskInstance):
         super().__init__(cfg, data_seed)
 
     def _generate_splits(self, rng):
-        return self._dummy_splits(rng)
+        return self._dummy_splits()
 
     def _build_groups(self):
         return [ParamGroup("theta", 0, 2, (2,), True)]
@@ -436,11 +437,12 @@ def _check_known_paths(cfg: dict, defaults: dict, prefix: str = "task") -> None:
             _check_known_paths(value, defaults[key], f"{prefix}.{key}")
 
 
-def build_task(task_config: dict, data_seed: int | None = None) -> TaskInstance:
+def build_task(task_config: dict) -> TaskInstance:
     """Build a task instance; missing keys are filled from its default file.
 
-    The same (config, data_seed) pair always yields a bit-identical
-    instance: splits, default initialization, and any derived constants.
+    The same config (its ``data_seed`` included) always yields a
+    bit-identical instance: splits, default initialization, and any derived
+    constants.
     """
     name = task_config.get("name")
     if name not in TASKS:
@@ -451,9 +453,7 @@ def build_task(task_config: dict, data_seed: int | None = None) -> TaskInstance:
         cfg = deep_merge(task_defaults, task_config)
     else:
         cfg = dict(task_config)
-    if data_seed is None:
-        data_seed = int(cfg.get("data_seed", 42))
-    return TASKS[name](cfg, data_seed)
+    return TASKS[name](cfg, int(cfg.get("data_seed", 42)))
 
 
 def forward_backward(

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from optbench import expand_grid, merge_defaults, parse_experiment
@@ -19,6 +20,19 @@ optimizer:
 engine:
   seed: {seed}
 """
+
+
+def group_buffers(state) -> list[tuple[str, np.ndarray]]:
+    """Every optimizer buffer as ``(group/key, array)`` pairs of one group each,
+    sorted by label: a flat moment is cut into per-group slices, and a
+    ``<group>.<key>`` buffer (Adafactor's) already belongs to one group."""
+    out = []
+    for name, buf in state.buffers.items():
+        if "." in name:
+            out.append((name.replace(".", "/", 1), buf))
+        else:
+            out.extend((f"{g.name}/{name}", buf[g.start : g.end]) for g in state.groups)
+    return sorted(out, key=lambda pair: pair[0])
 
 
 def quad_config(epochs: int = 5, seed: int = 42) -> dict:

@@ -111,35 +111,17 @@ class TestParse:
 
 class TestMergeDefaults:
     def test_experiment_value_wins(self):
-        defaults = {
-            "tasks": {"quadratic": {"name": "quadratic", "dim": 10}},
-            "optimizers": {
-                "adamw_baseline": {
-                    "name": "adamw_baseline",
-                    "learning_rate": 0.1,
-                    "one_minus_beta1": 0.1,
-                }
-            },
-            "engine": {"seed": 42},
-            "evaluation": {},
-        }
         spec = parse_experiment(
             "task: {name: quadratic}\noptimizer: {name: adamw_baseline, learning_rate: 0.5}"
         )
-        merged = merge_defaults(spec, defaults)
+        merged = merge_defaults(spec)
         assert merged["optimizer"]["learning_rate"] == 0.5
         assert merged["optimizer"]["one_minus_beta1"] == 0.1
+        assert merged["task"]["dim"] == load_defaults()["tasks"]["quadratic"]["dim"]
 
-    def test_empty_spec_equals_single_default(self):
-        defaults = {
-            "tasks": {"mnist": {"name": "mnist", "max_epochs": 10, "batch_size": 64}},
-            "optimizers": {"adamw_baseline": {"name": "adamw_baseline", "learning_rate": 0.1}},
-            "engine": {"seed": 42},
-            "evaluation": {},
-        }
-        merged = merge_defaults(parse_experiment("{}"), defaults)
-        assert merged["task"] == defaults["tasks"]["mnist"]
-        assert merged["optimizer"] == defaults["optimizers"]["adamw_baseline"]
+    def test_entry_without_name_rejected(self):
+        with pytest.raises(SchemaError, match="every task entry needs a scalar `name`"):
+            merge_defaults(parse_experiment("{}"))
 
     def test_per_branch_merge(self):
         merged = merge_defaults(parse_experiment(GRID_8))

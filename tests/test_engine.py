@@ -32,7 +32,14 @@ from optbench.errors import (
 )
 from optbench.optim import OptimizerConfig, configure_optimizer
 from optbench.tasks import MetricSpec, ParamGroup, TaskInstance, register_task
-from conftest import Interrupted, fail_write, quad_config, resolve, stop_after_epoch
+from conftest import (
+    Interrupted,
+    fail_write,
+    group_buffers,
+    quad_config,
+    resolve,
+    stop_after_epoch,
+)
 
 
 def strip_wall(obj):
@@ -76,7 +83,7 @@ class TestCheckpointCodec:
             params=np.array(self.PARAMS),
             optimizer_state={
                 "step_count": 12,
-                "buffers": {"g0": {"m": _encode_array(np.array([0.1, -0.0]))}},
+                "buffers": {"m": _encode_array(np.array([0.1, -0.0]))},
                 "cpr": {
                     "g0": {
                         "fix_step": 4,
@@ -85,7 +92,6 @@ class TestCheckpointCodec:
                     }
                 },
             },
-            rng_states={"init": "00000000deadbeef", "shuffle": "0000000000000042"},
             best_val={"value": 5e-324, "epoch": 2},
             best_params=np.array([-0.0, -np.inf, 2.5e-310]),
             budgets=[2, 6],
@@ -112,10 +118,10 @@ class TestCheckpointCodec:
         from optbench.optim import CprState, OptimizerState
 
         state = OptimizerState("adamcpr", [], None)
-        state.buffers = {"g0": {"m": np.zeros(2)}}
+        state.buffers = {"m": np.zeros(2)}
         state.cpr = {"g0": CprState(fix_step=0)}
         restore_optimizer_state(self.make_ckpt().optimizer_state, state)
-        assert state.buffers["g0"]["m"].tobytes() == np.array([0.1, -0.0]).tobytes()
+        assert state.buffers["m"].tobytes() == np.array([0.1, -0.0]).tobytes()
         assert (state.cpr["g0"].fix_step, state.cpr["g0"].kappa) == (4, np.inf)
         assert np.signbit(state.cpr["g0"].lam)
 
@@ -149,19 +155,25 @@ class TestCheckpointCodec:
             load_checkpoint(path)
 
     def test_v1_file_says_how_to_proceed(self, tmp_path):
-        path = tmp_path / "last.ckpt"
-        write_v1_checkpoint(path)
-        with pytest.raises(VersionMismatchError, match="delete the run directory and rerun"):
-            load_checkpoint(path)
+        for write in (write_v1_checkpoint, write_v2_checkpoint):
+            path = tmp_path / "last.ckpt"
+            write(path)
+            with pytest.raises(VersionMismatchError, match="delete the run directory and rerun"):
+                load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
 
+def _write_with_trailer(path: Path, payload: dict) -> None:
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    path.write_text(body + "sha256 " + hashlib.sha256(body.encode()).hexdigest() + "\n")
+
+
 def write_v1_checkpoint(path: Path) -> None:
     """The hex-float layout of version 1, with a valid trailer."""
-    payload = {
+    _write_with_trailer(path, {
         "version": 1,
         "epoch": 1,
         "step_count": 2,
@@ -170,9 +182,28 @@ def write_v1_checkpoint(path: Path) -> None:
         "rng_states": {"init": "00000000deadbeef", "shuffle": "0000000000000042"},
         "best_val": {"value": "3ff0000000000000", "epoch": 1},
         "run_id": "ab" * 8,
-    }
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    path.write_text(body + "sha256 " + hashlib.sha256(body.encode()).hexdigest() + "\n")
+    })
+
+
+def write_v2_checkpoint(path: Path) -> None:
+    """The base64 layout of version 2, with per-group optimizer buffers and
+    the RNG seeds, and a valid trailer."""
+    _write_with_trailer(path, {
+        "version": 2,
+        "epoch": 1,
+        "step_count": 2,
+        "params": _encode_array(np.ones(1)),
+        "optimizer_state": {
+            "step_count": 2,
+            "buffers": {"g0": {"m": _encode_array(np.zeros(1))}},
+            "cpr": {},
+        },
+        "rng_states": {"init": "00000000deadbeef", "shuffle": "0000000000000042"},
+        "best_val": {"value": _encode_array(1.0), "epoch": 1},
+        "best_params": _encode_array(np.ones(1)),
+        "budgets": [1],
+        "run_id": "ab" * 8,
+    })
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_final_state.json").read_text())
@@ -184,9 +215,11 @@ def _sha256(a) -> str:
 
 class TestGoldenFinalState:
     """SHA-256 of the final params, best params, optimizer buffers and AdamCPR
-    scalars of every task x optimizer after 2 epochs. The hashes were taken
-    from version-1 (hex-float) checkpoints, so the version-2 codec and any
-    later speed-up of the step must reproduce them bit for bit."""
+    scalars of every task x optimizer after 2 epochs, buffers cut into
+    per-group slices. The hashes were taken from version-1 (hex-float)
+    checkpoints of per-group buffers, so the version-3 codec, the flat
+    moments and any later speed-up of the step must reproduce them bit for
+    bit."""
 
     @pytest.mark.parametrize("key", sorted(GOLDEN))
     def test_last_ckpt_decodes_to_golden(self, workdir, key):
@@ -206,11 +239,7 @@ class TestGoldenFinalState:
             "step_count": state.step_count,
             "params": _sha256(ckpt.params),
             "best_params": _sha256(ckpt.best_params),
-            "buffers": {
-                f"{g}/{k}": _sha256(a)
-                for g, bufs in sorted(state.buffers.items())
-                for k, a in sorted(bufs.items())
-            },
+            "buffers": {label: _sha256(a) for label, a in group_buffers(state)},
             "cpr": {
                 g: [_sha256(cs.lam), None if cs.kappa is None else _sha256(cs.kappa)]
                 for g, cs in sorted(state.cpr.items())
@@ -498,7 +527,7 @@ class ValleyTask(TaskInstance):
     metric = MetricSpec("loss", "minimize")
 
     def _generate_splits(self, rng):
-        return self._dummy_splits(rng)
+        return self._dummy_splits()
 
     def _build_groups(self):
         return [ParamGroup("theta", 0, 1, (1,), True)]

@@ -5,6 +5,7 @@ package (plain Python loops over coordinates) and serve as the oracle for
 randomized trajectory comparisons.
 """
 
+import hashlib
 import math
 import random
 
@@ -28,6 +29,7 @@ from optbench.optim import (
 )
 from optbench.sched import ScheduleSpec
 from optbench.tasks import ParamGroup
+from conftest import group_buffers
 
 
 def make_groups(shapes_eligible):
@@ -190,11 +192,30 @@ def random_case(rnd, need_matrix=False):
     return groups, theta0, grad_seq, lr_seq
 
 
+def digest_case(h, params, state) -> None:
+    """Feed a case's final params and per-group buffer slices to ``h``."""
+    h.update(params.tobytes())
+    for label, buf in group_buffers(state):
+        h.update(label.encode())
+        h.update(buf.tobytes())
+
+
 class TestOracleEquivalence:
+    """The oracle checks a tolerance; the pinned SHA-256 of every case's final
+    params and buffers checks the bits, which the whole-vector updates must
+    reproduce from the per-group code they replaced."""
+
     N_CASES = 100
+    PINNED = {
+        "sgd": "b48466c901822316072f5d87dac535d7af966868a1c78794056b71182138cab2",
+        "adamw": "cb7f3981006a103b679c95c73f43c4b5297ff1b3b41a7326b8ce2dc3035ab514",
+        "adamcpr": "23ade32562ba4d8a1b9e2aca70c62e9acdda62548b82b2dd4de6460f539b208b",
+        "adafactor": "c2747bef7d0688304265327d8cea3707afa2910859cdf5a2b1d97c95a4be4423",
+    }
 
     def test_sgd(self):
         rnd = random.Random(101)
+        h = hashlib.sha256()
         for _ in range(self.N_CASES):
             groups, theta0, grad_seq, lr_seq = random_case(rnd)
             momentum = rnd.uniform(0.0, 1.0)
@@ -209,9 +230,12 @@ class TestOracleEquivalence:
             ref = ref_sgd(theta0, grad_seq, lr_seq, groups, momentum, wd)
             assert_close(params, ref)
             assert np.all(np.isfinite(params))
+            digest_case(h, params, state)
+        assert h.hexdigest() == self.PINNED["sgd"]
 
     def test_adamw(self):
         rnd = random.Random(202)
+        h = hashlib.sha256()
         for _ in range(self.N_CASES):
             groups, theta0, grad_seq, lr_seq = random_case(rnd)
             omb1 = math.exp(rnd.uniform(math.log(1e-2), math.log(2e-1)))
@@ -228,9 +252,12 @@ class TestOracleEquivalence:
             ref = ref_adamw(theta0, grad_seq, lr_seq, groups, 1 - omb1, beta2, 1e-8, wd)
             assert_close(params, ref)
             assert np.all(np.isfinite(params))
+            digest_case(h, params, state)
+        assert h.hexdigest() == self.PINNED["adamw"]
 
     def test_adamcpr(self):
         rnd = random.Random(303)
+        h = hashlib.sha256()
         for _ in range(self.N_CASES):
             groups, theta0, grad_seq, lr_seq = random_case(rnd)
             omb1 = math.exp(rnd.uniform(math.log(1e-2), math.log(2e-1)))
@@ -249,9 +276,12 @@ class TestOracleEquivalence:
             assert_close(params, ref)
             assert np.all(np.isfinite(params))
             assert all(cs.lam >= 0.0 for cs in state.cpr.values())
+            digest_case(h, params, state)
+        assert h.hexdigest() == self.PINNED["adamcpr"]
 
     def test_adafactor(self):
         rnd = random.Random(404)
+        h = hashlib.sha256()
         for _ in range(self.N_CASES):
             groups, theta0, grad_seq, lr_seq = random_case(rnd, need_matrix=True)
             wd = math.exp(rnd.uniform(math.log(1e-5), 0.0)) if rnd.random() < 0.5 else 0.0
@@ -263,6 +293,8 @@ class TestOracleEquivalence:
             ref = ref_adafactor(theta0, grad_seq, lr_seq, groups, 1e-30, wd)
             assert_close(params, ref)
             assert np.all(np.isfinite(params))
+            digest_case(h, params, state)
+        assert h.hexdigest() == self.PINNED["adafactor"]
 
 
 class TestScalarExamples:
@@ -272,7 +304,7 @@ class TestScalarExamples:
         state = configure_optimizer(groups, cfg)
         params = np.array([1.0])
         sgd_step(params, np.array([0.5]), state, 0.1)
-        assert state.buffers["g0"]["velocity"][0] == 0.5
+        assert state.buffers["velocity"][0] == 0.5
         assert params[0] == pytest.approx(0.95, abs=1e-15)
 
     def test_sgd_zero_grad_fixed_point(self):
@@ -318,6 +350,19 @@ class TestScalarExamples:
         adamw_step(params, np.zeros(2), state, 0.1)
         assert params[0] == pytest.approx((1 - 0.1 * 0.5) * 2.0, rel=1e-15)
         assert params[1] == 2.0  # ineligible group untouched
+
+    @pytest.mark.parametrize("name", ["sgd_baseline", "adamw_baseline", "adamcpr"])
+    def test_decay_keeps_ineligible_zero_sign_and_inf(self, name):
+        # decay touches eligible groups only: multiplying the ineligible
+        # group by a 0 weight would give 0.0 for -0.0 and nan for inf
+        groups = make_groups([((2,), True), ((2,), False)])
+        cfg = OptimizerConfig(name, 0.1, weight_decay=0.5, kappa_init_param=1,
+                              schedule=make_schedule(warmup_steps=1))
+        state = configure_optimizer(groups, cfg)
+        params = np.array([1.0, 2.0, -0.0, np.inf])
+        optimizer_step(params, np.zeros(4), state, 0.1)
+        assert params[2:].tobytes() == np.array([-0.0, np.inf]).tobytes()
+        assert np.all(np.isfinite(params[:2]))
 
     def test_adamcpr_matches_adamw_before_fix_step(self):
         groups = make_groups([((2, 2), True), ((3,), False)])
@@ -416,10 +461,10 @@ class TestConfigure:
         cfg = OptimizerConfig("adamw_baseline", 0.1)
         state = configure_optimizer(groups, cfg)
         assert state.step_count == 0
-        for g in groups:
-            assert state.buffers[g.name]["m"].shape == (g.size,)
-            assert np.all(state.buffers[g.name]["m"] == 0.0)
-            assert np.all(state.buffers[g.name]["v"] == 0.0)
+        assert sorted(state.buffers) == ["m", "v"]
+        for buf in state.buffers.values():
+            assert buf.shape == (groups[-1].end,)
+            assert np.all(buf == 0.0)
 
     def test_cpr_fix_step_from_warmup(self):
         groups = make_groups([((2,), True)])

@@ -78,10 +78,10 @@ class TestBuild:
     def test_build_deterministic(self):
         for name in ALL_TASKS:
             tasks_module._SPLITS_MEMO.clear()
-            a = build_task({"name": name}, data_seed=7)  # cold: generates the splits
-            b = build_task({"name": name}, data_seed=7)  # warm: reuses them
+            a = build_task({"name": name, "data_seed": 7})  # cold: generates the splits
+            b = build_task({"name": name, "data_seed": 7})  # warm: reuses them
             tasks_module._SPLITS_MEMO.clear()
-            c = build_task({"name": name}, data_seed=7)  # cold again
+            c = build_task({"name": name, "data_seed": 7})  # cold again
             assert b.splits["train"].inputs is a.splits["train"].inputs
             assert c.splits["train"].inputs is not a.splits["train"].inputs
             for other in (b, c):
@@ -94,8 +94,8 @@ class TestBuild:
                         )
 
     def test_data_seed_changes_data(self):
-        a = build_task({"name": "blobs_logreg"}, data_seed=1)
-        b = build_task({"name": "blobs_logreg"}, data_seed=2)
+        a = build_task({"name": "blobs_logreg", "data_seed": 1})
+        b = build_task({"name": "blobs_logreg", "data_seed": 2})
         assert a.splits["train"].inputs.tobytes() != b.splits["train"].inputs.tobytes()
 
     def test_splits_disjoint(self):
@@ -153,7 +153,7 @@ class TestSplitMemo:
         b = build_task({"name": "blobs_logreg", "max_epochs": 9, "batch_size": 16})
         assert b.splits["train"].inputs is a.splits["train"].inputs
         c = build_task({"name": "blobs_logreg", "separation": 2.0})
-        d = build_task({"name": "blobs_logreg"}, data_seed=43)
+        d = build_task({"name": "blobs_logreg", "data_seed": 43})
         for other in (c, d):
             assert other.splits["train"].inputs.tobytes() != a.splits["train"].inputs.tobytes()
 
