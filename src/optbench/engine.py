@@ -56,12 +56,13 @@ from .errors import (
     VersionMismatchError,
 )
 from .optim import OptimizerConfig, OptimizerState, configure_optimizer, optimizer_step
-from .rng import Xoshiro256StarStar, derive_child, derive_stream
+from .rng import Xoshiro256StarStar, derive_child, derive_stream, permutations
 from .sched import ScheduleSpec, lr_at
 from .tasks import TaskInstance, build_task, evaluate, forward_backward
 
 CHECKPOINT_VERSION = 3
 SEED_STREAMS = ("init", "shuffle")
+PERM_BLOCK = 16  # epochs whose batch orders are drawn in one batched call
 
 
 def derive_seeds(engine_seed: int) -> dict[str, int]:
@@ -255,15 +256,20 @@ class RunState:
         return self.result is not None and self.result.status == "completed"
 
 
-def read_run(workdir: str | Path) -> RunState:
+def read_run(workdir: str | Path, cached_id: str | None = None) -> RunState:
     """Read ``result.json`` and ``last.ckpt`` where they exist. ``extending``:
     the checkpoint has another run id than the result, as after a budget
-    extension killed once its first extended epoch was checkpointed."""
+    extension killed once its first extended epoch was checkpointed.
+
+    A completed result of run ``cached_id`` is returned as ``completed``
+    without reading ``last.ckpt``: a cache hit needs nothing else."""
     paths = _paths(Path(workdir))
     result = None
     try:
         path = paths["result"]
         result = RunResult.load(path) if path.exists() else None
+        if result is not None and result.status == "completed" and result.run_id == cached_id:
+            return RunState("completed", result)
         path = paths["last"]
         ckpt = load_checkpoint(path) if path.exists() else None
     except CheckpointError as exc:  # names the file; keeps its type (v1: VersionMismatchError)
@@ -299,6 +305,14 @@ def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
     return history
 
 
+def _epoch_orders(shuffle_seed: int, epochs: range, n: int):
+    """(epoch, batch order) pairs; epoch e's order is the permutation of
+    ``derive_child(shuffle_seed, e)``, drawn ``PERM_BLOCK`` epochs at a time."""
+    for i in range(0, len(epochs), PERM_BLOCK):
+        block = epochs[i : i + PERM_BLOCK]
+        yield from zip(block, permutations([derive_child(shuffle_seed, e) for e in block], n))
+
+
 def steps_per_epoch(task: TaskInstance) -> int:
     return math.ceil(task.splits["train"].n / task.batch_size)
 
@@ -323,8 +337,8 @@ def train_run(config: dict, workdir: str | Path) -> RunResult:
     must belong to ``config``; a corrupt run dir raises its ``CheckpointError``.
     """
     workdir = Path(workdir)
-    state = read_run(workdir)
     rid = run_id(config)
+    state = read_run(workdir, cached_id=rid)
     if state.finished and state.result.run_id == rid:
         return state.result
     if state.error is not None:
@@ -427,18 +441,17 @@ def _run(config: dict, workdir: Path, ckpt: Checkpoint | None) -> RunResult:
     )
     t_start = time.monotonic()
 
-    for epoch in range(ckpt.epoch + 1, task.max_epochs + 1):
+    epochs = range(ckpt.epoch + 1, task.max_epochs + 1)
+    for epoch, perm in _epoch_orders(seeds["shuffle"], epochs, train.n):
         epoch_start = time.monotonic()
-        perm = Xoshiro256StarStar(derive_child(seeds["shuffle"], epoch)).shuffled_indices(
-            train.n
-        )
+        shuffled = train.take(perm)
         losses = []
         lr_last = None
         try:
             for b in range(spe):
-                idx = perm[b * batch : (b + 1) * batch]
                 lr_last = lr_at(schedule, step_count)
-                loss, grad = forward_backward(task, params, train.take(idx))
+                rows = slice(b * batch, (b + 1) * batch)
+                loss, grad = forward_backward(task, params, shuffled.take(rows))
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"non-finite training loss at step {step_count}")
                 optimizer_step(params, grad, opt_state, lr_last)

@@ -6,6 +6,12 @@ via SplitMix64. Both generators are published, platform-independent and
 have tiny integer state, so streams can be re-derived exactly from a
 64-bit seed on any machine. Library PRNGs are avoided on purpose: run
 resumption requires bit-identical draw sequences across processes.
+
+A batch shuffle is defined by ``Xoshiro256StarStar.shuffled_indices``: the
+Fisher-Yates permutation drawn from one stream. ``permutations`` computes
+the same permutations for many streams at once with numpy; it is only a
+faster way to get them, and falls back to ``shuffled_indices`` for any
+stream it cannot batch.
 """
 
 from __future__ import annotations
@@ -113,3 +119,122 @@ class Xoshiro256StarStar:
             j = self.randrange(i + 1)
             idx[i], idx[j] = idx[j], idx[i]
         return np.array(idx, dtype=np.int64)
+
+
+# --- batched permutations ---------------------------------------------------
+#
+# ``permutations`` computes the same Fisher-Yates permutations as
+# ``shuffled_indices``, many streams at a time. Draw k of a stream is
+# ``randrange(n - k)``, so without a rejection a stream's permutation needs
+# exactly its first n - 1 outputs. A xoshiro256** step is a linear map T of
+# the 256-bit state over GF(2), so those outputs split into chunks of _LANE
+# draws: chunk c starts at T^(c * _LANE) of the seeded state, reached with
+# the cached ladder T^(_LANE * 2^i). All chunks of all streams then step
+# together as numpy uint64 lanes.
+
+_LANE = 64  # draws per lane; fixed, so every n and epoch count share one ladder
+_LADDER: dict[int, np.ndarray] = {}  # level i: nibble table of T^(_LANE * 2^i)
+_NIBBLE_ROWS = np.arange(0, 64 * 16, 16)[:, None]  # row of nibble q's value 0
+_U64_MAX = np.uint64(_MASK64)
+
+
+def _step_lanes(s: np.ndarray, steps: int, out: np.ndarray | None = None) -> None:
+    """Advance every column of the [4, lanes] state ``s`` by ``steps`` in
+    place; ``out[k]`` receives the outputs of step k."""
+    s0, s1, s2, s3 = s
+    t = np.empty_like(s0)
+    for k in range(steps):
+        if out is not None:
+            r = out[k]
+            np.multiply(s1, 5, out=r)
+            np.left_shift(r, 7, out=t)
+            r >>= 57
+            r |= t
+            r *= 9
+        np.left_shift(s1, 17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, 45, out=t)
+        s3 >>= 19
+        s3 |= t
+
+
+def _jump(table: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The linear map of a nibble table applied to each column of ``s``."""
+    b = np.ascontiguousarray(s.T, dtype="<u8").view(np.uint8)  # [lanes, 32]
+    nibbles = np.stack([b & 15, b >> 4], axis=2).reshape(len(b), 64).T  # bits 4q..4q+3
+    rows = _NIBBLE_ROWS + nibbles
+    flat = table.reshape(-1, 4)
+    out = np.zeros((len(b), 4), dtype=np.uint64)
+    for q in range(0, 64, 8):  # eight nibbles at a time bounds the gathered rows
+        out ^= np.bitwise_xor.reduce(np.take(flat, rows[q : q + 8], axis=0), axis=0)
+    return out.T
+
+
+def _ladder(level: int) -> np.ndarray:
+    """Nibble table of T^(_LANE * 2^level): entry [q, v] is the image of the
+    state whose only set bits are v << 4q. Built once per process; threads
+    that race here compute equal tables."""
+    table = _LADDER.get(level)
+    if table is None:
+        bits = np.arange(256)
+        s = np.zeros((4, 256), dtype=np.uint64)
+        s[bits // 64, bits] = np.uint64(1) << (bits % 64).astype(np.uint64)
+        if level:
+            half = _ladder(level - 1)
+            s = _jump(half, _jump(half, s))
+        else:
+            _step_lanes(s, _LANE)
+        cols = s.T.reshape(64, 4, 4)  # image of bit 4q + k at [q, k]
+        table = np.zeros((64, 16, 4), dtype=np.uint64)
+        for k in range(4):
+            table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ cols[:, k, None]
+        table = _LADDER.setdefault(level, table)
+    return table
+
+
+def _lane_draws(seeds: list[int], count: int) -> np.ndarray:
+    """uint64 [len(seeds), count]: the first ``count`` outputs of each stream."""
+    chunks = -(-count // _LANE)
+    starts = np.array([Xoshiro256StarStar(seed).s for seed in seeds], dtype=np.uint64)
+    lanes = starts.T[:, :, None]  # [4, seed, chunk]
+    level = 0
+    while lanes.shape[2] < chunks:
+        new = min(lanes.shape[2], chunks - lanes.shape[2])
+        jumped = _jump(_ladder(level), lanes[:, :, :new].reshape(4, -1))
+        lanes = np.concatenate([lanes, jumped.reshape(4, len(seeds), new)], axis=2)
+        level += 1
+    lanes = np.ascontiguousarray(lanes.reshape(4, -1))
+    out = np.empty((lanes.shape[1], _LANE), dtype=np.uint64)
+    _step_lanes(lanes, _LANE, out.T)
+    return out.reshape(len(seeds), chunks * _LANE)[:, :count]
+
+
+def permutations(seeds: list[int], n: int) -> np.ndarray:
+    """int64 [len(seeds), n]; row e equals
+    ``Xoshiro256StarStar(seeds[e]).shuffled_indices(n)``.
+
+    A stream whose draws meet a ``randrange`` rejection (odds below
+    n / 2^64 per draw) is recomputed by ``shuffled_indices``.
+    """
+    perms = np.empty((len(seeds), n), dtype=np.int64)
+    if n <= 1 or not seeds:
+        perms[:] = np.arange(n)
+        return perms
+    x = _lane_draws(seeds, n - 1)
+    bound = np.arange(n, 1, -1, dtype=np.uint64)  # draw k is randrange(n - k)
+    largest = _U64_MAX - (_U64_MAX % bound + 1) % bound  # largest accepted draw
+    rejected = (x > largest).any(axis=1)
+    js = np.remainder(x, bound, out=x)
+    for e, seed in enumerate(seeds):
+        if rejected[e]:
+            perms[e] = Xoshiro256StarStar(seed).shuffled_indices(n)
+            continue
+        idx = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js[e].tolist()):
+            idx[i], idx[j] = idx[j], idx[i]
+        perms[e] = idx
+    return perms

@@ -73,7 +73,8 @@ class DataSplit:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def take(self, idx: np.ndarray) -> "DataSplit":
+    def take(self, idx: np.ndarray | slice) -> "DataSplit":
+        """Rows ``idx``: copies for an index array, views for a slice."""
         return DataSplit(self.inputs[idx], self.targets[idx], self.indices[idx])
 
 

@@ -284,6 +284,19 @@ class TestTrainRun:
         assert (workdir / "result.json").stat().st_mtime_ns == stamp
         assert r2.history == r1.history
 
+    def test_cache_hit_reads_no_checkpoint_and_draws_no_batch_order(self, workdir, monkeypatch):
+        from optbench import engine
+
+        cfg = quad_config(epochs=3)
+        r1 = train_run(cfg, workdir)
+
+        def forbidden(*args):
+            raise AssertionError("a cache hit must not get here")
+
+        monkeypatch.setattr(engine, "load_checkpoint", forbidden)
+        monkeypatch.setattr(engine, "permutations", forbidden)
+        assert train_run(cfg, workdir) == r1
+
     def test_workdir_layout(self, workdir):
         cfg = quad_config(epochs=2)
         result = train_run(cfg, workdir)
@@ -408,6 +421,10 @@ class TestReadRun:
         state = read_run(workdir)
         assert state.status == "extending"
         assert (state.result.budgets, state.ckpt.budgets, state.ckpt.epoch) == ([2], [2, 4], 4)
+        # a cache hit on the stored result skips the checkpoint
+        cached = read_run(workdir, cached_id=state.result.run_id)
+        assert (cached.status, cached.result, cached.ckpt) == ("completed", state.result, None)
+        assert read_run(workdir, cached_id=state.ckpt.run_id).status == "extending"
 
     def test_truncated_result_is_corrupt(self, workdir):
         cfg = quad_config(epochs=3)
