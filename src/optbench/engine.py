@@ -6,20 +6,25 @@ in its own working directory:
     <workdir>/config.resolved.yaml
     <workdir>/metrics.jsonl            one line per epoch
     <workdir>/result.json              written on completion or abort
-    <workdir>/checkpoints/last.ckpt    every epoch (epoch 0 = untrained)
+    <workdir>/checkpoints/last.ckpt    the newest epoch (epoch 0 = untrained)
+    <workdir>/checkpoints/next.ckpt    only while a run is training
 
-``read_run`` is the only reader of ``result.json`` and ``last.ckpt``. Fresh
-start, resume and budget extension share one lifecycle, ``_run``: it builds
-the task, starts from the checkpoint its caller read and checked (or a new
-epoch-0 one), trains up to ``task.max_epochs`` and writes ``result.json``.
+``read_run`` is the only reader of ``result.json`` and the checkpoints.
+Fresh start, resume and budget extension share one lifecycle, ``_run``: it
+builds the task, starts from the checkpoint its caller read and checked (or
+a new epoch-0 one), trains up to ``task.max_epochs`` and writes
+``result.json``.
 
-``last.ckpt`` is the whole resume state: parameters, optimizer state (one
+A checkpoint is the whole resume state: parameters, optimizer state (one
 array per buffer), the best validation value with its parameters, and the
 budget history. It holds no seeds: ``_run`` derives them from
-``engine.seed`` on every start, and the run id ties the checkpoint to it. Each
-epoch appends its metrics line and then rewrites ``last.ckpt``. Every file
-but the metrics append is written to a temporary file and renamed into
-place, so a kill at any write leaves a run that resumes from the last
+``engine.seed`` on every start, and the run id ties the checkpoint to it.
+Each epoch appends its metrics line and then rewrites one of two checkpoint
+slots in place, ``next.ckpt`` and ``last.ckpt`` in turn, never the one that
+holds the newest checkpoint; a finished ``_run`` leaves the final one in
+``last.ckpt`` and no ``next.ckpt``. Every other file but the metrics append
+is written to a temporary file and renamed into place. So a kill at any
+write, or a torn slot write, leaves a run that resumes from the last
 checkpointed epoch. A kill inside ``extend_budget`` is finished by calling
 it again with the same arguments, or, once ``read_run`` reports the run as
 ``extending``, by ``resume_run`` with the extended config.
@@ -162,6 +167,14 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _write_slot(path: Path, data: bytes) -> None:
+    """Rewrite a checkpoint slot in place: the file is created only if it is
+    missing, and never renamed. A kill mid-write tears only this slot."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write a checkpoint atomically."""
     _write_atomic(path, encode_checkpoint(ckpt))
@@ -241,15 +254,17 @@ def _paths(workdir: Path) -> dict[str, Path]:
         "result": workdir / "result.json",
         "ckpt_dir": workdir / "checkpoints",
         "last": workdir / "checkpoints" / "last.ckpt",
+        "next": workdir / "checkpoints" / "next.ckpt",
     }
 
 
 @dataclass
 class RunState:
     status: str  # new | incomplete | completed | aborted | extending | corrupt
-    result: RunResult | None = None  # kept when only last.ckpt is unreadable
+    result: RunResult | None = None  # kept when only the checkpoint is unreadable
     ckpt: Checkpoint | None = None
     error: CheckpointError | None = None  # a corrupt dir's; its message names the file
+    slot: Path | None = None  # the file ``ckpt`` was read from
 
     @property
     def finished(self) -> bool:  # result.json holds a completed result (also when extending)
@@ -257,29 +272,39 @@ class RunState:
 
 
 def read_run(workdir: str | Path, cached_id: str | None = None) -> RunState:
-    """Read ``result.json`` and ``last.ckpt`` where they exist. ``extending``:
-    the checkpoint has another run id than the result, as after a budget
-    extension killed once its first extended epoch was checkpointed.
+    """Read ``result.json`` and the checkpoint slots where they exist.
 
-    A completed result of run ``cached_id`` is returned as ``completed``
-    without reading ``last.ckpt``: a cache hit needs nothing else."""
+    The checkpoint is the one with the larger epoch of ``last.ckpt`` and
+    ``next.ckpt``; a slot that does not load (torn by a kill mid-write) is
+    skipped, and the dir is ``corrupt`` only when neither loads.
+    ``extending``: the checkpoint has another run id than the result, as
+    after a budget extension killed once its first extended epoch was
+    checkpointed. A completed result of run ``cached_id`` is returned as
+    ``completed`` without reading a checkpoint: a cache hit needs nothing else."""
     paths = _paths(Path(workdir))
-    result = None
     try:
-        path = paths["result"]
-        result = RunResult.load(path) if path.exists() else None
-        if result is not None and result.status == "completed" and result.run_id == cached_id:
-            return RunState("completed", result)
-        path = paths["last"]
-        ckpt = load_checkpoint(path) if path.exists() else None
-    except CheckpointError as exc:  # names the file; keeps its type (v1: VersionMismatchError)
-        return RunState("corrupt", result, error=exc)
+        result = RunResult.load(paths["result"]) if paths["result"].exists() else None
     except (OSError, ValueError, TypeError) as exc:
-        return RunState("corrupt", result, error=CheckpointError(f"{path}: {exc!r}"))
+        return RunState("corrupt", error=CheckpointError(f"{paths['result']}: {exc!r}"))
+    if result is not None and result.status == "completed" and result.run_id == cached_id:
+        return RunState("completed", result)
+    ckpt = slot = error = None
+    for path in (paths["last"], paths["next"]):
+        try:
+            loaded = load_checkpoint(path) if path.exists() else None
+        except CheckpointError as exc:  # names the file; keeps its type (v1: VersionMismatchError)
+            error = error or exc
+        except (OSError, ValueError, TypeError) as exc:
+            error = error or CheckpointError(f"{path}: {exc!r}")
+        else:
+            if loaded is not None and (ckpt is None or loaded.epoch > ckpt.epoch):
+                ckpt, slot = loaded, path
+    if ckpt is None and error is not None:
+        return RunState("corrupt", result, error=error)
     if result is None:
-        return RunState("new" if ckpt is None else "incomplete", None, ckpt)
+        return RunState("new" if ckpt is None else "incomplete", None, ckpt, slot=slot)
     extending = ckpt is not None and ckpt.run_id != result.run_id
-    return RunState("extending" if extending else result.status, result, ckpt)
+    return RunState("extending" if extending else result.status, result, ckpt, slot=slot)
 
 
 def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
@@ -301,7 +326,8 @@ def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
         if entry["epoch"] <= up_to_epoch:
             history.append(entry)
     text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
-    _write_atomic(metrics_path, text.encode("utf-8"))
+    if text != raw:
+        _write_atomic(metrics_path, text.encode("utf-8"))
     return history
 
 
@@ -346,7 +372,7 @@ def train_run(config: dict, workdir: str | Path) -> RunResult:
     stored = state.ckpt or state.result
     if stored is not None and stored.run_id != rid:
         raise RunIdMismatchError(f"workdir {workdir} holds run {stored.run_id}, config is {rid}")
-    return _run(config, workdir, state.ckpt)
+    return _run(config, workdir, state.ckpt, state.slot)
 
 
 def resume_run(config: dict, workdir: str | Path) -> RunResult:
@@ -386,13 +412,13 @@ def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> Run
                 f"new budget {new_max_epochs} must exceed trained epochs {ckpt.epoch}"
             )
         ckpt.budgets = ckpt.budgets + [new_max_epochs]
-    return _run(_with_budget(new_max_epochs), workdir, ckpt)
+    return _run(_with_budget(new_max_epochs), workdir, ckpt, state.slot)
 
 
-def _run(config: dict, workdir: Path, ckpt: Checkpoint | None) -> RunResult:
-    """The one run lifecycle: train ``config`` from ``ckpt``, which the caller
-    checked against ``config`` (``None``: from a new epoch-0 checkpoint), up
-    to ``task.max_epochs`` and write ``result.json``."""
+def _run(config: dict, workdir: Path, ckpt: Checkpoint | None, slot: Path | None) -> RunResult:
+    """The one run lifecycle: train ``config`` from ``ckpt``, read from ``slot``
+    and checked by the caller against ``config`` (``None``: from a new epoch-0
+    checkpoint), up to ``task.max_epochs`` and write ``result.json``."""
     paths = _paths(workdir)
     rid = run_id(config)
     task = build_task(config["task"])
@@ -416,6 +442,8 @@ def _run(config: dict, workdir: Path, ckpt: Checkpoint | None) -> RunResult:
         )
         save_checkpoint(ckpt, paths["last"])
     else:
+        if slot == paths["next"]:  # the start checkpoint must be in last.ckpt
+            os.replace(slot, paths["last"])
         restore_optimizer_state(ckpt.optimizer_state, opt_state)
     history = _truncate_metrics(paths["metrics"], ckpt.epoch)
 
@@ -441,6 +469,8 @@ def _run(config: dict, workdir: Path, ckpt: Checkpoint | None) -> RunResult:
     )
     t_start = time.monotonic()
 
+    slots = (paths["last"], paths["next"])
+    newest = 0  # index of the slot that holds ckpt; epochs write the other one
     epochs = range(ckpt.epoch + 1, task.max_epochs + 1)
     for epoch, perm in _epoch_orders(seeds["shuffle"], epochs, train.n):
         epoch_start = time.monotonic()
@@ -488,8 +518,13 @@ def _run(config: dict, workdir: Path, ckpt: Checkpoint | None) -> RunResult:
             best_params=best_params,
             run_id=rid,
         )
-        save_checkpoint(ckpt, paths["last"])
+        newest ^= 1
+        _write_slot(slots[newest], encode_checkpoint(ckpt))
 
+    if newest:
+        os.replace(paths["next"], paths["last"])
+    else:
+        paths["next"].unlink(missing_ok=True)
     result.best_val = best_val
     result.wall_time_s = time.monotonic() - t_start
     if result.status == "completed":

@@ -129,7 +129,7 @@ def _check(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None
         raise ShapeMismatchError(
             f"expected flat vectors of length {n}, got {params.shape} and {grads.shape}"
         )
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise NonFiniteError("non-finite gradient")
 
 
@@ -228,7 +228,7 @@ def adamcpr_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, l
             cs = state.cpr.get(g.name)
             if cs is not None and cs.fix_step == 0 and cs.kappa is None:
                 theta = params[g.start : g.end]
-                cs.kappa = float(np.mean(theta * theta))
+                cs.kappa = float((theta * theta).sum() / g.size)
     _adam_core(params, grads, state, lr_t, 0.0)
     t = state.step_count
     for g in state.groups:
@@ -237,7 +237,7 @@ def adamcpr_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, l
             continue
         sl = slice(g.start, g.end)
         theta = params[sl]
-        stat = float(np.mean(theta * theta))
+        stat = float((theta * theta).sum() / g.size)
         if t == cs.fix_step:
             cs.kappa = stat
         elif cs.kappa is not None:
@@ -273,13 +273,14 @@ def adafactor_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
         sl = slice(g.start, g.end)
         grad = grads[sl]
         if len(g.shape) == 2:
+            rows, cols = g.shape
             sq = (grad * grad).reshape(g.shape)
             row, col = state.buffers[f"{g.name}.row"], state.buffers[f"{g.name}.col"]
             row *= beta2t
-            row += (1.0 - beta2t) * sq.mean(axis=1)
+            row += (1.0 - beta2t) * (sq.sum(axis=1) / cols)
             col *= beta2t
-            col += (1.0 - beta2t) * sq.mean(axis=0)
-            row_mean = row.mean()
+            col += (1.0 - beta2t) * (sq.sum(axis=0) / rows)
+            row_mean = row.sum() / rows
             if row_mean > 0.0:
                 v_hat = np.outer(row, col).ravel() / row_mean
             else:
@@ -290,7 +291,7 @@ def adafactor_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState,
             v += (1.0 - beta2t) * grad * grad
             v_hat = v
         u = grad / np.sqrt(v_hat + cfg.epsilon)
-        rms = math.sqrt(float(np.mean(u * u)))
+        rms = math.sqrt(float((u * u).sum() / g.size))
         u = u / max(1.0, rms)  # clip threshold d = 1
         update = lr_t * u
         if g.weight_decay_eligible and cfg.weight_decay != 0.0:

@@ -90,7 +90,7 @@ def _softmax_ce(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     n = logits.shape[0]
     rows = np.arange(n)
     logp = z - np.log(total)
-    loss = -float(np.mean(logp[rows, y]))
+    loss = -float(logp[rows, y].sum() / n)
     dlogits = expz / total
     dlogits[rows, y] -= 1.0
     dlogits /= n
@@ -393,26 +393,25 @@ class MlpSynthTask(TaskInstance):
         b2 = params[5 * h :]
         return w1, b1, w2, b2
 
-    def _forward(self, params, inputs):
-        w1, b1, w2, b2 = self._unpack(params)
+    def _forward(self, weights, inputs):
+        w1, b1, w2, b2 = weights
         hidden = np.tanh(inputs @ w1.T + b1)
         return hidden, hidden @ w2.T + b2
 
     def loss_grad(self, params, batch):
-        w1, b1, w2, b2 = self._unpack(params)
-        y = batch.targets.astype(np.int64)
-        hidden, logits = self._forward(params, batch.inputs)
-        loss, dlogits = _softmax_ce(logits, y)
+        weights = self._unpack(params)
+        hidden, logits = self._forward(weights, batch.inputs)
+        loss, dlogits = _softmax_ce(logits, batch.targets.astype(np.int64, copy=False))
         dw2 = dlogits.T @ hidden
         db2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2
+        dhidden = dlogits @ weights[2]  # w2
         dz1 = dhidden * (1.0 - hidden * hidden)
         dw1 = dz1.T @ batch.inputs
         db1 = dz1.sum(axis=0)
         return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
     def metric_value(self, params, split):
-        _, logits = self._forward(params, split.inputs)
+        _, logits = self._forward(self._unpack(params), split.inputs)
         pred = np.argmax(logits, axis=1)
         return accuracy(pred, split.targets.astype(np.int64))
 

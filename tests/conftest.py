@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -48,26 +49,77 @@ class Interrupted(Exception):
     """Stands for a kill of the process at an injected file write."""
 
 
-def fail_write(monkeypatch, name: str, nth: int) -> None:
-    """Raise ``Interrupted`` in place of the engine's ``nth`` (1-based) atomic
-    write to a file called ``name``; every other write goes through."""
+SLOT_MOVE = "next.ckpt -> last.ckpt"
+SLOT_REMOVE = "rm next.ckpt"
+
+
+def intercept_writes(monkeypatch, hook) -> None:
+    """Call ``hook(name, tear)`` before each of the engine's file writes.
+
+    ``name`` is the written file's name, or ``SLOT_MOVE`` / ``SLOT_REMOVE``
+    for the move of ``next.ckpt`` onto ``last.ckpt`` and its removal.
+    ``tear()`` leaves what a kill halfway through the write leaves: half of
+    the bytes in the temporary file of an atomic write, or half of them
+    written in place over a checkpoint slot (nothing for a move or a
+    removal). The per-epoch metrics append is not intercepted.
+    """
     from optbench import engine
 
-    real_write = engine._write_atomic
+    real_atomic, real_slot = engine._write_atomic, engine._write_slot
+    real_replace, real_unlink = os.replace, Path.unlink
+
+    def write_atomic(path, data):
+        path = Path(path)
+        tmp = path.with_suffix(path.suffix + ".tmp")
+        hook(path.name, lambda: tmp.write_bytes(data[: len(data) // 2]))
+        real_atomic(path, data)
+
+    def write_slot(path, data):
+        def tear():
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+                f.write(data[: len(data) // 2])
+
+        hook(path.name, tear)
+        real_slot(path, data)
+
+    def replace(src, dst, **kwargs):
+        if Path(src).name == "next.ckpt":
+            hook(SLOT_MOVE, lambda: None)
+        real_replace(src, dst, **kwargs)
+
+    def unlink(self, missing_ok=False):
+        if self.name == "next.ckpt":
+            hook(SLOT_REMOVE, lambda: None)
+        real_unlink(self, missing_ok=missing_ok)
+
+    monkeypatch.setattr(engine, "_write_atomic", write_atomic)
+    monkeypatch.setattr(engine, "_write_slot", write_slot)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(Path, "unlink", unlink)
+
+
+def fail_write(monkeypatch, name: str | tuple[str, ...], nth: int, torn: bool = False) -> None:
+    """Raise ``Interrupted`` in place of the engine's ``nth`` (1-based) write
+    named ``name`` (see ``intercept_writes``; a tuple of names counts their
+    writes together), after tearing it if ``torn``. Every other write goes
+    through."""
+    names = (name,) if isinstance(name, str) else name
     count = 0
 
-    def write(path, data):
+    def hook(written, tear):
         nonlocal count
-        if Path(path).name == name:
+        if written in names:
             count += 1
             if count == nth:
+                if torn:
+                    tear()
                 raise Interrupted(f"killed at write {nth} of {name}")
-        real_write(path, data)
 
-    monkeypatch.setattr(engine, "_write_atomic", write)
+    intercept_writes(monkeypatch, hook)
 
 
 def stop_after_epoch(monkeypatch, k: int) -> None:
-    """Kill a fresh run once epoch ``k`` is checkpointed: ``last.ckpt`` is
-    written for epochs 0, 1, ..., so its write ``k + 2`` is epoch ``k + 1``."""
-    fail_write(monkeypatch, "last.ckpt", k + 2)
+    """Kill a fresh run once epoch ``k`` is checkpointed: epochs 0, 1, ... are
+    written to ``last.ckpt`` and ``next.ckpt`` in turn, so checkpoint write
+    ``k + 2`` is epoch ``k + 1``."""
+    fail_write(monkeypatch, ("last.ckpt", "next.ckpt"), k + 2)

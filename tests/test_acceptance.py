@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from optbench.config import expand_grid, merge_defaults, parse_experiment
-from optbench.engine import load_checkpoint, resume_run, train_run
+from optbench.engine import load_checkpoint, read_run, resume_run, train_run
 from optbench.evaluation import AggregateCell, HeatmapSpec, render_heatmap
 from optbench.hpo import hyperband_schedule, parse_space, run_hpo
 from optbench.optim import (
@@ -237,7 +237,7 @@ def test_resume_determinism(tmp_path, monkeypatch):
                     stop_after_epoch(mp, interrupt)
                     with pytest.raises(Interrupted):
                         train_run(cfg, wd)
-                assert load_checkpoint(wd / "checkpoints" / "last.ckpt").epoch == interrupt
+                assert read_run(wd).ckpt.epoch == interrupt
                 resume_run(cfg, wd)
                 ckpt = load_checkpoint(wd / "checkpoints" / "last.ckpt")
                 assert ckpt.params.tobytes() == full_ckpt.params.tobytes(), (

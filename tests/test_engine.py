@@ -1,8 +1,12 @@
+import builtins
 import copy
 import hashlib
+import io
 import json
+import os
 import re
 import shutil
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,9 +37,12 @@ from optbench.errors import (
 from optbench.optim import OptimizerConfig, configure_optimizer
 from optbench.tasks import MetricSpec, ParamGroup, TaskInstance, register_task
 from conftest import (
+    SLOT_MOVE,
+    SLOT_REMOVE,
     Interrupted,
     fail_write,
     group_buffers,
+    intercept_writes,
     quad_config,
     resolve,
     stop_after_epoch,
@@ -297,18 +304,32 @@ class TestTrainRun:
         monkeypatch.setattr(engine, "permutations", forbidden)
         assert train_run(cfg, workdir) == r1
 
-    def test_workdir_layout(self, workdir):
-        cfg = quad_config(epochs=2)
-        result = train_run(cfg, workdir)
-        assert (workdir / "config.resolved.yaml").exists()
-        assert (workdir / "metrics.jsonl").exists()
-        assert (workdir / "result.json").exists()
-        assert [p.name for p in (workdir / "checkpoints").iterdir()] == ["last.ckpt"]
-        lines = (workdir / "metrics.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        entry = json.loads(lines[0])
-        assert set(entry) == {"epoch", "lr_last", "train_loss", "val_metric", "wall_time_s"}
-        assert result.seeds_used == derive_seeds(cfg["engine"]["seed"])
+    def test_workdir_layout(self, tmp_path):
+        for epochs in (2, 3):  # the final epoch lands in next.ckpt, then in last.ckpt
+            workdir = tmp_path / str(epochs)
+            cfg = quad_config(epochs=epochs)
+            result = train_run(cfg, workdir)
+            assert (workdir / "config.resolved.yaml").exists()
+            assert (workdir / "metrics.jsonl").exists()
+            assert (workdir / "result.json").exists()
+            assert [p.name for p in (workdir / "checkpoints").iterdir()] == ["last.ckpt"]
+            assert load_checkpoint(workdir / "checkpoints" / "last.ckpt").epoch == epochs
+            lines = (workdir / "metrics.jsonl").read_text().splitlines()
+            assert len(lines) == epochs
+            entry = json.loads(lines[0])
+            assert set(entry) == {"epoch", "lr_last", "train_loss", "val_metric", "wall_time_s"}
+            assert result.seeds_used == derive_seeds(cfg["engine"]["seed"])
+
+    def test_fresh_run_renames_and_creates_independent_of_epochs(self, tmp_path, monkeypatch):
+        counts = []
+        for epochs in (4, 12):
+            with monkeypatch.context() as mp:
+                ops = _count_file_ops(mp)
+                train_run(quad_config(epochs=epochs), tmp_path / str(epochs))
+            counts.append(dict(ops))
+        # renames: config, epoch 0 and result.json; creations: their temporary
+        # files, next.ckpt and metrics.jsonl
+        assert counts == [{"replace": 3, "create": 5}] * 2
 
     def test_partial_last_batch(self, workdir):
         cfg = quad_config(epochs=3)
@@ -341,7 +362,7 @@ class TestResume:
         stop_after_epoch(monkeypatch, interrupt)
         with pytest.raises(Interrupted):
             train_run(cfg, tmp_path / "part")
-        assert load_checkpoint(tmp_path / "part" / "checkpoints" / "last.ckpt").epoch == interrupt
+        assert read_run(tmp_path / "part").ckpt.epoch == interrupt
         assert not (tmp_path / "part" / "result.json").exists()
         resumed = resume_run(cfg, tmp_path / "part")
         assert resumed.status == "completed"
@@ -425,6 +446,54 @@ class TestReadRun:
         cached = read_run(workdir, cached_id=state.result.run_id)
         assert (cached.status, cached.result, cached.ckpt) == ("completed", state.result, None)
         assert read_run(workdir, cached_id=state.ckpt.run_id).status == "extending"
+
+    def test_torn_newest_slot_gives_the_older_epoch(self, tmp_path, monkeypatch):
+        for k, torn in ((2, "next.ckpt"), (3, "last.ckpt")):
+            wd = tmp_path / str(k)
+            with monkeypatch.context() as mp:
+                fail_write(mp, ("last.ckpt", "next.ckpt"), k + 2, torn=True)  # epoch k + 1
+                with pytest.raises(Interrupted):
+                    train_run(quad_config(epochs=6), wd)
+            with pytest.raises(CorruptCheckpointError):
+                load_checkpoint(wd / "checkpoints" / torn)
+            state = read_run(wd)
+            assert (state.status, state.ckpt.epoch, state.error) == ("incomplete", k, None)
+
+    def test_unreadable_last_slot_gives_next(self, tmp_path, monkeypatch):
+        cfg = quad_config(epochs=6)
+        train_run(cfg, tmp_path / "full")
+        wd = tmp_path / "part"
+        with monkeypatch.context() as mp:
+            stop_after_epoch(mp, 3)  # epoch 3 in next.ckpt, epoch 2 in last.ckpt
+            with pytest.raises(Interrupted):
+                train_run(cfg, wd)
+        last = wd / "checkpoints" / "last.ckpt"
+        last.write_bytes(last.read_bytes()[:-20])
+        state = read_run(wd)
+        assert (state.status, state.ckpt.epoch, state.slot.name) == ("incomplete", 3, "next.ckpt")
+        resume_run(cfg, wd)  # moves next.ckpt over the damaged last.ckpt
+        assert last.read_bytes() == (tmp_path / "full" / "checkpoints" / "last.ckpt").read_bytes()
+
+    def test_both_slots_unreadable_is_corrupt(self, tmp_path, monkeypatch):
+        cfg = quad_config(epochs=6)
+        with monkeypatch.context() as mp:
+            fail_write(mp, ("last.ckpt", "next.ckpt"), 4, torn=True)  # epoch 3 in next.ckpt
+            with pytest.raises(Interrupted):
+                train_run(cfg, tmp_path / "base")
+        damages = {
+            CorruptCheckpointError: lambda p: p.write_bytes(p.read_bytes()[:-20]),
+            VersionMismatchError: write_v1_checkpoint,
+        }
+        for error, damage in damages.items():
+            wd = tmp_path / error.__name__
+            shutil.copytree(tmp_path / "base", wd)
+            path = wd / "checkpoints" / "last.ckpt"
+            damage(path)
+            state = read_run(wd)
+            assert (state.status, state.result, state.ckpt) == ("corrupt", None, None)
+            assert type(state.error) is error and str(path) in str(state.error)
+            with pytest.raises(error, match=re.escape(str(path))):
+                resume_run(cfg, wd)
 
     def test_truncated_result_is_corrupt(self, workdir):
         cfg = quad_config(epochs=3)
@@ -646,7 +715,7 @@ class TestBestLastProtocol:
         stop_after_epoch(monkeypatch, 1)
         with pytest.raises(Interrupted):
             train_run(cfg, tmp_path / "epoch1")
-        epoch1 = load_checkpoint(tmp_path / "epoch1" / "checkpoints" / "last.ckpt")
+        epoch1 = read_run(tmp_path / "epoch1").ckpt
         last = load_checkpoint(tmp_path / "full" / "checkpoints" / "last.ckpt")
         assert last.best_val == {"value": 0.5, "epoch": 1}
         assert last.best_params.tobytes() == epoch1.params.tobytes()
@@ -667,26 +736,60 @@ def _run_files(workdir):
     }
 
 
+def _count_file_ops(monkeypatch) -> Counter:
+    """Count the renames and file creations made while patched."""
+    ops = Counter()
+    real_replace, real_os_open, real_open = os.replace, os.open, builtins.open
+
+    def replace(src, dst, **kwargs):
+        ops["replace"] += 1
+        real_replace(src, dst, **kwargs)
+
+    def os_open(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT and not os.path.exists(path):
+            ops["create"] += 1
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def open_(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and set(mode) & set("wax") and not os.path.exists(file):
+            ops["create"] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)  # pathlib's
+    return ops
+
+
 def _record_writes(monkeypatch, fn, *args):
-    """Call ``fn(*args)`` and return the file names of its atomic writes."""
-    from optbench import engine
-
+    """Call ``fn(*args)`` and return the names of its writes (see ``intercept_writes``)."""
     writes = []
-    real_write = engine._write_atomic
-
-    def record(path, data):
-        writes.append(Path(path).name)
-        real_write(path, data)
-
     with monkeypatch.context() as mp:
-        mp.setattr(engine, "_write_atomic", record)
+        intercept_writes(mp, lambda name, tear: writes.append(name))
         fn(*args)
     return writes
 
 
 def _kill_points(writes):
-    """(index, file name, nth write of that name) for every write."""
-    return [(i, name, writes[: i + 1].count(name)) for i, name in enumerate(writes)]
+    """(index, write name, nth write of that name, torn) for a clean kill and
+    a torn write at every write."""
+    return [
+        (i, name, writes[: i + 1].count(name), torn)
+        for i, name in enumerate(writes)
+        for torn in (False, True)
+    ]
+
+
+def _newest_slot(workdir):
+    """The loadable checkpoint slot with the larger epoch, read directly."""
+    loaded = []
+    for name in ("last.ckpt", "next.ckpt"):
+        try:
+            loaded.append(load_checkpoint(workdir / "checkpoints" / name))
+        except CheckpointError:
+            pass
+    return max(loaded, key=lambda ckpt: ckpt.epoch)
 
 
 class TestCrashRecovery:
@@ -695,58 +798,111 @@ class TestCrashRecovery:
         cfg = copy.deepcopy(VALLEY_CONFIG)  # 10 epochs, epochs 1-3 improve
         writes = _record_writes(monkeypatch, train_run, cfg, tmp_path / "full")
         expected = _run_files(tmp_path / "full")
-        # config, epoch 0, metrics reset, 10 x last.ckpt, result.json
-        assert len(writes) == 14 and writes.count("last.ckpt") == 11
+        # epoch 0 is saved atomically, epochs 1-10 go to next.ckpt and last.ckpt in turn
+        assert writes == (
+            ["config.resolved.yaml", "last.ckpt"]
+            + ["next.ckpt", "last.ckpt"] * 5
+            + [SLOT_REMOVE, "result.json"]
+        )
 
-        for i, name, nth in _kill_points(writes):
-            wd = tmp_path / f"kill{i}"
+        for i, name, nth, torn in _kill_points(writes):
+            wd = tmp_path / f"kill{i}{'torn' * torn}"
             with monkeypatch.context() as mp:
-                fail_write(mp, name, nth)
+                fail_write(mp, name, nth, torn)
                 with pytest.raises(Interrupted):
                     train_run(cfg, wd)
             # optbench resume needs last.ckpt; before it exists, optbench run restarts
             finish = resume_run if (wd / "checkpoints" / "last.ckpt").exists() else train_run
             assert finish(cfg, wd).status == "completed"
-            assert _run_files(wd) == expected, (i, name, nth)
+            assert _run_files(wd) == expected, (i, name, nth, torn)
 
-    def test_kill_at_every_write_of_an_extension(self, tmp_path, monkeypatch):
+    def test_kill_at_every_write_of_a_resume_from_next_ckpt(self, tmp_path, monkeypatch):
         register_task("valley", ValleyTask)
         cfg = copy.deepcopy(VALLEY_CONFIG)
-        cfg["task"]["max_epochs"] = 4
+        train_run(cfg, tmp_path / "full")
+        expected = _run_files(tmp_path / "full")
+        with monkeypatch.context() as mp:
+            stop_after_epoch(mp, 3)
+            with pytest.raises(Interrupted):
+                train_run(cfg, tmp_path / "base")
+        state = read_run(tmp_path / "base")
+        assert (state.status, state.ckpt.epoch, state.slot.name) == ("incomplete", 3, "next.ckpt")
+        shutil.copytree(tmp_path / "base", tmp_path / "resumed")
+        writes = _record_writes(monkeypatch, resume_run, cfg, tmp_path / "resumed")
+        assert _run_files(tmp_path / "resumed") == expected
+        # epoch 4's metrics line is dropped; epochs 4-10 end in next.ckpt
+        assert writes == (
+            ["config.resolved.yaml", SLOT_MOVE, "metrics.jsonl"]
+            + ["next.ckpt", "last.ckpt"] * 3
+            + ["next.ckpt", SLOT_MOVE, "result.json"]
+        )
+
+        for i, name, nth, torn in _kill_points(writes):
+            wd = tmp_path / f"kill{i}{'torn' * torn}"
+            shutil.copytree(tmp_path / "base", wd)
+            with monkeypatch.context() as mp:
+                fail_write(mp, name, nth, torn)
+                with pytest.raises(Interrupted):
+                    resume_run(cfg, wd)
+            assert resume_run(cfg, wd).status == "completed"
+            assert _run_files(wd) == expected, (i, name, nth, torn)
+
+    def test_kill_at_every_write_of_an_extension(self, tmp_path, monkeypatch):
+        writes = self._kill_at_every_write_of_an_extension(tmp_path, monkeypatch, 4)
+        # a clean extension keeps metrics.jsonl; 6 epochs end in last.ckpt
+        assert writes == (
+            ["config.resolved.yaml"] + ["next.ckpt", "last.ckpt"] * 3 + [SLOT_REMOVE, "result.json"]
+        )
+
+    def test_kill_at_every_write_of_an_extension_from_an_odd_epoch(self, tmp_path, monkeypatch):
+        writes = self._kill_at_every_write_of_an_extension(tmp_path, monkeypatch, 3)
+        # 7 epochs end in next.ckpt: epoch parity would overwrite epoch 3 first
+        assert writes == (
+            ["config.resolved.yaml"]
+            + ["next.ckpt", "last.ckpt"] * 3
+            + ["next.ckpt", SLOT_MOVE, "result.json"]
+        )
+
+    @staticmethod
+    def _kill_at_every_write_of_an_extension(tmp_path, monkeypatch, base_epochs):
+        """Extend a ``base_epochs`` run to 10 epochs, killed at each write of
+        the extension in turn, and finish it; returns the extension's writes."""
+        register_task("valley", ValleyTask)
+        cfg = copy.deepcopy(VALLEY_CONFIG)
+        cfg["task"]["max_epochs"] = base_epochs
         train_run(cfg, tmp_path / "base")
         shutil.copytree(tmp_path / "base", tmp_path / "full")
         writes = _record_writes(monkeypatch, extend_budget, cfg, tmp_path / "full", 10)
         expected = _run_files(tmp_path / "full")
-        assert expected["result"]["budgets"] == [4, 10]
-        # config, metrics reset, 6 x last.ckpt, result.json
-        assert len(writes) == 9 and writes.count("last.ckpt") == 6
+        assert expected["result"]["budgets"] == [base_epochs, 10]
 
         extended = copy.deepcopy(cfg)
         extended["task"]["max_epochs"] = 10
         seen = set()
-        for i, name, nth in _kill_points(writes):
-            wd = tmp_path / f"kill{i}"
+        for i, name, nth, torn in _kill_points(writes):
+            wd = tmp_path / f"kill{i}{'torn' * torn}"
             shutil.copytree(tmp_path / "base", wd)
             with monkeypatch.context() as mp:
-                fail_write(mp, name, nth)
+                fail_write(mp, name, nth, torn)
                 with pytest.raises(Interrupted):
                     extend_budget(cfg, wd, 10)
-            ckpt_rid = load_checkpoint(wd / "checkpoints" / "last.ckpt").run_id
+            ckpt_rid = _newest_slot(wd).run_id
             extending = ckpt_rid != json.loads((wd / "result.json").read_text())["run_id"]
             seen.add(extending)
-            assert (read_run(wd).status == "extending") == extending, (i, name, nth)
+            assert (read_run(wd).status == "extending") == extending, (i, name, nth, torn)
             if extending:  # the extended config finishes the run too
-                resumed = tmp_path / f"resumed{i}"
+                resumed = tmp_path / f"resumed{i}{'torn' * torn}"
                 shutil.copytree(wd, resumed)
-                assert resume_run(extended, resumed).budgets == [4, 10]
-                assert _run_files(resumed) == expected, (i, name, nth)
+                assert resume_run(extended, resumed).budgets == [base_epochs, 10]
+                assert _run_files(resumed) == expected, (i, name, nth, torn)
             else:  # no extended epoch is checkpointed: only extend_budget knows the budget
                 with pytest.raises(RunIdMismatchError):
                     resume_run(extended, wd)
-            assert extend_budget(cfg, wd, 10).budgets == [4, 10]
-            assert _run_files(wd) == expected, (i, name, nth)
-            assert load_checkpoint(wd / "checkpoints" / "last.ckpt").budgets == [4, 10]
+            assert extend_budget(cfg, wd, 10).budgets == [base_epochs, 10]
+            assert _run_files(wd) == expected, (i, name, nth, torn)
+            assert load_checkpoint(wd / "checkpoints" / "last.ckpt").budgets == [base_epochs, 10]
         assert seen == {True, False}
+        return writes
 
     def test_only_a_torn_final_metrics_line_is_dropped(self, tmp_path, monkeypatch):
         cfg = quad_config(epochs=6)
