@@ -180,14 +180,7 @@ def cmd_hpo(args) -> int:
         Path(args.hpo_file).stem + "_hpo"
     )
     outcome = hpomod.run_hpo(
-        base_config=base,
-        space=space,
-        n_trials=int(raw.get("n_trials", 10)),
-        init_fraction=float(raw.get("init_fraction", 0.1)),
-        R=raw.get("R"),
-        eta=int(raw.get("eta", 3)),
-        seed=int(raw.get("seed", 0)),
-        workdir=workdir,
+        base, space, raw["n_trials"], raw["init_fraction"], raw["R"], raw["eta"], raw["seed"], workdir
     )
     print(f"trials: {len(outcome.trials)}  log: {workdir / 'trials.jsonl'}")
     print(f"best trial {outcome.best.trial_id}: objective={outcome.best.objective:.6g}")

@@ -226,10 +226,11 @@ def _expand_node(node) -> list:
 def expand_grid(spec: dict) -> list[dict]:
     """Expand a default-merged spec into the full list of resolved configs.
 
-    Axis order is depth-first over ``task``, ``optimizer``, ``engine`` (in
-    that order), leftmost axis slowest, so run numbering is stable for
-    array-job indexing. The ``evaluation`` block is copied verbatim onto
-    every resolved config.
+    Axes come block by block (``task``, ``optimizer``, ``engine``) and, in
+    a block, in the merged key order: the default file's keys, then the
+    keys only the experiment sets. The first axis varies slowest. Array-job
+    indices depend on this order. The ``evaluation`` block is copied
+    verbatim onto every resolved config.
     """
     gridded = {
         "task": spec.get("task", {}),

@@ -131,19 +131,13 @@ class Checkpoint:
     best_params: np.ndarray | None  # None until the first improving epoch
     budgets: list[int]  # every max_epochs the run was given, in order
     run_id: str
-    version: int = CHECKPOINT_VERSION
-
-    def __eq__(self, other):
-        if not isinstance(other, Checkpoint):
-            return NotImplemented
-        return encode_checkpoint(self) == encode_checkpoint(other)
 
 
 def encode_checkpoint(ckpt: Checkpoint) -> bytes:
     """Canonical file bytes of a checkpoint: JSON body plus SHA-256 trailer."""
     best = ckpt.best_val
     payload = {
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "epoch": ckpt.epoch,
         "step_count": ckpt.step_count,
         "params": _encode_array(ckpt.params),
@@ -203,7 +197,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
     best = payload["best_val"]
     return Checkpoint(
-        version=payload["version"],
         epoch=payload["epoch"],
         step_count=payload["step_count"],
         params=_decode_array(payload["params"]),

@@ -6,22 +6,25 @@ repeatedly promotes the best fraction to a larger budget. Promotions never
 retrain from scratch; they extend the trial's existing run directory
 through the engine's resume contract.
 
-A fraction of the trial budget ("initial configurations") is sampled up
-front, before any promotion decisions, and evaluated directly at the full
-budget; with ``init_fraction=1`` the search degenerates to pure random
-search at budget R.
+The whole search is a plan of cohorts fixed before anything trains: a
+fraction of the trials ("initial configurations") is evaluated directly
+at the full budget, and the rest fill the brackets in turn. With
+``init_fraction=1`` the search degenerates to pure random search at
+budget R.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import run_id, set_path
-from .engine import RunResult, extend_budget, train_run
+from .engine import extend_budget, train_run
 from .errors import BadParameterError, BenchmarkError, ConfigError, SchemaError
 from .evaluation import AggregateCell, aggregate
 from .rng import Xoshiro256StarStar, derive_stream
@@ -124,6 +127,38 @@ def hyperband_schedule(R: int, eta: int) -> list[list[tuple[int, int]]]:
     return brackets
 
 
+# --- the search plan ----------------------------------------------------------
+
+class Cohort(NamedTuple):
+    """Trials that start together and race each other through the budgets."""
+
+    ids: range  # contiguous trial ids, in sampling order
+    budgets: tuple[int, ...]  # epoch budget of each rung, strictly rising to R
+
+
+def search_plan(n_trials: int, init_fraction: float, R: int, eta: int) -> list[Cohort]:
+    """Every cohort of a search, fixed before anything trains.
+
+    The first ``round(init_fraction * n_trials)`` trials form one cohort
+    trained straight at budget R. The rest fill Hyperband brackets in
+    turn, cycling through them; the last bracket is cut to the trials
+    that remain.
+    """
+    if n_trials < 1:
+        raise BadParameterError("n_trials must be >= 1")
+    if not 0 < init_fraction <= 1:
+        raise BadParameterError("init_fraction must be in (0, 1]")
+    brackets = hyperband_schedule(R, eta)
+    start = round(init_fraction * n_trials)
+    plan = [Cohort(range(start), (R,))] if start else []
+    for rungs in itertools.cycle(brackets):
+        if start == n_trials:
+            return plan
+        stop = min(start + rungs[0][0], n_trials)
+        plan.append(Cohort(range(start, stop), tuple(budget for _, budget in rungs)))
+        start = stop
+
+
 # --- trials -------------------------------------------------------------------
 
 @dataclass
@@ -131,11 +166,11 @@ class Trial:
     trial_id: int
     overlay: dict
     config: dict
-    budget_epochs: int
-    rung: int
+    workdir: Path
+    budget_epochs: int = 0
+    rung: int = 0
     objective: float | None = None
     status: str = "pending"  # pending | completed | failed
-    workdir: Path | None = None
 
     def log_entry(self) -> dict:
         return {
@@ -156,24 +191,20 @@ def _apply_overlay(base_config: dict, overlay: dict, budget: int) -> dict:
     return cfg
 
 
-def _objective_from(result: RunResult) -> float:
-    """Last-epoch validation metric, sign-adjusted so lower is better."""
-    value = result.history[-1]["val_metric"]
-    return -value if result.metric["direction"] == "maximize" else value
-
-
 def _evaluate_trial(trial: Trial, budget: int, rung: int) -> None:
-    """Run or extend a trial to the given budget and record its objective.
+    """Train a trial (rung 0) or extend its run to the given budget, and
+    record its objective.
 
     Only an aborted (diverged) run is a failed trial; any error propagates.
     """
     target_cfg = _apply_overlay(trial.config, {}, budget)
-    if trial.status == "pending":
+    if rung == 0:
         result = train_run(target_cfg, trial.workdir)
     else:
         result = extend_budget(target_cfg, trial.workdir, budget)
     if result.status == "completed":
-        trial.objective = _objective_from(result)
+        value = result.history[-1]["val_metric"]  # last epoch, signed so lower is better
+        trial.objective = -value if result.metric["direction"] == "maximize" else value
         trial.status = "completed"
     else:
         trial.objective = math.inf  # worst possible, keeps budget accounting exact
@@ -187,7 +218,6 @@ def _evaluate_trial(trial: Trial, budget: int, rung: int) -> None:
 class HpoOutcome:
     best: Trial
     trials: list[Trial]
-    log: list[dict]
 
 
 def run_hpo(
@@ -202,82 +232,41 @@ def run_hpo(
 ) -> HpoOutcome:
     """Search the space with n_trials sampled configurations.
 
-    round(init_fraction * n_trials) configs are sampled before any
-    promotion decision and trained straight at budget R; the rest flow
-    through Hyperband brackets, cycling until the trial budget is spent.
-    Returns the best trial by final-budget objective plus the full log.
+    The cohorts of ``search_plan`` run one after another. Each rung after
+    the first keeps the ``ceil(n/eta)`` best completed trials of the n the
+    rung before it evaluated, and every evaluation appends one line to
+    ``trials.jsonl``. Returns the completed trial with the largest budget
+    and the lowest objective, plus every trial.
     """
-    if n_trials < 1:
-        raise BadParameterError("n_trials must be >= 1")
-    if not 0 < init_fraction <= 1:
-        raise BadParameterError("init_fraction must be in (0, 1]")
     if R is None:
         R = int(base_config["task"]["max_epochs"])
+    plan = search_plan(n_trials, init_fraction, R, eta)
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    log_path = workdir / "trials.jsonl"
-    log_path.write_text("", encoding="utf-8")
-
     rng = Xoshiro256StarStar(derive_stream(seed, "hpo"))
-    trials: list[Trial] = []
-    log: list[dict] = []
-
-    def _record(trial: Trial) -> None:
-        entry = trial.log_entry()
-        log.append(entry)
-        with open(log_path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    def _new_trial(overlay: dict) -> Trial:
-        tid = len(trials)
-        trial = Trial(
-            trial_id=tid,
-            overlay=overlay,
-            config=_apply_overlay(base_config, overlay, R),
-            budget_epochs=0,
-            rung=0,
-            workdir=workdir / "trials" / f"trial_{tid:04d}",
-        )
-        trials.append(trial)
-        return trial
-
-    n_init = min(max(round(init_fraction * n_trials), 0), n_trials)
-    initial = [_new_trial(sample(space, rng)) for _ in range(n_init)]
-    for trial in initial:
-        _evaluate_trial(trial, R, rung=0)
-        _record(trial)
-
-    remaining = n_trials - n_init
-    while remaining > 0:
-        for rungs in hyperband_schedule(R, eta):
-            n0 = min(rungs[0][0], remaining)
-            if n0 == 0:
-                break
-            remaining -= n0
-            cohort = [_new_trial(sample(space, rng)) for _ in range(n0)]
-            for trial in cohort:
-                _evaluate_trial(trial, rungs[0][1], rung=0)
-                _record(trial)
-            for rung_idx in range(1, len(rungs)):
-                alive = [t for t in cohort if t.status == "completed"]
-                if not alive:
-                    break
-                keep = math.ceil(len(cohort) / eta)
-                alive.sort(key=lambda t: (t.objective, t.trial_id))
-                cohort = alive[:keep]
+    trials = []
+    for tid in range(n_trials):
+        overlay = sample(space, rng)
+        config = _apply_overlay(base_config, overlay, R)
+        trials.append(Trial(tid, overlay, config, workdir / "trials" / f"trial_{tid:04d}"))
+    workdir.mkdir(parents=True, exist_ok=True)
+    with open(workdir / "trials.jsonl", "w", encoding="utf-8") as log:
+        for ids, budgets in plan:
+            cohort = [trials[tid] for tid in ids]
+            for rung, budget in enumerate(budgets):
+                if rung:
+                    alive = [t for t in cohort if t.status == "completed"]
+                    alive.sort(key=lambda t: (t.objective, t.trial_id))
+                    cohort = alive[: math.ceil(len(cohort) / eta)]
                 for trial in cohort:
-                    _evaluate_trial(trial, rungs[rung_idx][1], rung=rung_idx)
-                    _record(trial)
-            if remaining == 0:
-                break
+                    _evaluate_trial(trial, budget, rung)
+                    log.write(json.dumps(trial.log_entry(), sort_keys=True) + "\n")
+                    log.flush()  # a killed search keeps every finished evaluation
 
     finished = [t for t in trials if t.status == "completed"]
     if not finished:
         raise BenchmarkError("every trial failed")
-    top_budget = max(t.budget_epochs for t in finished)
-    finalists = [t for t in finished if t.budget_epochs == top_budget]
-    best = min(finalists, key=lambda t: (t.objective, t.trial_id))
-    return HpoOutcome(best=best, trials=trials, log=log)
+    best = min(finished, key=lambda t: (-t.budget_epochs, t.objective, t.trial_id))
+    return HpoOutcome(best=best, trials=trials)
 
 
 def _distinct_seeds(seeds: list) -> list[int]:
@@ -303,13 +292,23 @@ def retrain_best(
     return aggregate(results)
 
 
+_HPO_NUMBERS = {  # key: (default, accepted types, what a value must be)
+    "n_trials": (10, int, "an integer"),
+    "init_fraction": (0.1, (int, float), "a number"),
+    "R": (None, (int, type(None)), "an integer"),  # None: the task's max_epochs
+    "eta": (3, int, "an integer"),
+    "seed": (0, int, "an integer"),
+}
+
+
 def load_hpo_file(path: str | Path) -> dict:
-    """Read an hpo sidecar file.
+    """Read and check an hpo sidecar file, filling in default values.
 
     Keys: ``experiment`` (inline config or relative path to an experiment
     file), ``space``, ``n_trials``, ``init_fraction``, ``R`` (optional,
     defaults to the task's max_epochs), ``eta``, ``seed`` and optional
-    ``retrain_seeds``.
+    ``retrain_seeds``. Any other key, or a value of the wrong type, is a
+    ``SchemaError``.
     """
     import yaml
 
@@ -317,6 +316,13 @@ def load_hpo_file(path: str | Path) -> dict:
     raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     if not isinstance(raw, dict) or "space" not in raw or "experiment" not in raw:
         raise SchemaError("hpo file needs `experiment` and `space` blocks")
+    unknown = sorted(set(raw) - {"experiment", "space", "retrain_seeds", *_HPO_NUMBERS})
+    if unknown:
+        raise SchemaError(f"unknown hpo file keys {unknown}")
+    for key, (default, kinds, what) in _HPO_NUMBERS.items():
+        value = raw.setdefault(key, default)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise SchemaError(f"`{key}` must be {what}, got {value!r}")
     if isinstance(raw["experiment"], str):
         exp_path = (path.parent / raw["experiment"]).resolve()
         raw["experiment_text"] = exp_path.read_text(encoding="utf-8")

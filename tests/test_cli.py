@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from optbench.cli import main
+from optbench.hpo import load_hpo_file, parse_space
 
 from conftest import Interrupted, fail_write, stop_after_epoch
 
@@ -482,3 +483,39 @@ retrain_seeds: [4, 4]
         assert main(["hpo", hpo_file]) == 2
         assert "repeat" in capsys.readouterr().err
         assert not (project / "output").exists()
+
+    @pytest.mark.parametrize("bad, key", [
+        ("n_trial: 2", "n_trial"),  # a misspelt key, not the default n_trials
+        ('R: "3"', "R"),
+        ("eta: 1\ninit_fraction: 0.5", "eta"),  # checked before the initial cohort trains
+    ])
+    def test_invalid_search_exit_2_before_anything_is_written(self, project, capsys, bad, key):
+        hpo_file = write(
+            project / "bad.yaml",
+            """
+experiment:
+  task: {name: quadratic, max_epochs: 3}
+  optimizer: {name: adamw_baseline}
+space:
+  optimizer.learning_rate: {log_uniform: [1.0e-5, 1.0e-1]}
+n_trials: 4
+"""
+            + bad
+            + "\n",
+        )
+        assert main(["hpo", hpo_file]) == 2
+        assert key in capsys.readouterr().err
+        assert not (project / "output").exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_configs_are_valid(project, path):
+    if path.name.startswith("hpo_"):
+        raw = load_hpo_file(path)
+        assert parse_space(raw["space"])
+    else:
+        assert main(["run", str(path), "--dry-run"]) == 0
+    assert not (project / "output").exists()

@@ -181,6 +181,15 @@ class TestExpandGrid:
         assert names == ["adamw_baseline", "adamw_baseline", "sgd_baseline", "sgd_baseline"] * 2
         assert seeds == [42, 47] * 4
 
+    def test_axis_order_is_the_default_files_key_order(self):
+        # adamw_baseline's default file lists learning_rate before weight_decay
+        configs = expand_grid(merge_defaults(parse_experiment(
+            "task: {name: quadratic}\n"
+            "optimizer: {name: adamw_baseline, weight_decay: [0.1, 0.2], learning_rate: [0.01, 0.02]}"
+        )))
+        pairs = [(c["optimizer"]["learning_rate"], c["optimizer"]["weight_decay"]) for c in configs]
+        assert pairs == [(0.01, 0.1), (0.01, 0.2), (0.02, 0.1), (0.02, 0.2)]
+
     def test_no_lists_single_config(self):
         merged = merge_defaults(
             parse_experiment("task: {name: quadratic}\noptimizer: {name: adamw_baseline}")

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,16 @@ from optbench.hpo import (
     retrain_best,
     run_hpo,
     sample,
+    search_plan,
 )
 from optbench.rng import Xoshiro256StarStar
 from conftest import resolve
+
+# trials.jsonl of these searches is pinned in tests/golden_hpo_<task>.jsonl
+GOLDEN_SEARCHES = {  # task: (top of the learning-rate range, hpo seed, best (trial, budget))
+    "rosenbrock": (30.0, 6, (12, 9)),
+    "blobs_logreg": (1000.0, 38, (0, 9)),
+}
 
 APP_SPACE = parse_space(
     {
@@ -132,6 +141,39 @@ class TestHyperbandSchedule:
             hyperband_schedule(9, 1)
 
 
+class TestSearchPlan:
+    def test_cohorts_cover_the_trials_in_bracket_order(self):
+        for n_trials, init_fraction, (R, eta) in itertools.product(
+            range(1, 50), (1e-9, 0.1, 0.5, 1.0), ((1, 2), (3, 3), (8, 2), (9, 3), (10, 4), (27, 3))
+        ):
+            plan = search_plan(n_trials, init_fraction, R, eta)
+            assert [tid for cohort in plan for tid in cohort.ids] == list(range(n_trials))
+            for cohort in plan:
+                assert cohort.ids and cohort.ids.step == 1
+                assert all(a < b for a, b in zip(cohort.budgets, cohort.budgets[1:]))
+                assert cohort.budgets[-1] == R
+            n_init = round(init_fraction * n_trials)
+            if n_init:
+                assert plan[0] == (range(n_init), (R,))
+            brackets = plan[1:] if n_init else plan
+            schedule = itertools.cycle(hyperband_schedule(R, eta))
+            for i, (cohort, rungs) in enumerate(zip(brackets, schedule)):
+                assert cohort.budgets == tuple(budget for _, budget in rungs)
+                if i < len(brackets) - 1:  # only the last bracket is cut
+                    assert len(cohort.ids) == rungs[0][0]
+                else:
+                    assert 1 <= len(cohort.ids) <= rungs[0][0]
+
+    def test_plan_of_the_golden_searches(self):
+        assert search_plan(20, 0.1, 9, 3) == [
+            (range(0, 2), (9,)),
+            (range(2, 11), (1, 3, 9)),
+            (range(11, 16), (3, 9)),
+            (range(16, 19), (9,)),
+            (range(19, 20), (1, 3, 9)),
+        ]
+
+
 class TestRunHpo:
     def test_budget_accounting_end_to_end(self, tmp_path):
         # one full bracket pass of R=3, eta=3 consumes exactly the
@@ -202,9 +244,11 @@ class TestRunHpo:
             seed=11,
             workdir=tmp_path,
         )
-        assert len(outcome.log) == 4  # one evaluation per trial, no promotions
-        assert {e["budget"] for e in outcome.log} == {3}
-        assert {e["rung"] for e in outcome.log} == {0}
+        log = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
+        assert len(log) == 4  # one evaluation per trial, no promotions
+        assert {e["budget"] for e in log} == {3}
+        assert {e["rung"] for e in log} == {0}
+        assert len(outcome.trials) == 4
 
     def test_promoted_history_prefix_matches_lower_rung(self, tmp_path):
         outcome = run_hpo(
@@ -242,6 +286,29 @@ class TestRunHpo:
             tmp_path / "b" / "trials.jsonl"
         ).read_text()
 
+    @pytest.mark.parametrize("task", sorted(GOLDEN_SEARCHES))
+    def test_trial_log_matches_golden(self, tmp_path, task):
+        # the cohorts of TestSearchPlan.test_plan_of_the_golden_searches.
+        # rosenbrock: large learning rates diverge, so trials fail at rung 0
+        # and after a promotion, and the cut bracket is left with no completed
+        # trial to promote. blobs_logreg: accuracy is maximized and ties; a
+        # trial stopped at budget 3 beats every trial that reached R, yet the
+        # best trial is one that reached R.
+        lr_max, seed, best = GOLDEN_SEARCHES[task]
+        base = resolve(
+            f"task: {{name: {task}, max_epochs: 9}}\n"
+            "optimizer: {name: sgd_baseline}\nengine: {seed: 1}"
+        )[0]
+        space = parse_space({
+            "optimizer.learning_rate": {"log_uniform": [1.0e-4, lr_max]},
+            "optimizer.momentum": {"uniform": [0.0, 0.9]},
+        })
+        with np.errstate(all="ignore"):
+            outcome = run_hpo(base, space, 20, 0.1, 9, 3, seed, tmp_path)
+        golden = Path(__file__).parent / f"golden_hpo_{task}.jsonl"
+        assert (tmp_path / "trials.jsonl").read_bytes() == golden.read_bytes()
+        assert (outcome.best.trial_id, outcome.best.budget_epochs) == best
+
     def test_only_aborted_runs_are_failed_trials(self, tmp_path):
         base = resolve(
             "task: {name: rosenbrock, max_epochs: 3}\n"
@@ -262,10 +329,13 @@ class TestRunHpo:
                 run_hpo(*args)
 
     def test_validation(self, tmp_path):
-        with pytest.raises(BadParameterError):
-            run_hpo(quad_base(), APP_SPACE, 0, 0.1, 3, 3, 0, tmp_path)
-        with pytest.raises(BadParameterError):
-            run_hpo(quad_base(), APP_SPACE, 5, 0.0, 3, 3, 0, tmp_path)
+        # n_trials, init_fraction, R and eta are all checked before trial 0 trains
+        for n_trials, init_fraction, R, eta in (
+            (0, 0.1, 3, 3), (5, 0.0, 3, 3), (5, 1.5, 3, 3), (5, 0.5, 0, 3), (4, 0.5, 3, 1)
+        ):
+            with pytest.raises(BadParameterError):
+                run_hpo(quad_base(), APP_SPACE, n_trials, init_fraction, R, eta, 0, tmp_path / "hpo")
+        assert not (tmp_path / "hpo").exists()
 
 
 class TestRetrainBest:
