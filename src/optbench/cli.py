@@ -19,7 +19,7 @@ from . import config as cfgmod
 from . import hpo as hpomod
 from .engine import RunState, read_run, resume_run, train_run
 from .errors import BenchmarkError, ConfigError
-from .evaluation import run_evaluation
+from .evaluation import check_evaluation, run_evaluation
 
 
 def _expand_file(experiment_file: str) -> tuple[str, list[dict]]:
@@ -67,6 +67,7 @@ def _print_run_table(configs: list[dict]) -> None:
 
 def cmd_run(args) -> int:
     name, configs = _expand_file(args.experiment_file)
+    check_evaluation(configs[0]["evaluation"], configs)  # before anything trains
 
     if args.dry_run:
         _print_run_table(configs)

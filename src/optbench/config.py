@@ -6,7 +6,9 @@ leaf is a grid axis; the ``task`` and ``optimizer`` nodes may themselves
 be lists of subtrees (one branch per task/optimizer, each with its own
 internal axes). Expansion takes the cartesian product of all axes, where
 a branch list contributes the concatenation of its branches' internal
-expansions as a single axis.
+expansions as a single axis. A block's default tree (for ``task`` and
+``optimizer``, the named one's) is also its schema: ``check_keys`` is the
+one check of which keys a config may hold.
 
 The ``evaluation`` block configures post-processing only: its lists are
 semantic (output types, plot axes), never grid axes, and it is excluded
@@ -150,6 +152,31 @@ def load_defaults() -> dict:
     return defaults
 
 
+def default_tree(kind: str, name: str) -> dict | None:
+    """The default tree of one task or optimizer (``kind`` is ``"tasks"`` or
+    ``"optimizers"``), variant names resolved; None if the name has none.
+    Shared with every caller, so never mutate it."""
+    if kind == "optimizers":
+        name = OPTIMIZER_ALIASES.get(name, name)
+    tree = _EXTRA_DEFAULTS[kind].get(name)
+    return tree if tree is not None else _packaged_defaults()[kind].get(name)
+
+
+def check_keys(node: dict, tree: dict, prefix: str = "") -> None:
+    """Raise ``SchemaError`` naming the first path of ``node`` that ``tree``
+    lacks. A block's default tree is its schema: a key no default file holds
+    would be written into the run's identity and then ignored. The mappings
+    in a list (the branches of a grid axis) are checked one by one."""
+    for key, value in node.items():
+        path = f"{prefix}.{key}" if prefix else key
+        if key not in tree:
+            raise SchemaError(f"unknown key `{path}`")
+        sub = tree[key] if isinstance(tree[key], dict) else {}
+        for branch in value if isinstance(value, list) else [value]:
+            if isinstance(branch, dict):
+                check_keys(branch, sub, path)
+
+
 def _split_by_name(node: dict) -> list[dict]:
     """Turn a subtree with a list-valued `name` into one branch per name."""
     names = node.get("name")
@@ -173,14 +200,14 @@ def _merge_named_node(node, table: dict, kind: str):
             raise SchemaError(
                 f"every {kind} entry needs a scalar `name`; registered: {sorted(table)}"
             )
-        lookup = OPTIMIZER_ALIASES.get(name, name) if kind == "optimizer" else name
-        if lookup not in table:
+        tree = default_tree(f"{kind}s", name)
+        if tree is None:
             raise UnknownNameError(
                 f"unknown {kind} {name!r}; registered: {sorted(table)}"
             )
-        base = copy.deepcopy(table[lookup])
-        base["name"] = name  # variant names keep their own identity
-        merged.append(deep_merge(base, branch))
+        check_keys(branch, tree, kind)
+        # variant names keep their own identity
+        merged.append(deep_merge({**tree, "name": name}, branch))
     return merged[0] if len(merged) == 1 and isinstance(node, dict) else merged
 
 
@@ -189,17 +216,21 @@ def merge_defaults(spec: dict) -> dict:
 
     When the ``task``/``optimizer`` node is a list (or carries a
     list-valued ``name``), each branch is merged against its own default
-    file and the node stays a list of complete subtrees.
+    file and the node stays a list of complete subtrees. A key that its
+    block's default tree lacks (for ``task``/``optimizer``, the named one's
+    tree) is a ``SchemaError``.
     """
     defaults = load_defaults()
-    return {
+    merged = {
         "task": _merge_named_node(spec.get("task", {}), defaults["tasks"], "task"),
         "optimizer": _merge_named_node(
             spec.get("optimizer", {}), defaults["optimizers"], "optimizer"
         ),
-        "engine": deep_merge(defaults.get("engine", {}), spec.get("engine", {})),
-        "evaluation": deep_merge(defaults.get("evaluation", {}), spec.get("evaluation", {})),
     }
+    for block in ("engine", "evaluation"):
+        check_keys(spec.get(block, {}), defaults[block], block)
+        merged[block] = deep_merge(defaults[block], spec.get(block, {}))
+    return merged
 
 
 def _expand_node(node) -> list:

@@ -41,6 +41,13 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def _group_key(config: dict) -> dict[str, object]:
+    """The flat identity paths that group a run with its other seeds."""
+    key_tree = flatten(identity_view(config))
+    key_tree.pop("engine.seed", None)
+    return key_tree
+
+
 def aggregate(results: list[tuple[dict, RunResult]]) -> list[AggregateCell]:
     """Group completed runs by identity-minus-seed; mean and sample std.
 
@@ -56,8 +63,7 @@ def aggregate(results: list[tuple[dict, RunResult]]) -> list[AggregateCell]:
 
     groups: dict[tuple, dict] = {}
     for config, r in results:
-        key_tree = flatten(identity_view(config))
-        key_tree.pop("engine.seed", None)
+        key_tree = _group_key(config)
         key = tuple(sorted(key_tree.items()))
         bucket = groups.setdefault(key, {"key": key_tree, "best": [], "last": []})
         bucket["best"].append(r.test_best)
@@ -236,6 +242,35 @@ def render_heatmap(cells: list[AggregateCell], spec: HeatmapSpec, direction: str
     return "\n".join(out) + "\n"
 
 
+def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, list, str, list]:
+    """Output types, x axes, y axis and value kinds of an evaluation block.
+
+    A ``SchemaError`` if no run of ``configs`` could satisfy the block: an
+    output type other than svg/csv, a value kind other than best/last, or a
+    plot axis that names no grouping key of any config.
+    """
+    plot_cfg = evaluation_cfg.get("plot", {}) or {}
+    output_types = evaluation_cfg.get("output_types", ["svg", "csv"])
+    x_keys = plot_cfg.get("x_axis", []) or []
+    x_keys = [x_keys] if isinstance(x_keys, str) else x_keys
+    y_key = plot_cfg.get("y_axis", "optimizer.learning_rate")
+    values = plot_cfg.get("value", ["best"])
+    values = [values] if isinstance(values, str) else values
+    unknown = set(output_types) - ALLOWED_OUTPUT_TYPES
+    if unknown:
+        raise SchemaError(
+            f"unsupported output types {sorted(unknown)}; allowed: {sorted(ALLOWED_OUTPUT_TYPES)}"
+        )
+    for value in values:
+        if value not in ("best", "last"):
+            raise SchemaError(f"`evaluation.plot.value` must be best or last, got {value!r}")
+    paths = {path for cfg in configs for path in _group_key(cfg)}
+    for axis in [*x_keys, y_key]:
+        if axis not in paths:
+            raise SchemaError(f"plot axis `{axis}` names no key of any run's config")
+    return output_types, x_keys, y_key, values
+
+
 def run_evaluation(
     results: list[tuple[dict, RunResult]], evaluation_cfg: dict, out_dir: str | Path
 ) -> list[Path]:
@@ -245,12 +280,9 @@ def run_evaluation(
     for every x key applicable to that optimizer's cells.
     """
     out_dir = Path(out_dir)
-    output_types = evaluation_cfg.get("output_types", ["svg", "csv"])
-    unknown = set(output_types) - ALLOWED_OUTPUT_TYPES
-    if unknown:
-        raise SchemaError(
-            f"unsupported output types {sorted(unknown)}; allowed: {sorted(ALLOWED_OUTPUT_TYPES)}"
-        )
+    output_types, x_keys, y_key, values = check_evaluation(
+        evaluation_cfg, [c for c, _ in results]
+    )
     completed = [(c, r) for c, r in results if r.status == "completed"]
     if not completed:
         raise EmptyGridError("no completed runs to evaluate")
@@ -263,14 +295,6 @@ def run_evaluation(
     if "svg" not in output_types:
         return written
 
-    plot_cfg = evaluation_cfg.get("plot", {}) or {}
-    x_keys = plot_cfg.get("x_axis", []) or []
-    if isinstance(x_keys, str):
-        x_keys = [x_keys]
-    y_key = plot_cfg.get("y_axis", "optimizer.learning_rate")
-    values = plot_cfg.get("value", ["best"])
-    if isinstance(values, str):
-        values = [values]
     if not x_keys:
         return written
 

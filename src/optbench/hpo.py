@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import run_id, set_path
+from .config import check_keys, run_id, set_path
 from .engine import extend_budget, train_run
 from .errors import BadParameterError, BenchmarkError, ConfigError, SchemaError
 from .evaluation import AggregateCell, aggregate
@@ -86,14 +86,26 @@ def parse_space(raw: dict) -> SearchSpace:
             raise SchemaError(f"bad space entry for {path!r}: {desc!r}")
         kind, args = next(iter(desc.items()))
         if kind == "uniform":
-            space[path] = Uniform(float(args[0]), float(args[1]))
+            space[path] = Uniform(*_bounds(path, kind, args))
         elif kind == "log_uniform":
-            space[path] = LogUniform(float(args[0]), float(args[1]))
+            space[path] = LogUniform(*_bounds(path, kind, args))
         elif kind == "categorical":
+            if not isinstance(args, list) or not args:
+                raise SchemaError(f"`categorical` for {path!r} needs a non-empty list, got {args!r}")
             space[path] = Categorical(tuple(args))
         else:
             raise SchemaError(f"unknown distribution {kind!r} for {path!r}")
     return space
+
+
+def _bounds(path: str, kind: str, args) -> tuple[float, float]:
+    """``[lo, hi]`` of a range entry as floats."""
+    try:
+        if isinstance(args, list) and len(args) == 2:
+            return float(args[0]), float(args[1])
+    except (TypeError, ValueError):
+        pass
+    raise SchemaError(f"`{kind}` for {path!r} needs a list of two numbers, got {args!r}")
 
 
 def sample(space: SearchSpace, rng: Xoshiro256StarStar) -> dict:
@@ -232,12 +244,20 @@ def run_hpo(
 ) -> HpoOutcome:
     """Search the space with n_trials sampled configurations.
 
+    Every space path must name a key of ``base_config`` (a ``SchemaError``
+    before anything is written otherwise).
+
     The cohorts of ``search_plan`` run one after another. Each rung after
     the first keeps the ``ceil(n/eta)`` best completed trials of the n the
     rung before it evaluated, and every evaluation appends one line to
     ``trials.jsonl``. Returns the completed trial with the largest budget
     and the lowest objective, plus every trial.
     """
+    for path in sorted(space):  # an unused path would train every trial alike
+        node = None
+        for part in reversed(path.split(".")):
+            node = {part: node}
+        check_keys(node, base_config)
     if R is None:
         R = int(base_config["task"]["max_epochs"])
     plan = search_plan(n_trials, init_fraction, R, eta)

@@ -26,11 +26,11 @@ Weight regularization differs by design between the baselines:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import OPTIMIZER_ALIASES
+from .config import OPTIMIZER_ALIASES, check_keys, default_tree
 from .errors import (
     BadHyperparameterError,
     NonFiniteError,
@@ -43,7 +43,7 @@ from .tasks import ParamGroup
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Validated hyperparameters; only fields meaningful for `name` are read.
+    """Validated hyperparameters.
 
     beta1 is stored as its complement so it can be searched on a log scale.
     """
@@ -85,23 +85,13 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict, schedule: ScheduleSpec | None = None) -> "OptimizerConfig":
-        known = {
-            "learning_rate",
-            "weight_decay",
-            "one_minus_beta1",
-            "beta2",
-            "momentum",
-            "epsilon",
-            "kappa_init_param",
-            "kappa_init_method",
-        }
-        unknown = set(cfg) - known - {"name", "lr_warmup", "lr_min_factor"}
-        if unknown:
-            raise BadHyperparameterError(
-                f"unknown optimizer keys {sorted(unknown)} for {cfg.get('name')!r}"
-            )
-        kwargs = {k: cfg[k] for k in known if k in cfg}
-        return cls(name=cfg["name"], schedule=schedule, **kwargs)
+        """Check ``cfg`` against its optimizer's default tree, if it has one,
+        and take the fields it states; unstated fields keep their defaults."""
+        tree = default_tree("optimizers", cfg["name"])
+        if tree is not None:
+            check_keys(cfg, tree, "optimizer")
+        kwargs = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+        return cls(**kwargs | {"schedule": schedule})
 
 
 @dataclass

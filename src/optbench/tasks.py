@@ -22,10 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import deep_merge, load_defaults
+from .config import check_keys, deep_merge, default_tree
 from .errors import (
     BadParameterError,
-    SchemaError,
     ShapeMismatchError,
     UnknownNameError,
 )
@@ -429,16 +428,10 @@ def register_task(name: str, cls: type[TaskInstance]) -> None:
     TASKS[name] = cls
 
 
-def _check_known_paths(cfg: dict, defaults: dict, prefix: str = "task") -> None:
-    for key, value in cfg.items():
-        if key not in defaults:
-            raise SchemaError(f"unknown key `{prefix}.{key}`")
-        if isinstance(value, dict) and isinstance(defaults[key], dict):
-            _check_known_paths(value, defaults[key], f"{prefix}.{key}")
-
-
 def build_task(task_config: dict) -> TaskInstance:
-    """Build a task instance; missing keys are filled from its default file.
+    """Build a task instance; missing keys are filled from its default file,
+    and a key the file lacks is a ``SchemaError``. A task registered without
+    defaults takes its config as given.
 
     The same config (its ``data_seed`` included) always yields a
     bit-identical instance: splits, default initialization, and any derived
@@ -447,10 +440,10 @@ def build_task(task_config: dict) -> TaskInstance:
     name = task_config.get("name")
     if name not in TASKS:
         raise UnknownNameError(f"unknown task {name!r}; registered: {sorted(TASKS)}")
-    task_defaults = load_defaults()["tasks"].get(name)
-    if task_defaults is not None:
-        _check_known_paths(task_config, task_defaults)
-        cfg = deep_merge(task_defaults, task_config)
+    tree = default_tree("tasks", name)
+    if tree is not None:
+        check_keys(task_config, tree, "task")
+        cfg = deep_merge(tree, task_config)
     else:
         cfg = dict(task_config)
     return TASKS[name](cfg, int(cfg.get("data_seed", 42)))

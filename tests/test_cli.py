@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from optbench.cli import main
 from optbench.hpo import load_hpo_file, parse_space
@@ -506,6 +507,39 @@ n_trials: 4
         assert main(["hpo", hpo_file]) == 2
         assert key in capsys.readouterr().err
         assert not (project / "output").exists()
+
+
+SMALL_RUN = {"task": {"name": "quadratic", "max_epochs": 2}, "optimizer": {"name": "adamw_baseline"}}
+
+
+def _hpo_over(path: str) -> dict:
+    return {"experiment": SMALL_RUN, "space": {path: {"uniform": [0.1, 0.9]}}, "n_trials": 4}
+
+
+UNKNOWN_PATHS = [
+    ("run", {"task": {"name": "quadratic", "dmi": 3}}, "task.dmi"),
+    ("run", {"task": {"name": "mlp_synth", "model": {"num_hiden": 8}}}, "task.model.num_hiden"),
+    ("run", {"optimizer": {"name": "adamcpr", "weight_decay": 0.5}}, "optimizer.weight_decay"),
+    ("run", {"engine": {"sed": 7}}, "engine.sed"),
+    ("run", {"evaluation": {"plots": {"x_axis": ["optimizer.weight_decay"]}}}, "evaluation.plots"),
+    ("run", {"evaluation": {"output_types": ["png"]}}, "png"),
+    ("run", {"evaluation": {"plot": {"value": "mean"}}}, "mean"),
+    ("run", {"optimizer": {"name": "adamw_baseline", "weight_decay": [0.1, 0.01]},
+             "evaluation": {"plot": {"x_axis": ["optimizer.weight_decy"]}}}, "optimizer.weight_decy"),
+    ("hpo", _hpo_over("optimizer.momentum"), "optimizer.momentum"),
+    ("hpo", _hpo_over("optimizer.learning_rat"), "optimizer.learning_rat"),
+]
+
+
+@pytest.mark.parametrize("command, tree, path", UNKNOWN_PATHS,
+                         ids=[f"{command}-{path}" for command, _, path in UNKNOWN_PATHS])
+def test_unknown_path_exit_2_before_anything_is_written(project, capsys, command, tree, path):
+    if command == "run":
+        tree = {**SMALL_RUN, **tree}
+    exp = write(project / "bad.yaml", yaml.safe_dump(tree))
+    assert main([command, exp]) == 2
+    assert path in capsys.readouterr().err
+    assert not (project / "output").exists()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 
 import pytest
 import yaml
@@ -138,6 +139,19 @@ class TestMergeDefaults:
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
             merge_defaults(parse_experiment("task: {name: nope}"))
+
+    @pytest.mark.parametrize("text, path", [
+        # each branch of a list-valued name or subtree is checked on its own
+        ("task: {name: [quadratic, rosenbrock], a: 2.0}", "task.a"),
+        ("task: {name: mlp_synth, model: [{num_hidden: 8}, {num_hiden: 16}]}", "task.model.num_hiden"),
+        ("task: {name: quadratic, dim: {n: 3}}", "task.dim.n"),  # a leaf given a subtree
+        ("task: {name: quadratic}\n"
+         "optimizer: [{name: adamcpr_fast, kappa_init_param: 2}, {name: sgd_baseline, beta2: 0.9}]",
+         "optimizer.beta2"),
+    ])
+    def test_key_outside_the_named_default_tree(self, text, path):
+        with pytest.raises(SchemaError, match=re.escape(f"`{path}`")):
+            merge_defaults(parse_experiment(text))
 
     def test_list_valued_task_name(self):
         merged = merge_defaults(

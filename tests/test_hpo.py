@@ -118,6 +118,18 @@ class TestSampling:
             Categorical(())
         with pytest.raises(SchemaError):
             parse_space({"a": {"triangular": [0, 1]}})
+        for bad in (
+            {"uniform": 3},
+            {"uniform": [0.1]},
+            {"log_uniform": [1e-5, 1e-1, 1.0]},
+            {"log_uniform": ["low", 1.0]},
+            {"uniform": {"lo": 0, "hi": 1}},
+            {"categorical": "adam"},
+            {"categorical": []},
+            {"categorical": None},
+        ):
+            with pytest.raises(SchemaError, match="optimizer.learning_rate"):
+                parse_space({"optimizer.learning_rate": bad})
 
 
 class TestHyperbandSchedule:

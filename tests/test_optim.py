@@ -5,16 +5,21 @@ package (plain Python loops over coordinates) and serve as the oracle for
 randomized trajectory comparisons.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import optbench
 from optbench.errors import (
     BadHyperparameterError,
     NonFiniteError,
+    SchemaError,
     ShapeMismatchError,
     UnknownNameError,
 )
@@ -489,10 +494,26 @@ class TestConfigure:
         assert params[0] != 1.0
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(BadHyperparameterError):
+        with pytest.raises(SchemaError, match="optimizer.beta_2"):
             OptimizerConfig.from_dict(
                 {"name": "adamw_baseline", "learning_rate": 0.1, "beta_2": 0.99}
             )
+        with pytest.raises(SchemaError, match="optimizer.weight_decay"):  # not in its file
+            OptimizerConfig.from_dict({"name": "adamcpr_fast", "learning_rate": 0.1, "weight_decay": 0.5})
+
+    def test_from_dict_fills_nothing(self):
+        cfg = OptimizerConfig.from_dict({"name": "sgd_baseline", "learning_rate": 0.1})
+        assert cfg == OptimizerConfig("sgd_baseline", 0.1)
+
+    def test_default_files_match_config_fields(self):
+        # a file key the dataclass lacks would be accepted and never read;
+        # a field no file holds could never be set from an experiment
+        files = sorted((Path(optbench.__file__).parent / "defaults" / "optimizers").glob("*/default.yaml"))
+        keys = set().union(*(yaml.safe_load(f.read_text()) for f in files))
+        config_fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
+        assert len(files) == 4
+        assert keys - config_fields <= {"name", "lr_warmup", "lr_min_factor"}
+        assert config_fields - {"name", "schedule"} <= keys
 
     def test_bad_hyperparameters(self):
         with pytest.raises(BadHyperparameterError):
