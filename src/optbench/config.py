@@ -326,9 +326,13 @@ def set_path(config: dict, path: str, value) -> None:
     node[parts[-1]] = value
 
 
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml's emitter when PyYAML has it
+
+
 def dump_config(config: dict) -> str:
-    """Deterministic YAML text for a resolved config (round-trip safe)."""
-    return yaml.safe_dump(config, sort_keys=True, default_flow_style=False)
+    """Deterministic YAML text for a resolved config (round-trip safe), the
+    bytes of ``yaml.safe_dump(config, sort_keys=True, default_flow_style=False)``."""
+    return yaml.dump(config, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
 
 
 def load_config(yaml_text: str) -> dict:

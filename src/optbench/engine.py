@@ -34,7 +34,11 @@ and float scalar is stored as base64 of its little-endian float64 bytes, so
 a load/save round trip reproduces the identical bytes and a resumed run is
 bit-identical to one that never stopped. A checkpoint of another version
 raises ``VersionMismatchError``. Batch order depends only on (shuffle seed,
-epoch index).
+epoch index). A process keeps the orders it draws, keyed by shuffle stream
+and train size, within ``ORDER_CACHE_BYTES``, so runs that share
+``engine.seed`` (the trials of a search, the optimizers of a grid) draw each
+epoch's order once; a miss costs what a draw costs without the cache, and no
+result depends on it.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +73,7 @@ from .tasks import TaskInstance, build_task, evaluate, forward_backward
 CHECKPOINT_VERSION = 3
 SEED_STREAMS = ("init", "shuffle")
 PERM_BLOCK = 16  # epochs whose batch orders are drawn in one batched call
+ORDER_CACHE_BYTES = 16 << 20  # batch orders a process keeps for its later runs
 
 
 def derive_seeds(engine_seed: int) -> dict[str, int]:
@@ -230,7 +236,7 @@ class RunResult:
     error: str | None = None
 
     def save(self, path: str | Path) -> None:
-        text = json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"
+        text = json.dumps(vars(self), sort_keys=True, indent=1) + "\n"
         _write_atomic(path, text.encode("utf-8"))
 
     @classmethod
@@ -324,12 +330,50 @@ def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
     return history
 
 
+class _OrderCache:
+    """Read-only batch orders by (shuffle seed, n) and epoch, at most
+    ``ORDER_CACHE_BYTES`` of them; the least recently used key goes first."""
+
+    def __init__(self):
+        self.rows: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+        self.nbytes = 0
+        self.lock = threading.Lock()  # runs may train in threads
+
+    def get(self, shuffle_seed: int, epochs: range, n: int) -> list[np.ndarray]:
+        """The orders of ``epochs``; the missing ones are drawn in one call,
+        and kept unless the key would then outgrow the budget."""
+        key, size = (shuffle_seed, n), 8 * n  # bytes of one int64 row
+        with self.lock:
+            rows = self.rows.pop(key, {})
+            self.nbytes -= len(rows) * size
+            fresh = {}
+            missing = [e for e in epochs if e not in rows]
+            if missing:
+                drawn = permutations([derive_child(shuffle_seed, e) for e in missing], n)
+                drawn.flags.writeable = False
+                fresh = dict(zip(missing, drawn))
+            orders = [rows[e] if e in rows else fresh[e] for e in epochs]
+            if (len(rows) + len(fresh)) * size <= ORDER_CACHE_BYTES:
+                rows.update(fresh)
+            if rows:
+                self.rows[key] = rows
+                self.nbytes += len(rows) * size
+            while self.nbytes > ORDER_CACHE_BYTES:  # oldest first; ``key`` fits alone
+                oldest = next(iter(self.rows))
+                self.nbytes -= len(self.rows.pop(oldest)) * 8 * oldest[1]
+        return orders
+
+
+_ORDERS = _OrderCache()
+
+
 def _epoch_orders(shuffle_seed: int, epochs: range, n: int):
     """(epoch, batch order) pairs; epoch e's order is the permutation of
-    ``derive_child(shuffle_seed, e)``, drawn ``PERM_BLOCK`` epochs at a time."""
+    ``derive_child(shuffle_seed, e)``, taken from the process's cache or
+    drawn ``PERM_BLOCK`` epochs at a time."""
     for i in range(0, len(epochs), PERM_BLOCK):
         block = epochs[i : i + PERM_BLOCK]
-        yield from zip(block, permutations([derive_child(shuffle_seed, e) for e in block], n))
+        yield from zip(block, _ORDERS.get(shuffle_seed, block, n))
 
 
 def steps_per_epoch(task: TaskInstance) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import check_keys, run_id, set_path
+from .config import check_keys, identity_view, run_id, set_path
 from .engine import extend_budget, train_run
 from .errors import BadParameterError, BenchmarkError, ConfigError, SchemaError
 from .evaluation import AggregateCell, aggregate
@@ -244,8 +244,10 @@ def run_hpo(
 ) -> HpoOutcome:
     """Search the space with n_trials sampled configurations.
 
-    Every space path must name a key of ``base_config`` (a ``SchemaError``
-    before anything is written otherwise).
+    Every space path must name a key of ``base_config`` that the trained
+    run reads: one inside run identity other than ``task.max_epochs``, which
+    each rung sets to its budget (a ``SchemaError`` before anything is
+    written otherwise).
 
     The cohorts of ``search_plan`` run one after another. Each rung after
     the first keeps the ``ceil(n/eta)`` best completed trials of the n the
@@ -253,11 +255,17 @@ def run_hpo(
     ``trials.jsonl``. Returns the completed trial with the largest budget
     and the lowest objective, plus every trial.
     """
+    trained = identity_view(base_config)  # what a trial's run sees of its config
+    del trained["task"]["max_epochs"]  # each rung sets it to its budget
     for path in sorted(space):  # an unused path would train every trial alike
         node = None
         for part in reversed(path.split(".")):
             node = {part: node}
         check_keys(node, base_config)
+        try:
+            check_keys(node, trained)
+        except SchemaError:
+            raise SchemaError(f"space path `{path}` never reaches the trained run") from None
     if R is None:
         R = int(base_config["task"]["max_epochs"])
     plan = search_plan(n_trials, init_fraction, R, eta)

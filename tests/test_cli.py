@@ -542,6 +542,31 @@ def test_unknown_path_exit_2_before_anything_is_written(project, capsys, command
     assert not (project / "output").exists()
 
 
+UNTRAINED_PATHS = {  # space -> the path named in the error
+    # every trial trains the same run: the rung budget overwrites max_epochs,
+    # and output_dir lies outside run identity
+    "max_epochs-and-output_dir": (
+        {"task.max_epochs": {"categorical": [1, 2, 3]},
+         "engine.output_dir": {"categorical": ["output", "elsewhere"]}},
+        "engine.output_dir",
+    ),
+    "max_epochs": ({"task.max_epochs": {"categorical": [1, 2, 3]}}, "task.max_epochs"),
+    "evaluation": ({"evaluation.plot.y_axis": {"categorical": ["optimizer.learning_rate"]}},
+                   "evaluation.plot.y_axis"),
+}
+
+
+@pytest.mark.parametrize("space, path", UNTRAINED_PATHS.values(), ids=UNTRAINED_PATHS)
+def test_hpo_over_a_path_the_run_never_reads_exit_2_before_anything_is_written(
+    project, capsys, space, path
+):
+    exp = write(project / "bad.yaml", yaml.safe_dump({"experiment": SMALL_RUN, "space": space,
+                                                      "n_trials": 4}))
+    assert main(["hpo", exp]) == 2
+    assert f"`{path}` never reaches the trained run" in capsys.readouterr().err
+    assert not (project / "output").exists() and not (project / "elsewhere").exists()
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 

@@ -354,3 +354,64 @@ class TestRoundTrip:
         first["engine"].clear()
         del first["optimizers"]["adamcpr"]
         assert load_defaults() == expected
+
+
+GRID_MLP = """
+task: {name: mlp_synth, max_epochs: 20}
+optimizer:
+  - {name: sgd_baseline, learning_rate: [0.1, 0.03]}
+  - {name: adamw_baseline, learning_rate: [0.01, 0.003]}
+  - {name: adamcpr, learning_rate: [0.01, 0.003]}
+  - {name: adafactor, learning_rate: [0.01, 0.003]}
+engine: {seed: [0, 1, 2]}
+evaluation:
+  output_types: [svg, csv]
+  plot: {x_axis: [optimizer.weight_decay, optimizer.kappa_init_param]}
+"""
+
+
+def _search_configs() -> list[dict]:
+    """Every config a 12-trial Hyperband search over mlp_synth may train:
+    each trial at each budget of its cohort."""
+    from optbench.hpo import _apply_overlay, parse_space, sample, search_plan
+    from optbench.rng import Xoshiro256StarStar, derive_stream
+
+    base = expand_grid(merge_defaults(parse_experiment(
+        "task: {name: mlp_synth, max_epochs: 9}\noptimizer: {name: adamw_baseline}"
+    )))[0]
+    space = parse_space({
+        "optimizer.learning_rate": {"log_uniform": [1.0e-5, 1.0e-1]},
+        "optimizer.weight_decay": {"log_uniform": [1.0e-5, 1.0]},
+        "optimizer.beta2": {"uniform": [0.9, 0.999]},
+    })
+    rng = Xoshiro256StarStar(derive_stream(0, "hpo"))
+    configs = []
+    for ids, budgets in search_plan(12, 0.1, 9, 3):
+        for _ in ids:
+            overlay = sample(space, rng)
+            configs.extend(_apply_overlay(base, overlay, budget) for budget in budgets)
+    return configs
+
+
+EDGE_TREE = {
+    "engine": {
+        "output_dir": "/a rather long/output directory/with spaces in it/" + "deep dir/" * 12,
+        "seed": 2**70,
+    },
+    "text": "naïve café ✓ 日本語",
+    "floats": [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e300, 0.1],
+    "strings": ["1e-5", "null", "a: b", " leading", "multi\nline", "yes", "~", "", "0x1f", "010"],
+    "nested": {"list": [[1, 2], {"a": None}], "flag": False, "big": -(2**70)},
+}
+
+
+@pytest.mark.parametrize("configs", [
+    lambda: expand_grid(merge_defaults(parse_experiment(GRID_MLP))),
+    _search_configs,
+    lambda: [EDGE_TREE],
+], ids=["grid_mlp", "mlp_synth_search", "edge_tree"])
+def test_dump_config_bytes_are_safe_dump_bytes(configs):
+    # with libyaml present, dump_config takes its emitter: the comparison is between two emitters
+    assert config_module._DUMPER is (yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper)
+    for tree in configs():
+        assert dump_config(tree) == yaml.safe_dump(tree, sort_keys=True, default_flow_style=False)

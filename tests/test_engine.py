@@ -6,6 +6,9 @@ import json
 import os
 import re
 import shutil
+import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -15,9 +18,11 @@ import pytest
 
 from optbench import build_task
 from optbench.engine import (
+    PERM_BLOCK,
     Checkpoint,
     _build_schedule,
     _encode_array,
+    _epoch_orders,
     derive_seeds,
     encode_checkpoint,
     extend_budget,
@@ -36,6 +41,7 @@ from optbench.errors import (
     VersionMismatchError,
 )
 from optbench.optim import OptimizerConfig, configure_optimizer
+from optbench.rng import Xoshiro256StarStar, derive_child
 from optbench.tasks import MetricSpec, ParamGroup, TaskInstance, register_task
 from conftest import (
     SLOT_MOVE,
@@ -923,3 +929,237 @@ class TestCrashRecovery:
         metrics.write_text(lines[0] + '{"epoch": 2, "lr_l\n' + "".join(lines[2:]))
         with pytest.raises(json.JSONDecodeError):
             resume_run(cfg, tmp_path / "corrupt")
+
+
+# --- the per-process batch-order cache ---------------------------------------
+
+@pytest.fixture
+def order_cache(monkeypatch):
+    """A fresh, empty batch-order cache in place of the process's."""
+    from optbench import engine
+
+    cache = engine._OrderCache()
+    monkeypatch.setattr(engine, "_ORDERS", cache)
+    return cache
+
+
+def _record_draws(monkeypatch) -> list[list[int]]:
+    """The child seeds of each ``rng.permutations`` call made while patched."""
+    from optbench import engine
+
+    calls = []
+    real = engine.permutations
+
+    def recording(seeds, n):
+        calls.append(list(seeds))
+        return real(seeds, n)
+
+    monkeypatch.setattr(engine, "permutations", recording)
+    return calls
+
+
+def _expected_order(shuffle_seed, epoch, n):
+    return Xoshiro256StarStar(derive_child(shuffle_seed, epoch)).shuffled_indices(n)
+
+
+def _record_orders(monkeypatch) -> list:
+    """(shuffle seed, n, epoch, order) of every batch order read while patched."""
+    from optbench import engine
+
+    seen = []
+    real = engine._epoch_orders
+
+    def recording(shuffle_seed, epochs, n):
+        for epoch, perm in real(shuffle_seed, epochs, n):
+            seen.append((shuffle_seed, n, epoch, perm.copy()))
+            yield epoch, perm
+
+    monkeypatch.setattr(engine, "_epoch_orders", recording)
+    return seen
+
+
+def _cache_bytes(cache) -> int:
+    return sum(len(rows) * 8 * n for (_, n), rows in cache.rows.items())
+
+
+class TestBatchOrderCache:
+    SEED = derive_seeds(5)["shuffle"]
+
+    @pytest.mark.parametrize("n", [16, 100])
+    def test_rows_equal_the_scalar_shuffle_on_a_miss_and_a_hit(self, order_cache, monkeypatch, n):
+        calls = _record_draws(monkeypatch)
+        epochs = range(1, 2 * PERM_BLOCK + 3)
+        for first in (5, 1, 1):  # a partial miss, then hits and misses mixed, then all hits
+            for epoch, perm in _epoch_orders(self.SEED, epochs[first - 1 : first + 3], n):
+                assert np.array_equal(perm, _expected_order(self.SEED, epoch, n)), epoch
+            for epoch, perm in _epoch_orders(self.SEED, epochs, n):
+                assert np.array_equal(perm, _expected_order(self.SEED, epoch, n)), epoch
+        drawn = sorted(seed for call in calls for seed in call)
+        assert drawn == sorted(derive_child(self.SEED, e) for e in epochs)
+
+    def test_rows_are_read_only(self, order_cache, monkeypatch):
+        from optbench import engine
+
+        for budget in (engine.ORDER_CACHE_BYTES, 0):  # kept, and used without being kept
+            monkeypatch.setattr(engine, "ORDER_CACHE_BYTES", budget)
+            for _, perm in _epoch_orders(self.SEED + budget, range(1, 4), 16):
+                with pytest.raises(ValueError):
+                    perm[0] = 1
+
+    def test_byte_budget_holds_after_many_seeds(self, order_cache, monkeypatch):
+        from optbench import engine
+
+        n = 50
+        monkeypatch.setattr(engine, "ORDER_CACHE_BYTES", 40 * 8 * n)  # two keys of 18 rows
+        seeds = [derive_child(self.SEED, k) for k in range(40)]
+        for i, seed in enumerate(seeds):
+            for epochs in (range(1, 5), range(1, PERM_BLOCK + 3)):
+                for epoch, perm in _epoch_orders(seed, epochs, n):
+                    assert np.array_equal(perm, _expected_order(seed, epoch, n))
+                assert order_cache.nbytes == _cache_bytes(order_cache)
+                assert order_cache.nbytes <= engine.ORDER_CACHE_BYTES
+            assert [s for s, _ in order_cache.rows] == seeds[max(0, i - 1) : i + 1]
+        # the least recently used key goes first: a hit renews its key
+        list(_epoch_orders(seeds[-2], range(1, 3), n))
+        list(_epoch_orders(self.SEED, range(1, 6), n))
+        assert [s for s, _ in order_cache.rows] == [seeds[-2], self.SEED]
+        # a block that would not fit is used but not kept (epochs 6-18: 5 + 13
+        # rows), the next one is (epochs 19-20), and older keys still go
+        monkeypatch.setattr(engine, "ORDER_CACHE_BYTES", (PERM_BLOCK + 1) * 8 * n)
+        for epoch, perm in _epoch_orders(self.SEED, range(3, PERM_BLOCK + 5), n):
+            assert np.array_equal(perm, _expected_order(self.SEED, epoch, n))
+        assert list(order_cache.rows) == [(self.SEED, n)]
+        assert sorted(order_cache.rows[self.SEED, n]) == [1, 2, 3, 4, 5, 19, 20]
+        assert order_cache.nbytes == _cache_bytes(order_cache) == 7 * 8 * n
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_resume_and_extension_read_the_rows_of_a_fresh_run(
+        self, tmp_path, monkeypatch, order_cache, warm
+    ):
+        from optbench import engine
+
+        cfg = quad_config(epochs=6)
+        seen = _record_orders(monkeypatch)
+        train_run(cfg, tmp_path / "fresh")
+        for step in ("killed", "resume"):  # each starts with an empty cache unless warm
+            if not warm:
+                monkeypatch.setattr(engine, "_ORDERS", engine._OrderCache())
+            if step == "killed":
+                with monkeypatch.context() as mp:
+                    stop_after_epoch(mp, 2)
+                    with pytest.raises(Interrupted):
+                        train_run(cfg, tmp_path / "resumed")
+            else:
+                resume_run(cfg, tmp_path / "resumed")
+        assert _run_files(tmp_path / "resumed") == _run_files(tmp_path / "fresh")
+        extend_budget(cfg, tmp_path / "resumed", 2 * PERM_BLOCK + 1)
+        # the killed run read epoch 3's order before its checkpoint write was killed
+        expected = [*range(1, 7), 1, 2, 3, *range(3, 2 * PERM_BLOCK + 2)]
+        assert [epoch for *_, epoch, _ in seen] == expected
+        for shuffle_seed, n, epoch, perm in seen:
+            assert np.array_equal(perm, _expected_order(shuffle_seed, epoch, n)), epoch
+
+    def test_threads_sharing_a_seed_write_the_run_dirs_of_serial_runs(
+        self, tmp_path, monkeypatch, order_cache
+    ):
+        from optbench import engine
+
+        configs = resolve(
+            "task: {name: mlp_synth, max_epochs: 20, train_size: 128}\n"
+            "optimizer: {name: [adamw_baseline, sgd_baseline]}\n"
+            "engine: {seed: 3}"
+        )
+        serial = {}
+        for i, cfg in enumerate(configs):
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "_ORDERS", engine._OrderCache())
+                train_run(cfg, tmp_path / f"serial{i}")
+            serial[i] = _run_files(tmp_path / f"serial{i}")
+        calls = _record_draws(monkeypatch)
+        real = engine.permutations
+
+        def slow(seeds, n):  # widens the window in which both threads miss
+            time.sleep(0.02)
+            return real(seeds, n)
+
+        monkeypatch.setattr(engine, "permutations", slow)
+        start = threading.Barrier(len(configs))
+        errors = []
+
+        def train(i, cfg):
+            try:
+                start.wait()
+                train_run(cfg, tmp_path / f"thread{i}")
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=train, args=item) for item in enumerate(configs)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert errors == []
+        for i in serial:
+            assert _run_files(tmp_path / f"thread{i}") == serial[i]
+        drawn = sorted(seed for call in calls for seed in call)
+        assert drawn == sorted(derive_child(derive_seeds(3)["shuffle"], e) for e in range(1, 21))
+        assert order_cache.nbytes == _cache_bytes(order_cache) == 20 * 8 * 128
+
+    def test_stress_more_threads_than_cores_keep_the_byte_count(self, order_cache, monkeypatch):
+        from optbench import engine
+
+        n = 16
+        monkeypatch.setattr(engine, "ORDER_CACHE_BYTES", 3 * PERM_BLOCK * 8 * n)
+        seeds = [derive_child(self.SEED, k) for k in range(6)]
+        errors = []
+
+        def hammer(offset):
+            try:
+                for k in range(60):
+                    seed = seeds[(k + offset) % len(seeds)]
+                    first = 1 + (k * 5 + offset) % 20
+                    for epoch, perm in _epoch_orders(seed, range(first, first + 20), n):
+                        assert np.array_equal(perm, _expected_order(seed, epoch, n))
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = (os.cpu_count() or 1) + 2
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert order_cache.nbytes == _cache_bytes(order_cache) <= engine.ORDER_CACHE_BYTES
+
+    def test_a_two_optimizer_grid_draws_each_epoch_once(self, tmp_path, monkeypatch, order_cache):
+        calls = _record_draws(monkeypatch)
+        epochs = PERM_BLOCK + 4
+        configs = resolve(
+            f"task: {{name: mlp_synth, max_epochs: {epochs}, train_size: 128}}\n"
+            "optimizer: {name: [adamw_baseline, adamcpr]}\n"
+            "engine: {seed: 9}"
+        )
+        for i, cfg in enumerate(configs):
+            train_run(cfg, tmp_path / str(i))
+        # the first run draws its two blocks; the second reads them from the cache
+        shuffle = derive_seeds(9)["shuffle"]
+        assert calls == [
+            [derive_child(shuffle, e) for e in range(1, PERM_BLOCK + 1)],
+            [derive_child(shuffle, e) for e in range(PERM_BLOCK + 1, epochs + 1)],
+        ]
+        assert list(order_cache.rows) == [(shuffle, 128)]
+        assert sorted(order_cache.rows[shuffle, 128]) == list(range(1, epochs + 1))
+
+
+def test_result_bytes_are_those_of_asdict(workdir):
+    result = train_run(quad_config(epochs=3), workdir)
+    expected = json.dumps(asdict(result), sort_keys=True, indent=1) + "\n"
+    assert (workdir / "result.json").read_text(encoding="utf-8") == expected
