@@ -2,11 +2,12 @@
 
 Typical library usage::
 
-    from optbench import parse_experiment, merge_defaults, expand_grid, run_id, train_run
+    from pathlib import Path
+    from optbench import parse_experiment, merge_defaults, expand_grid, run_id, train_runs
 
-    spec = parse_experiment(open("experiment.yaml").read())
-    for cfg in expand_grid(merge_defaults(spec)):
-        result = train_run(cfg, f"output/runs/{run_id(cfg)}")
+    spec = parse_experiment(Path("experiment.yaml").read_text())
+    configs = expand_grid(merge_defaults(spec))
+    results = train_runs([(cfg, f"output/runs/{run_id(cfg)}") for cfg in configs])
 """
 
 from .config import (
@@ -25,6 +26,7 @@ from .engine import (
     resume_run,
     save_checkpoint,
     train_run,
+    train_runs,
 )
 from .evaluation import AggregateCell, HeatmapSpec, aggregate, export_table, render_heatmap
 from .hpo import hyperband_schedule, run_hpo, retrain_best
@@ -66,4 +68,5 @@ __all__ = [
     "run_id",
     "save_checkpoint",
     "train_run",
+    "train_runs",
 ]

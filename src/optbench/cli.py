@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import hpo as hpomod
-from .engine import RunState, read_run, resume_run, train_run
+from .engine import RunState, lockstep_key, read_run, train_runs
 from .errors import BenchmarkError, ConfigError
 from .evaluation import check_evaluation, run_evaluation
 
@@ -85,11 +85,16 @@ def cmd_run(args) -> int:
 
     exp_dir = _experiment_dir(configs, name)
     jobs = [(cfg, _run_workdir(exp_dir, cfg)) for cfg in configs_to_run]
-    if args.workers > 1 and len(jobs) > 1:
+    groups: dict[tuple, list[int]] = {}  # runs that may train in lockstep stay in one process
+    for i, (cfg, _) in enumerate(jobs):
+        groups.setdefault(lockstep_key(cfg), []).append(i)
+    if args.workers > 1 and len(groups) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(train_run, *zip(*jobs)))
+            done = pool.map(train_runs, [[jobs[i] for i in group] for group in groups.values()])
+            by_index = dict(zip(sum(groups.values(), []), sum(done, [])))
+        results = [by_index[i] for i in range(len(jobs))]
     else:
-        results = [train_run(cfg, wd) for cfg, wd in jobs]
+        results = train_runs(jobs)
 
     for cfg, result in zip(configs_to_run, results):
         print(f"{result.run_id}  {result.status}  epochs={len(result.history)}")
@@ -116,12 +121,14 @@ def cmd_resume(args) -> int:
     name, configs = _expand_file(args.experiment_file)
     exp_dir = _experiment_dir(configs, name)
     states, corrupt = _read_runs([_run_workdir(exp_dir, cfg) for cfg in configs])
-    results = []
-    for cfg, (workdir, state) in zip(configs, states):
-        if state.ckpt is None or state.finished:  # an extending run's config is not this one
-            continue
-        results.append(resume_run(cfg, workdir))
-        print(f"{results[-1].run_id}  {results[-1].status}  epochs={len(results[-1].history)}")
+    jobs = [  # an extending run's config is not this one
+        (cfg, workdir)
+        for cfg, (workdir, state) in zip(configs, states)
+        if state.ckpt is not None and not state.finished
+    ]
+    results = train_runs(jobs)
+    for result in results:
+        print(f"{result.run_id}  {result.status}  epochs={len(result.history)}")
     print(f"resumed {len(results)} run(s)")
     return 1 if corrupt or any(r.status != "completed" for r in results) else 0
 

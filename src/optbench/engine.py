@@ -11,9 +11,15 @@ in its own working directory:
 
 ``read_run`` is the only reader of ``result.json`` and the checkpoints.
 Fresh start, resume and budget extension share one lifecycle, ``_run``: it
-builds the task, starts from the checkpoint its caller read and checked (or
-a new epoch-0 one), trains up to ``task.max_epochs`` and writes
-``result.json``.
+builds the task, starts each run from the checkpoint its caller read and
+checked (or a new epoch-0 one), trains up to ``task.max_epochs`` and writes
+``result.json``. It trains the S >= 1 runs that ``train_runs`` groups, those
+that share the task config, the optimizer name and their start epoch, in
+lockstep as one [S, P] stack; a lone run is S = 1. Each run writes the files
+it would write alone, apart from wall-clock fields, which time the group: an
+epoch's ``wall_time_s`` since the group began it, a result's since the
+group's first step. A kill mid-group leaves several incomplete runs, which
+``train_runs`` (``optbench resume``) finishes bit-identically.
 
 A checkpoint is the whole resume state: parameters, optimizer state (one
 array per buffer), the best validation value with its parameters, and the
@@ -56,16 +62,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import dump_config, run_id
+from .config import canonical_json, dump_config, run_id
 from .errors import (
     BadParameterError,
     CheckpointError,
     CorruptCheckpointError,
-    NonFiniteError,
     RunIdMismatchError,
     VersionMismatchError,
 )
-from .optim import OptimizerConfig, OptimizerState, configure_optimizer, optimizer_step
+from .optim import OptimizerConfig, OptimizerStack, OptimizerState, configure_optimizer, optimizer_step
 from .rng import Xoshiro256StarStar, derive_child, derive_stream, permutations
 from .sched import ScheduleSpec, lr_at
 from .tasks import TaskInstance, build_task, evaluate, forward_backward
@@ -392,6 +397,40 @@ def _build_schedule(task: TaskInstance, opt_cfg_dict: dict, max_epochs: int) -> 
 
 # --- training ----------------------------------------------------------------
 
+def lockstep_key(config: dict) -> tuple[str, str]:
+    """What runs that take the same steps from one start epoch share."""
+    return canonical_json(config["task"]), config["optimizer"]["name"]
+
+
+def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
+    """``train_run`` of each (config, workdir) pair, in the order given. Every
+    run is read and checked before any trains; the runs left to train that
+    share ``lockstep_key`` and their start epoch train as one ``_run``."""
+    if len({Path(workdir) for _, workdir in jobs}) != len(jobs):  # two runs would share one dir
+        raise BadParameterError("train_runs got one workdir twice")
+    results: list[RunResult | None] = [None] * len(jobs)
+    groups: dict[tuple, list] = {}
+    for i, (config, workdir) in enumerate(jobs):
+        workdir = Path(workdir)
+        rid = run_id(config)
+        state = read_run(workdir, cached_id=rid)
+        if state.finished and state.result.run_id == rid:
+            results[i] = state.result
+            continue
+        if state.error is not None:
+            raise state.error
+        stored = state.ckpt or state.result
+        if stored is not None and stored.run_id != rid:
+            raise RunIdMismatchError(f"workdir {workdir} holds run {stored.run_id}, config is {rid}")
+        key = (*lockstep_key(config), 0 if state.ckpt is None else state.ckpt.epoch)
+        groups.setdefault(key, []).append((i, (config, workdir, state.ckpt, state.slot)))
+    for members in groups.values():
+        indices, starts = zip(*members)
+        for i, result in zip(indices, _run(list(starts))):
+            results[i] = result
+    return results
+
+
 def train_run(config: dict, workdir: str | Path) -> RunResult:
     """Execute one resolved run to completion (idempotent, resumable).
 
@@ -399,17 +438,7 @@ def train_run(config: dict, workdir: str | Path) -> RunResult:
     its checkpoint holds. A partial run continues from its checkpoint, which
     must belong to ``config``; a corrupt run dir raises its ``CheckpointError``.
     """
-    workdir = Path(workdir)
-    rid = run_id(config)
-    state = read_run(workdir, cached_id=rid)
-    if state.finished and state.result.run_id == rid:
-        return state.result
-    if state.error is not None:
-        raise state.error
-    stored = state.ckpt or state.result
-    if stored is not None and stored.run_id != rid:
-        raise RunIdMismatchError(f"workdir {workdir} holds run {stored.run_id}, config is {rid}")
-    return _run(config, workdir, state.ckpt, state.slot)
+    return train_runs([(config, workdir)])[0]
 
 
 def resume_run(config: dict, workdir: str | Path) -> RunResult:
@@ -449,123 +478,132 @@ def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> Run
                 f"new budget {new_max_epochs} must exceed trained epochs {ckpt.epoch}"
             )
         ckpt.budgets = ckpt.budgets + [new_max_epochs]
-    return _run(_with_budget(new_max_epochs), workdir, ckpt, state.slot)
+    return _run([(_with_budget(new_max_epochs), workdir, ckpt, state.slot)])[0]
 
 
-def _run(config: dict, workdir: Path, ckpt: Checkpoint | None, slot: Path | None) -> RunResult:
-    """The one run lifecycle: train ``config`` from ``ckpt``, read from ``slot``
-    and checked by the caller against ``config`` (``None``: from a new epoch-0
-    checkpoint), up to ``task.max_epochs`` and write ``result.json``."""
-    paths = _paths(workdir)
-    rid = run_id(config)
-    task = build_task(config["task"])
-    schedule = _build_schedule(task, config["optimizer"], task.max_epochs)
-    opt_cfg = OptimizerConfig.from_dict(config["optimizer"], schedule)
-    opt_state = configure_optimizer(task.groups, opt_cfg)
-    seeds = derive_seeds(int(config["engine"]["seed"]))
+class _Run:
+    """One run of a ``_run``: files, schedule, optimizer state, checkpoint, result."""
 
-    paths["ckpt_dir"].mkdir(parents=True, exist_ok=True)
-    _write_atomic(paths["config"], dump_config(config).encode("utf-8"))
-    if ckpt is None:
-        ckpt = Checkpoint(
-            epoch=0,
-            step_count=0,
-            params=task.init_params(Xoshiro256StarStar(seeds["init"])),
-            optimizer_state=encode_optimizer_state(opt_state),
-            best_val=None,
-            best_params=None,
-            budgets=[task.max_epochs],
-            run_id=rid,
+    def __init__(self, task: TaskInstance, config: dict, workdir: Path, ckpt, slot):
+        self.paths = paths = _paths(workdir)
+        self.rid = run_id(config)
+        self.schedule = _build_schedule(task, config["optimizer"], task.max_epochs)
+        opt_cfg = OptimizerConfig.from_dict(config["optimizer"], self.schedule)
+        self.opt_state = configure_optimizer(task.groups, opt_cfg)
+        seeds = derive_seeds(int(config["engine"]["seed"]))
+        self.shuffle_seed = seeds["shuffle"]
+        paths["ckpt_dir"].mkdir(parents=True, exist_ok=True)
+        _write_atomic(paths["config"], dump_config(config).encode("utf-8"))
+        if ckpt is None:
+            params = task.init_params(Xoshiro256StarStar(seeds["init"]))
+            state = encode_optimizer_state(self.opt_state)
+            ckpt = Checkpoint(0, 0, params, state, None, None, [task.max_epochs], self.rid)
+            save_checkpoint(ckpt, paths["last"])
+        else:
+            if slot == paths["next"]:  # the start checkpoint must be in last.ckpt
+                os.replace(slot, paths["last"])
+            restore_optimizer_state(ckpt.optimizer_state, self.opt_state)
+        task.check_params(ckpt.params)
+        self.ckpt = ckpt
+        self.newest = 0  # index of the slot that holds ckpt; epochs write the other one
+        info = ("total_steps", "warmup_steps", "warmup_clamped")
+        self.result = RunResult(
+            self.rid, "completed", _truncate_metrics(paths["metrics"], ckpt.epoch), seeds_used=seeds,
+            budgets=ckpt.budgets, metric={"kind": task.metric.kind, "direction": task.metric.direction},
+            schedule_info={k: getattr(self.schedule, k) for k in info},
         )
-        save_checkpoint(ckpt, paths["last"])
-    else:
-        if slot == paths["next"]:  # the start checkpoint must be in last.ckpt
-            os.replace(slot, paths["last"])
-        restore_optimizer_state(ckpt.optimizer_state, opt_state)
-    history = _truncate_metrics(paths["metrics"], ckpt.epoch)
 
-    params = ckpt.params.copy()
-    step_count = ckpt.step_count
-    best_val = ckpt.best_val
-    best_params = ckpt.best_params
-    train = task.splits["train"]
-    batch = task.batch_size
-    spe = steps_per_epoch(task)
-    result = RunResult(
-        run_id=rid,
-        status="completed",
-        history=history,
-        seeds_used=seeds,
-        budgets=ckpt.budgets,
-        metric={"kind": task.metric.kind, "direction": task.metric.direction},
-        schedule_info={
-            "total_steps": schedule.total_steps,
-            "warmup_steps": schedule.warmup_steps,
-            "warmup_clamped": schedule.warmup_clamped,
-        },
-    )
-    t_start = time.monotonic()
-
-    slots = (paths["last"], paths["next"])
-    newest = 0  # index of the slot that holds ckpt; epochs write the other one
-    epochs = range(ckpt.epoch + 1, task.max_epochs + 1)
-    for epoch, perm in _epoch_orders(seeds["shuffle"], epochs, train.n):
-        epoch_start = time.monotonic()
-        shuffled = train.take(perm)
-        losses = []
-        lr_last = None
-        try:
-            for b in range(spe):
-                lr_last = lr_at(schedule, step_count)
-                rows = slice(b * batch, (b + 1) * batch)
-                loss, grad = forward_backward(task, params, shuffled.take(rows))
-                if not math.isfinite(loss):
-                    raise NonFiniteError(f"non-finite training loss at step {step_count}")
-                optimizer_step(params, grad, opt_state, lr_last)
-                step_count += 1
-                losses.append(loss)
-        except NonFiniteError as exc:
-            result.status = "aborted"
-            result.error = f"epoch {epoch}: {exc}"
-            break
-
-        train_loss = float(np.mean(losses))
+    def end_epoch(self, task, epoch, step_count, params, lr_last, losses, epoch_start) -> None:
+        """Append the epoch's metrics line and write it to the other slot."""
         val_metric = evaluate(task, params, "val")
         entry = {
             "epoch": epoch,
             "lr_last": lr_last,
-            "train_loss": train_loss,
+            "train_loss": float(np.mean(losses)),
             "val_metric": val_metric,
             "wall_time_s": time.monotonic() - epoch_start,
         }
-        history.append(entry)
-        with open(paths["metrics"], "a", encoding="utf-8") as f:
+        self.result.history.append(entry)
+        with open(self.paths["metrics"], "a", encoding="utf-8") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
 
+        best_val, best_params = self.ckpt.best_val, self.ckpt.best_params
         if best_val is None or task.metric.is_improvement(val_metric, best_val["value"]):
-            best_val = {"value": val_metric, "epoch": epoch}
-            best_params = params.copy()
-        ckpt = replace(
-            ckpt,
-            epoch=epoch,
-            step_count=step_count,
-            params=params,
-            optimizer_state=encode_optimizer_state(opt_state),
-            best_val=best_val,
-            best_params=best_params,
-            run_id=rid,
+            best_val, best_params = {"value": val_metric, "epoch": epoch}, params.copy()
+        self.ckpt = replace(
+            self.ckpt, epoch=epoch, step_count=step_count, params=params, run_id=self.rid,
+            optimizer_state=encode_optimizer_state(self.opt_state),
+            best_val=best_val, best_params=best_params,
         )
-        newest ^= 1
-        _write_slot(slots[newest], encode_checkpoint(ckpt))
+        self.newest ^= 1
+        _write_slot(self.paths["next" if self.newest else "last"], encode_checkpoint(self.ckpt))
 
-    if newest:
-        os.replace(paths["next"], paths["last"])
-    else:
-        paths["next"].unlink(missing_ok=True)
-    result.best_val = best_val
-    result.wall_time_s = time.monotonic() - t_start
-    if result.status == "completed":
-        result.test_best = evaluate(task, best_params, "test")
-        result.test_last = evaluate(task, params, "test")
-    result.save(paths["result"])
-    return result
+    def finish(self, task, params, t_start: float, error: str | None = None) -> None:
+        """Move the newest checkpoint to ``last.ckpt``; write the result, aborted if ``error``."""
+        paths, result = self.paths, self.result
+        if self.newest:
+            os.replace(paths["next"], paths["last"])
+        else:
+            paths["next"].unlink(missing_ok=True)
+        result.best_val = self.ckpt.best_val
+        result.wall_time_s = time.monotonic() - t_start
+        if error is None:
+            result.test_best = evaluate(task, self.ckpt.best_params, "test")
+            result.test_last = evaluate(task, params, "test")
+        else:
+            result.status, result.error = "aborted", error
+        result.save(paths["result"])
+
+
+def _run(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> list[RunResult]:
+    """The one run lifecycle, for S >= 1 runs in lockstep: train each
+    ``(config, workdir, ckpt, slot)`` from ``ckpt``, read from ``slot`` and
+    checked by the caller against ``config`` (``None``: from a new epoch-0
+    checkpoint), up to ``task.max_epochs`` and write its ``result.json``.
+
+    The runs share their task config and start epoch, so they take the same
+    steps; each run's batches follow its own batch orders. A run whose loss
+    or gradient turns non-finite leaves the stack at that step."""
+    task = build_task(starts[0][0]["task"])
+    runs = [_Run(task, *start) for start in starts]
+    live = list(runs)  # the runs still in the stack, one per row
+    train, batch = task.splits["train"], task.batch_size
+    batches = [(slice(None), slice(b, b + batch)) for b in range(0, train.n, batch)]  # every run's rows
+    params = np.array([run.ckpt.params for run in live])
+    stack = OptimizerStack([run.opt_state for run in live])
+    step_count = live[0].ckpt.step_count
+    epochs = range(live[0].ckpt.epoch + 1, task.max_epochs + 1)
+    orders = [_epoch_orders(run.shuffle_seed, epochs, train.n) for run in live]
+    t_start = time.monotonic()
+    for epoch in epochs:
+        epoch_start = time.monotonic()
+        shuffled = train.take(np.array([next(run_orders)[1] for run_orders in orders]))
+        losses = []
+        for rows in batches:
+            lrs = [lr_at(run.schedule, step_count) for run in live]
+            loss, grad = forward_backward(task, params, shuffled.take(rows))
+            if not (all(map(math.isfinite, loss.tolist())) and math.isfinite(grad.sum())):
+                errors = {}  # none if only the sum overflowed; a lone run checks its loss first
+                for i in range(len(live)):
+                    if not math.isfinite(loss[i]):
+                        errors[i] = f"non-finite training loss at step {step_count}"
+                    elif not np.isfinite(grad[i]).all():
+                        errors[i] = "non-finite gradient"
+                for i, error in errors.items():
+                    live[i].finish(task, None, t_start, f"epoch {epoch}: {error}")
+                keep = [i for i in range(len(live)) if i not in errors]
+                if not keep:
+                    return [run.result for run in runs]
+                live, orders = [live[i] for i in keep], [orders[i] for i in keep]
+                lrs, losses = [lrs[i] for i in keep], [row[keep] for row in losses]
+                params, loss, grad, shuffled = params[keep], loss[keep], grad[keep], shuffled.take(keep)
+                stack = OptimizerStack([run.opt_state for run in live])
+            optimizer_step(params, grad, stack, lrs)
+            step_count += 1
+            losses.append(loss)
+        per_run = np.array(losses).T  # np.mean of a row sums as for a list; .mean(axis=1) would not
+        for i, run in enumerate(live):
+            run.end_epoch(task, epoch, step_count, params[i], lrs[i], per_run[i], epoch_start)
+    for i, run in enumerate(live):
+        run.finish(task, params[i], t_start)
+    return [run.result for run in runs]

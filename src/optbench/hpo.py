@@ -246,8 +246,9 @@ def run_hpo(
 
     Every space path must name a key of ``base_config`` that the trained
     run reads: one inside run identity other than ``task.max_epochs``, which
-    each rung sets to its budget (a ``SchemaError`` before anything is
-    written otherwise).
+    each rung sets to its budget, and other than a ``name``, which picks the
+    task or optimizer and so the keys its config may hold (a ``SchemaError``
+    before anything is written otherwise).
 
     The cohorts of ``search_plan`` run one after another. Each rung after
     the first keeps the ``ceil(n/eta)`` best completed trials of the n the
@@ -258,6 +259,8 @@ def run_hpo(
     trained = identity_view(base_config)  # what a trial's run sees of its config
     del trained["task"]["max_epochs"]  # each rung sets it to its budget
     for path in sorted(space):  # an unused path would train every trial alike
+        if path.rsplit(".", 1)[-1] == "name":  # the other name's keys would not fit the config
+            raise SchemaError(f"space path `{path}` cannot be searched: run one search per name")
         node = None
         for part in reversed(path.split(".")):
             node = {part: node}

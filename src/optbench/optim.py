@@ -7,6 +7,10 @@ optimizer means adding one entry to ``OPTIMIZERS`` plus a default file;
 nothing else in the harness changes. Variant names resolve through
 ``config.OPTIMIZER_ALIASES``.
 
+Runs in lockstep step as one ``OptimizerStack`` of [S, P] arrays; each
+run's hyperparameters enter as a column of the Python floats it would use
+alone, so it gets the same bits. A plugin's step sees one run's rows.
+
 ``OptimizerState.buffers`` maps a name to one float array. A moment of
 sgd, adamw or adamcpr is one flat vector over all parameters and is updated
 by one whole-vector expression. Only what the algorithm does per group
@@ -25,8 +29,10 @@ Weight regularization differs by design between the baselines:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,6 +119,40 @@ class OptimizerState:
     cpr: dict[str, CprState] = field(default_factory=dict)
 
 
+class OptimizerStack:
+    """S runs' states stepped together on [S, P] arrays. A built-in optimizer's
+    buffers become row views of the stack's [S, ...] ones, so each run's state
+    still encodes its own rows. ``config`` holds each hyperparameter as a ``_column``."""
+
+    def __init__(self, states: list[OptimizerState]):
+        self.states, self.groups = states, states[0].groups
+        self.configs = [state.config for state in states]
+        self.config = SimpleNamespace(name=self.configs[0].name, **{
+            key: _column([getattr(c, key) for c in self.configs])
+            for key in ("momentum", "beta1", "beta2", "epsilon", "weight_decay")
+        })
+        decaying = [i for i, c in enumerate(self.configs) if c.weight_decay != 0.0]
+        # the rows ``_add_decay`` touches: all, some or none of the runs
+        self.decay_rows = slice(None) if len(decaying) == len(states) else decaying or None
+        self.decay_slices = [slice(g.start, g.end) for g in self.groups if g.weight_decay_eligible]
+        self.buffers = {}
+        if _impl(self.config.name).stacked:  # a plugin's step keeps its own buffers
+            self.buffers = {k: np.array([s.buffers[k] for s in states]) for k in states[0].buffers}
+            for i, state in enumerate(states):
+                state.buffers = {k: b[i] for k, b in self.buffers.items()}
+
+    def advance(self) -> int:
+        """Count a step in every run; returns the step number, which all share."""
+        for state in self.states:
+            state.step_count += 1
+        return state.step_count
+
+
+def _column(values: list[float]):
+    """Per-run floats as an [S, 1] column; one run's stays a float (same bits)."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
 def _check(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None:
     n = state.groups[-1].end
     if params.shape != (n,) or grads.shape != (n,):
@@ -123,13 +163,30 @@ def _check(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None
         raise NonFiniteError("non-finite gradient")
 
 
-def _add_decay(out: np.ndarray, params: np.ndarray, coef: float, groups) -> None:
-    """``out += coef * params`` on the decay-eligible groups only. A 0/1 mask
-    over all groups would not do: ``0 * theta`` flips the sign of a zero and
-    turns an infinite parameter into nan."""
-    for g in groups:
-        if g.weight_decay_eligible:
-            out[g.start : g.end] += coef * params[g.start : g.end]
+def _one_or_stack(step):
+    """Let a built-in ``step`` of a stack take one run's state and flat vectors, as S = 1."""
+
+    @functools.wraps(step)
+    def one_or_stack(params, grads, state, lr_t) -> None:
+        if isinstance(state, OptimizerStack):
+            return step(params, grads, state, lr_t)
+        _check(params, grads, state)
+        step(params[None], grads[None], OptimizerStack([state]), [lr_t])
+
+    return one_or_stack
+
+
+def _add_decay(out: np.ndarray, params: np.ndarray, coef, stack: "OptimizerStack") -> None:
+    """``out += coef * params`` on the decay-eligible groups of the runs whose
+    weight decay is not zero. A 0/1 mask would not do: ``0 * theta`` flips
+    the sign of a zero and turns an infinite parameter into nan."""
+    rows = stack.decay_rows
+    if rows is None:
+        return
+    if not isinstance(rows, slice):  # some runs decay, so S > 1 and coef is a column
+        coef = coef[rows]
+    for sl in stack.decay_slices:
+        out[rows, sl] += coef * params[rows, sl]
 
 
 def _configure_sgd(groups, config):
@@ -137,22 +194,22 @@ def _configure_sgd(groups, config):
     return OptimizerState("sgd_baseline", list(groups), config, buffers={"velocity": np.zeros(n)})
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, lr_t: float) -> None:
+@_one_or_stack
+def sgd_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t) -> None:
     """Heavy-ball momentum with coupled L2 decay on eligible groups.
 
     g <- g + wd * theta;  v <- mu * v + g;  theta <- theta - lr * v
     """
-    _check(params, grads, state)
-    cfg = state.config
-    state.step_count += 1
+    cfg = stack.config
+    stack.advance()
     grad = grads
-    if cfg.weight_decay != 0.0:
+    if stack.decay_rows is not None:
         grad = grads.copy()
-        _add_decay(grad, params, cfg.weight_decay, state.groups)
-    v = state.buffers["velocity"]
+        _add_decay(grad, params, cfg.weight_decay, stack)
+    v = stack.buffers["velocity"]
     v *= cfg.momentum
     v += grad
-    params -= lr_t * v
+    params -= _column(lr_t) * v
 
 
 def _configure_adam_buffers(name, groups, config):
@@ -160,35 +217,38 @@ def _configure_adam_buffers(name, groups, config):
     return OptimizerState(name, list(groups), config, buffers={"m": np.zeros(n), "v": np.zeros(n)})
 
 
-def _adam_core(params, grads, state, lr_t, weight_decay):
+def _adam_core(params, grads, stack, lr_t, decay: bool):
     """Shared AdamW machinery; decay (if any) decoupled on eligible groups."""
-    cfg = state.config
-    state.step_count += 1
-    t = state.step_count
+    cfg = stack.config
+    t = stack.advance()
     b1, b2 = cfg.beta1, cfg.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    m, v = state.buffers["m"], state.buffers["v"]
+    bc1 = _column([1.0 - c.beta1**t for c in stack.configs])
+    bc2 = _column([1.0 - c.beta2**t for c in stack.configs])
+    m, v = stack.buffers["m"], stack.buffers["v"]
     m *= b1
     m += (1.0 - b1) * grads
     v *= b2
-    v += (1.0 - b2) * grads * grads
-    m_hat = m / bc1
-    v_hat = v / bc2
-    update = lr_t * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    if weight_decay != 0.0:
-        _add_decay(update, params, lr_t * weight_decay, state.groups)
+    g2 = (1.0 - b2) * grads
+    g2 *= grads
+    v += g2
+    denom = np.sqrt(v / bc2)  # sqrt(v_hat)
+    denom += cfg.epsilon
+    lr = _column(lr_t)
+    update = lr * (m / bc1)  # lr * m_hat
+    update /= denom
+    if decay:
+        _add_decay(update, params, lr * cfg.weight_decay, stack)
     params -= update
 
 
-def adamw_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, lr_t: float) -> None:
+@_one_or_stack
+def adamw_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t) -> None:
     """Adam with bias correction and decoupled weight decay:
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta
     """
-    _check(params, grads, state)
-    _adam_core(params, grads, state, lr_t, state.config.weight_decay)
+    _adam_core(params, grads, stack, lr_t, decay=True)
 
 
 def _configure_adamcpr(groups, config):
@@ -202,37 +262,45 @@ def _configure_adamcpr(groups, config):
     return state
 
 
-def adamcpr_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, lr_t: float) -> None:
+@_one_or_stack
+def adamcpr_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t) -> None:
     """AdamW without decay plus a constrained penalty on mean(theta^2).
 
     Until the fix step the update is bit-identical to adamw with wd=0.
     At the fix step each eligible group's bound kappa is frozen from the
     current statistic; afterwards a multiplier ratchets up whenever the
     statistic exceeds the bound and pushes the group back via the
-    statistic's gradient 2*theta/n.
+    statistic's gradient 2*theta/n. Kappa and the multiplier are per-run floats.
     """
-    _check(params, grads, state)
-    if state.step_count == 0:
+    states = stack.states
+    if states[0].step_count == 0:
         # a zero-length warm start pins kappa to the initial parameters
-        for g in state.groups:
-            cs = state.cpr.get(g.name)
-            if cs is not None and cs.fix_step == 0 and cs.kappa is None:
-                theta = params[g.start : g.end]
-                cs.kappa = float((theta * theta).sum() / g.size)
-    _adam_core(params, grads, state, lr_t, 0.0)
-    t = state.step_count
-    for g in state.groups:
-        cs = state.cpr.get(g.name)
-        if cs is None or t < cs.fix_step:
+        for i, state in enumerate(states):
+            for g in stack.groups:
+                cs = state.cpr.get(g.name)
+                if cs is not None and cs.fix_step == 0 and cs.kappa is None:
+                    theta = params[i, g.start : g.end]
+                    cs.kappa = float((theta * theta).sum() / g.size)
+    _adam_core(params, grads, stack, lr_t, decay=False)
+    t = states[0].step_count
+    for g in stack.groups:
+        if g.name not in states[0].cpr:
             continue
         sl = slice(g.start, g.end)
-        theta = params[sl]
-        stat = float((theta * theta).sum() / g.size)
-        if t == cs.fix_step:
-            cs.kappa = stat
-        elif cs.kappa is not None:
-            cs.lam = max(0.0, cs.lam + (stat - cs.kappa))
-            params[sl] -= lr_t * cs.lam * (2.0 * theta / g.size)
+        theta = params[:, sl]
+        stats = ((theta * theta).sum(axis=1) / g.size).tolist()
+        rows, coefs = [], []
+        for i, state in enumerate(states):
+            cs = state.cpr[g.name]
+            if t == cs.fix_step:
+                cs.kappa = stats[i]
+            elif t > cs.fix_step and cs.kappa is not None:
+                cs.lam = max(0.0, cs.lam + (stats[i] - cs.kappa))
+                rows.append(i)
+                coefs.append(lr_t[i] * cs.lam)
+        if rows:
+            rows = slice(None) if len(rows) == len(states) else rows
+            params[rows, sl] -= _column(coefs) * (2.0 * theta[rows] / g.size)
 
 
 def _configure_adafactor(groups, config):
@@ -247,52 +315,53 @@ def _configure_adafactor(groups, config):
     return state
 
 
-def adafactor_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState, lr_t: float) -> None:
+@_one_or_stack
+def adafactor_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t) -> None:
     """Factored second moments for matrix groups, full for the rest.
 
     b2_t = 1 - t^-0.8; matrix groups track row/column means of g^2 and
     reconstruct v_hat = outer(row, col) / mean(row); the update is clipped
     to unit RMS and the scheduled learning rate is applied externally.
     """
-    _check(params, grads, state)
-    cfg = state.config
-    state.step_count += 1
-    t = state.step_count
+    cfg = stack.config
+    t = stack.advance()
     beta2t = 1.0 - t ** (-0.8)
-    for g in state.groups:
+    lr = _column(lr_t)
+    update = np.empty_like(params)
+    for g in stack.groups:
         sl = slice(g.start, g.end)
-        grad = grads[sl]
+        grad = grads[:, sl]
         if len(g.shape) == 2:
             rows, cols = g.shape
-            sq = (grad * grad).reshape(g.shape)
-            row, col = state.buffers[f"{g.name}.row"], state.buffers[f"{g.name}.col"]
+            sq = (grad * grad).reshape(-1, rows, cols)
+            row, col = stack.buffers[f"{g.name}.row"], stack.buffers[f"{g.name}.col"]
             row *= beta2t
-            row += (1.0 - beta2t) * (sq.sum(axis=1) / cols)
+            row += (1.0 - beta2t) * (sq.sum(axis=2) / cols)
             col *= beta2t
-            col += (1.0 - beta2t) * (sq.sum(axis=0) / rows)
-            row_mean = row.sum() / rows
-            if row_mean > 0.0:
-                v_hat = np.outer(row, col).ravel() / row_mean
-            else:
-                v_hat = np.zeros(g.size)
+            col += (1.0 - beta2t) * (sq.sum(axis=1) / rows)
+            means = (row.sum(axis=1) / rows).tolist()
+            v_hat = (row[:, :, None] * col[:, None, :]).reshape(len(row), g.size)  # outer(row, col)
+            if all(mean > 0.0 for mean in means):
+                v_hat /= _column(means)
+            else:  # a run whose row mean is not positive takes v_hat = 0
+                v_hat = np.array([v / m if m > 0.0 else np.zeros(g.size) for v, m in zip(v_hat, means)])
         else:
-            v = state.buffers[f"{g.name}.v"]
+            v = stack.buffers[f"{g.name}.v"]
             v *= beta2t
             v += (1.0 - beta2t) * grad * grad
             v_hat = v
         u = grad / np.sqrt(v_hat + cfg.epsilon)
-        rms = math.sqrt(float((u * u).sum() / g.size))
-        u = u / max(1.0, rms)  # clip threshold d = 1
-        update = lr_t * u
-        if g.weight_decay_eligible and cfg.weight_decay != 0.0:
-            update = update + lr_t * cfg.weight_decay * params[sl]
-        params[sl] -= update
+        clip = [max(1.0, math.sqrt(x)) for x in ((u * u).sum(axis=1) / g.size).tolist()]
+        update[:, sl] = lr * (u / _column(clip))  # clip to unit RMS: threshold d = 1
+    _add_decay(update, params, lr * cfg.weight_decay, stack)
+    params -= update
 
 
 @dataclass(frozen=True)
 class OptimizerImpl:
     configure: callable
     step: callable
+    stacked: bool = True  # step takes an OptimizerStack; a plugin's takes one run
 
 
 OPTIMIZERS: dict[str, OptimizerImpl] = {
@@ -307,8 +376,8 @@ OPTIMIZERS: dict[str, OptimizerImpl] = {
 
 
 def register_optimizer(name: str, configure, step) -> None:
-    """Plugin hook: one configure function plus one step function."""
-    OPTIMIZERS[name] = OptimizerImpl(configure, step)
+    """Plugin hook: one configure function plus one step function of one run."""
+    OPTIMIZERS[name] = OptimizerImpl(configure, step, stacked=False)
 
 
 def _impl(name: str) -> OptimizerImpl:
@@ -326,5 +395,12 @@ def configure_optimizer(groups: list[ParamGroup], config: OptimizerConfig) -> Op
     return impl.configure(groups, config)
 
 
-def optimizer_step(params, grads, state: OptimizerState, lr_t: float) -> None:
-    _impl(state.config.name).step(params, grads, state, lr_t)
+def optimizer_step(params, grads, state, lr_t) -> None:
+    """One step of a run's ``OptimizerState`` on flat vectors, or of an ``OptimizerStack``
+    on [S, P] arrays with a list of S learning rates (a plugin steps each row)."""
+    impl = _impl(state.config.name)
+    if isinstance(state, OptimizerStack) and not impl.stacked:
+        for i, run in enumerate(state.states):
+            impl.step(params[i], grads[i], run, lr_t[i])
+    else:
+        impl.step(params, grads, state, lr_t)

@@ -4,6 +4,8 @@ Each task bundles a model (as a flat parameter vector with named groups),
 fixed train/val/test splits generated from the task's own data seed, and
 a metric with an improvement direction. Gradients are analytic; there is
 no autodiff framework underneath, which keeps runs bit-reproducible.
+``loss_grads`` takes the [S, P] parameters of S runs in lockstep: stacked
+for ``mlp_synth`` and ``blobs_logreg``, ``loss_grad`` per row otherwise.
 
 Registered tasks:
 
@@ -72,8 +74,9 @@ class DataSplit:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def take(self, idx: np.ndarray | slice) -> "DataSplit":
-        """Rows ``idx``: copies for an index array, views for a slice."""
+    def take(self, idx) -> "DataSplit":
+        """Rows ``idx``: copies for an index array, views for a slice. An
+        [S, n] index array takes S runs' rows; ``take(i)`` of those is run i's."""
         return DataSplit(self.inputs[idx], self.targets[idx], self.indices[idx])
 
 
@@ -81,19 +84,21 @@ def accuracy(predicted_classes: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(predicted_classes == targets))
 
 
-def _softmax_ce(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and d(loss)/d(logits) for integer class targets."""
+def _softmax_ce(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy of each of S runs and d(loss)/d(logits), for
+    logits [S, B, C] and integer class targets [S, B]."""
+    s, n, c = logits.shape
+    logits, y = logits.reshape(s * n, c), y.ravel()  # every run's examples as rows
     z = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(z)
     total = expz.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    rows = np.arange(n)
-    logp = z - np.log(total)
-    loss = -float(logp[rows, y].sum() / n)
+    rows = np.arange(s * n)
+    logp = z[rows, y] - np.log(total[:, 0])  # each example's target log-probability
+    losses = logp.reshape(s, n).sum(axis=1) / -n  # -(sum / n): IEEE division is sign-symmetric
     dlogits = expz / total
     dlogits[rows, y] -= 1.0
     dlogits /= n
-    return loss, dlogits
+    return losses, dlogits.reshape(s, n, c)
 
 
 # task config keys that shape training only, never the generated data
@@ -169,6 +174,15 @@ class TaskInstance:
 
     def loss_grad(self, params: np.ndarray, batch: DataSplit) -> tuple[float, np.ndarray]:
         raise NotImplementedError
+
+    def loss_grads(self, params: np.ndarray, batch: DataSplit) -> tuple[np.ndarray, np.ndarray]:
+        """Losses [S] and gradients [S, P] of row i of ``params`` on ``batch.take(i)``
+        for each run i; this default calls ``loss_grad`` on each row."""
+        pairs = [self.loss_grad(p, batch.take(i)) for i, p in enumerate(params)]
+        grads = np.array([grad for _, grad in pairs])
+        if grads.shape != params.shape:
+            raise ShapeMismatchError(f"gradients of shape {grads.shape} for {params.shape} parameters")
+        return np.array([loss for loss, _ in pairs]), grads
 
     def metric_value(self, params: np.ndarray, split: DataSplit) -> float:
         raise NotImplementedError
@@ -326,19 +340,18 @@ class BlobsLogregTask(TaskInstance):
 
     def _logits(self, params, inputs):
         d = self.dim
-        w = params[: 2 * d].reshape(2, d)
-        b = params[2 * d :]
-        return inputs @ w.T + b
+        logits = inputs @ params[:, : 2 * d].reshape(-1, 2, d).transpose(0, 2, 1)
+        logits += params[:, None, 2 * d :]
+        return logits
 
-    def loss_grad(self, params, batch):
+    def loss_grads(self, params, batch):
         y = batch.targets.astype(np.int64)
-        loss, dlogits = _softmax_ce(self._logits(params, batch.inputs), y)
-        dw = dlogits.T @ batch.inputs
-        db = dlogits.sum(axis=0)
-        return loss, np.concatenate([dw.ravel(), db])
+        losses, dlogits = _softmax_ce(self._logits(params, batch.inputs), y)
+        dw = dlogits.transpose(0, 2, 1) @ batch.inputs
+        return losses, np.concatenate([dw.reshape(len(params), -1), dlogits.sum(axis=1)], axis=1)
 
     def metric_value(self, params, split):
-        pred = np.argmax(self._logits(params, split.inputs), axis=1)
+        pred = np.argmax(self._logits(params[None], split.inputs)[0], axis=1)
         return accuracy(pred, split.targets.astype(np.int64))
 
 
@@ -385,33 +398,40 @@ class MlpSynthTask(TaskInstance):
         return np.concatenate([w1, b1, w2, b2])
 
     def _unpack(self, params):
-        h = self.num_hidden
-        w1 = params[: 2 * h].reshape(h, 2)
-        b1 = params[2 * h : 3 * h]
-        w2 = params[3 * h : 5 * h].reshape(2, h)
-        b2 = params[5 * h :]
+        """w1 [S, h, 2], b1 [S, 1, h], w2 [S, 2, h] and b2 [S, 1, 2] of [S, P] params."""
+        h, s = self.num_hidden, len(params)
+        w1 = params[:, : 2 * h].reshape(s, h, 2)
+        b1 = params[:, None, 2 * h : 3 * h]
+        w2 = params[:, 3 * h : 5 * h].reshape(s, 2, h)
+        b2 = params[:, None, 5 * h :]
         return w1, b1, w2, b2
 
     def _forward(self, weights, inputs):
         w1, b1, w2, b2 = weights
-        hidden = np.tanh(inputs @ w1.T + b1)
-        return hidden, hidden @ w2.T + b2
+        hidden = inputs @ w1.transpose(0, 2, 1)
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ w2.transpose(0, 2, 1)
+        logits += b2
+        return hidden, logits
 
-    def loss_grad(self, params, batch):
+    def loss_grads(self, params, batch):
         weights = self._unpack(params)
         hidden, logits = self._forward(weights, batch.inputs)
-        loss, dlogits = _softmax_ce(logits, batch.targets.astype(np.int64, copy=False))
-        dw2 = dlogits.T @ hidden
-        db2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ weights[2]  # w2
-        dz1 = dhidden * (1.0 - hidden * hidden)
-        dw1 = dz1.T @ batch.inputs
-        db1 = dz1.sum(axis=0)
-        return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        losses, dlogits = _softmax_ce(logits, batch.targets.astype(np.int64, copy=False))
+        dw2 = dlogits.transpose(0, 2, 1) @ hidden
+        db2 = dlogits.sum(axis=1)
+        dz1 = dlogits @ weights[2]  # dhidden = dlogits @ w2
+        hidden *= hidden  # hidden is not needed past here: 1 - hidden^2 in its place
+        dz1 *= np.subtract(1.0, hidden, out=hidden)
+        dw1 = dz1.transpose(0, 2, 1) @ batch.inputs
+        db1 = dz1.sum(axis=1)
+        s = len(params)
+        return losses, np.concatenate([dw1.reshape(s, -1), db1, dw2.reshape(s, -1), db2], axis=1)
 
     def metric_value(self, params, split):
-        _, logits = self._forward(self._unpack(params), split.inputs)
-        pred = np.argmax(logits, axis=1)
+        _, logits = self._forward(self._unpack(params[None]), split.inputs)
+        pred = np.argmax(logits[0], axis=1)
         return accuracy(pred, split.targets.astype(np.int64))
 
 
@@ -449,14 +469,17 @@ def build_task(task_config: dict) -> TaskInstance:
     return TASKS[name](cfg, int(cfg.get("data_seed", 42)))
 
 
-def forward_backward(
-    task: TaskInstance, params: np.ndarray, batch: DataSplit
-) -> tuple[float, np.ndarray]:
-    """Mean per-example loss over the batch and its exact gradient."""
+def forward_backward(task: TaskInstance, params: np.ndarray, batch: DataSplit):
+    """Mean per-example loss over the batch and its exact gradient, of one
+    run's flat params, or [S] losses and [S, P] gradients of an [S, P] stack
+    whose batch arrays lead with S. Only a single run's shapes are checked."""
+    if isinstance(params, np.ndarray) and params.ndim == 2:
+        return task.loss_grads(params, batch)
     params = task.check_params(params)
     if batch.n == 0:
         raise ShapeMismatchError("empty batch")
-    return task.loss_grad(params, batch)
+    losses, grads = task.loss_grads(params[None], batch.take(np.newaxis))
+    return float(losses[0]), grads[0]
 
 
 def evaluate(task: TaskInstance, params: np.ndarray, split: str) -> float:

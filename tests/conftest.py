@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -34,6 +35,35 @@ def group_buffers(state) -> list[tuple[str, np.ndarray]]:
         else:
             out.extend((f"{g.name}/{name}", buf[g.start : g.end]) for g in state.groups)
     return sorted(out, key=lambda pair: pair[0])
+
+
+def strip_wall(obj):
+    """``obj`` without its wall-clock fields (keys that hold ``wall_time``),
+    in nested dicts and lists alike."""
+    if isinstance(obj, dict):
+        return {k: strip_wall(v) for k, v in obj.items() if "wall_time" not in k}
+    if isinstance(obj, list):
+        return [strip_wall(v) for v in obj]
+    return obj
+
+
+def run_dir_files(workdir) -> dict:
+    """Every file of a run dir by relative path, wall-clock fields dropped:
+    ``.json`` files parsed, ``.jsonl`` files parsed line by line, any other
+    file as its bytes. Two dirs that a run and its lockstep, resumed or
+    parallel twin wrote must give equal snapshots."""
+    workdir = Path(workdir)
+    files = {}
+    for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+        name = path.relative_to(workdir).as_posix()
+        if path.suffix == ".json":
+            files[name] = strip_wall(json.loads(path.read_text(encoding="utf-8")))
+        elif path.suffix == ".jsonl":
+            lines = path.read_text(encoding="utf-8").splitlines()
+            files[name] = [strip_wall(json.loads(line)) for line in lines]
+        else:
+            files[name] = path.read_bytes()
+    return files
 
 
 def quad_config(epochs: int = 5, seed: int = 42) -> dict:

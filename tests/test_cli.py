@@ -8,7 +8,7 @@ import yaml
 from optbench.cli import main
 from optbench.hpo import load_hpo_file, parse_space
 
-from conftest import Interrupted, fail_write, stop_after_epoch
+from conftest import Interrupted, fail_write, run_dir_files, stop_after_epoch
 
 TINY_EXPERIMENT = """
 task:
@@ -289,19 +289,36 @@ class TestWorkers:
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         assert main(["run", exp, "--workers", "2"]) == 0
         runs = project / "output" / "tiny" / "runs"
-        parallel = {
-            d.name: json.loads((d / "result.json").read_text())["test_last"]
-            for d in runs.iterdir()
-        }
+        parallel = {d.name: run_dir_files(d) for d in runs.iterdir()}
         assert len(parallel) == 4
-        # serial re-run in a fresh tree gives the same results per run_id
+        # serial re-run in a fresh tree writes the same run dirs
         (project / "output").rename(project / "parallel_output")
         assert main(["run", exp]) == 0
-        serial = {
-            d.name: json.loads((d / "result.json").read_text())["test_last"]
-            for d in runs.iterdir()
-        }
-        assert serial == parallel
+        assert {d.name: run_dir_files(d) for d in runs.iterdir()} == parallel
+
+    def test_workers_split_groups_not_runs(self, project, capsys, monkeypatch):
+        import optbench.cli as cli
+
+        class InlinePool:  # the jobs each worker would get, run in this process
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                calls.append([len(group) for group in jobs])
+                return map(fn, jobs)
+
+        calls = []
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        exp = write(project / "duo.yaml", TINY_EXPERIMENT.replace(
+            "name: adamw_baseline", "name: [adamw_baseline, sgd_baseline]"))
+        assert main(["run", exp, "--workers", "2"]) == 0
+        assert calls == [[4, 4]]  # 2 optimizers x (2 learning rates x 2 seeds)
 
 
 class TestTwoOptimizerPlots:
@@ -358,6 +375,28 @@ class TestResumeCommand:
         for cfg in configs[:3]:
             result = json.loads((_run_workdir(exp_dir, cfg) / "result.json").read_text())
             assert result["status"] == "completed"
+
+    def test_resume_finishes_a_group_killed_mid_epoch(self, project, capsys, monkeypatch):
+        from optbench.cli import _expand_file, _experiment_dir, _run_workdir
+        from optbench.engine import read_run, train_run
+
+        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)  # one group of 4 runs
+        name, configs = _expand_file(exp)
+        exp_dir = _experiment_dir(configs, name)
+        with monkeypatch.context() as mp:
+            fail_write(mp, "next.ckpt", 3)  # epoch 1 of the group's third run
+            with pytest.raises(Interrupted):
+                main(["run", exp])
+        states = [read_run(_run_workdir(exp_dir, cfg)) for cfg in configs]
+        assert [(st.status, st.ckpt.epoch) for st in states] == [
+            ("incomplete", 1), ("incomplete", 1), ("incomplete", 0), ("incomplete", 0)
+        ]
+        assert main(["resume", exp]) == 0
+        assert "resumed 4 run(s)" in capsys.readouterr().out
+        for i, cfg in enumerate(configs):
+            alone = project / "alone" / str(i)
+            train_run(cfg, alone)
+            assert run_dir_files(_run_workdir(exp_dir, cfg)) == run_dir_files(alone)
 
     def test_resumes_the_others_past_a_corrupt_run(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
@@ -416,7 +455,8 @@ class TestResumeCommand:
 
 
 def _cell_sizes(table: Path) -> list[str]:
-    return sorted(row["n"] for row in csv.DictReader(table.open()))
+    with table.open() as f:
+        return sorted(row["n"] for row in csv.DictReader(f))
 
 
 class TestHpoCommand:
@@ -565,6 +605,21 @@ def test_hpo_over_a_path_the_run_never_reads_exit_2_before_anything_is_written(
     assert main(["hpo", exp]) == 2
     assert f"`{path}` never reaches the trained run" in capsys.readouterr().err
     assert not (project / "output").exists() and not (project / "elsewhere").exists()
+
+
+NAME_PATHS = {  # a name picks the task or optimizer, and so the keys its config may hold
+    "optimizer.name": ["adamw_baseline", "sgd_baseline"],
+    "task.name": ["quadratic", "rosenbrock"],
+}
+
+
+@pytest.mark.parametrize("path, names", NAME_PATHS.items(), ids=NAME_PATHS)
+def test_hpo_over_a_name_exit_2_before_anything_is_written(project, capsys, path, names):
+    exp = write(project / "bad.yaml", yaml.safe_dump(
+        {"experiment": SMALL_RUN, "space": {path: {"categorical": names}}, "n_trials": 4}))
+    assert main(["hpo", exp]) == 2
+    assert f"space path `{path}` cannot be searched" in capsys.readouterr().err
+    assert not (project / "output").exists()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -31,7 +31,9 @@ from optbench.engine import (
     restore_optimizer_state,
     resume_run,
     save_checkpoint,
+    steps_per_epoch,
     train_run,
+    train_runs,
 )
 from optbench.errors import (
     BadParameterError,
@@ -50,18 +52,13 @@ from conftest import (
     fail_write,
     group_buffers,
     intercept_writes,
+    QUAD_ADAMW,
     quad_config,
     resolve,
+    run_dir_files,
     stop_after_epoch,
+    strip_wall,
 )
-
-
-def strip_wall(obj):
-    if isinstance(obj, dict):
-        return {k: strip_wall(v) for k, v in obj.items() if "wall_time" not in k}
-    if isinstance(obj, list):
-        return [strip_wall(v) for v in obj]
-    return obj
 
 
 class TestDeriveSeeds:
@@ -220,6 +217,7 @@ def write_v2_checkpoint(path: Path) -> None:
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_final_state.json").read_text())
+GOLDEN_HISTORY = json.loads((Path(__file__).parent / "golden_history.json").read_text())
 
 
 def _sha256(a) -> str:
@@ -259,6 +257,23 @@ class TestGoldenFinalState:
             },
         }
         assert got == GOLDEN[key]
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_HISTORY))
+    def test_history_and_test_metrics_match_golden(self, workdir, key):
+        """SHA-256 of every epoch's ``lr_last``, ``train_loss`` and ``val_metric``
+        and of ``test_best``/``test_last``, as exact hex floats. The hashes come
+        from the trainer that stepped one run at a time on flat vectors."""
+        task_name, opt_name = key.split("/")
+        cfg = resolve(
+            f"task: {{name: {task_name}, max_epochs: 2}}\noptimizer: {{name: {opt_name}}}"
+        )[0]
+        result = train_run(cfg, workdir)
+        rows = [
+            [e["epoch"], e["lr_last"].hex(), e["train_loss"].hex(), e["val_metric"].hex()]
+            for e in result.history
+        ]
+        rows.append([result.test_best.hex(), result.test_last.hex()])
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_HISTORY[key]
 
 
 class TestTrainRun:
@@ -729,20 +744,6 @@ class TestBestLastProtocol:
         assert last.best_params.tobytes() != last.params.tobytes()
 
 
-def _run_files(workdir):
-    """Every file of a finished run, wall-clock fields dropped."""
-    assert [p.name for p in (workdir / "checkpoints").iterdir()] == ["last.ckpt"]
-    return {
-        "result": strip_wall(json.loads((workdir / "result.json").read_text())),
-        "metrics": [
-            strip_wall(json.loads(line))
-            for line in (workdir / "metrics.jsonl").read_text().splitlines()
-        ],
-        "config": (workdir / "config.resolved.yaml").read_text(),
-        "last.ckpt": (workdir / "checkpoints" / "last.ckpt").read_bytes(),
-    }
-
-
 def _count_file_ops(monkeypatch) -> Counter:
     """Count the renames and file creations made while patched."""
     ops = Counter()
@@ -804,7 +805,7 @@ class TestCrashRecovery:
         register_task("valley", ValleyTask)
         cfg = copy.deepcopy(VALLEY_CONFIG)  # 10 epochs, epochs 1-3 improve
         writes = _record_writes(monkeypatch, train_run, cfg, tmp_path / "full")
-        expected = _run_files(tmp_path / "full")
+        expected = run_dir_files(tmp_path / "full")
         # epoch 0 is saved atomically, epochs 1-10 go to next.ckpt and last.ckpt in turn
         assert writes == (
             ["config.resolved.yaml", "last.ckpt"]
@@ -821,13 +822,13 @@ class TestCrashRecovery:
             # optbench resume needs last.ckpt; before it exists, optbench run restarts
             finish = resume_run if (wd / "checkpoints" / "last.ckpt").exists() else train_run
             assert finish(cfg, wd).status == "completed"
-            assert _run_files(wd) == expected, (i, name, nth, torn)
+            assert run_dir_files(wd) == expected, (i, name, nth, torn)
 
     def test_kill_at_every_write_of_a_resume_from_next_ckpt(self, tmp_path, monkeypatch):
         register_task("valley", ValleyTask)
         cfg = copy.deepcopy(VALLEY_CONFIG)
         train_run(cfg, tmp_path / "full")
-        expected = _run_files(tmp_path / "full")
+        expected = run_dir_files(tmp_path / "full")
         with monkeypatch.context() as mp:
             stop_after_epoch(mp, 3)
             with pytest.raises(Interrupted):
@@ -836,7 +837,7 @@ class TestCrashRecovery:
         assert (state.status, state.ckpt.epoch, state.slot.name) == ("incomplete", 3, "next.ckpt")
         shutil.copytree(tmp_path / "base", tmp_path / "resumed")
         writes = _record_writes(monkeypatch, resume_run, cfg, tmp_path / "resumed")
-        assert _run_files(tmp_path / "resumed") == expected
+        assert run_dir_files(tmp_path / "resumed") == expected
         # epoch 4's metrics line is dropped; epochs 4-10 end in next.ckpt
         assert writes == (
             ["config.resolved.yaml", SLOT_MOVE, "metrics.jsonl"]
@@ -852,7 +853,7 @@ class TestCrashRecovery:
                 with pytest.raises(Interrupted):
                     resume_run(cfg, wd)
             assert resume_run(cfg, wd).status == "completed"
-            assert _run_files(wd) == expected, (i, name, nth, torn)
+            assert run_dir_files(wd) == expected, (i, name, nth, torn)
 
     def test_kill_at_every_write_of_an_extension(self, tmp_path, monkeypatch):
         writes = self._kill_at_every_write_of_an_extension(tmp_path, monkeypatch, 4)
@@ -880,8 +881,8 @@ class TestCrashRecovery:
         train_run(cfg, tmp_path / "base")
         shutil.copytree(tmp_path / "base", tmp_path / "full")
         writes = _record_writes(monkeypatch, extend_budget, cfg, tmp_path / "full", 10)
-        expected = _run_files(tmp_path / "full")
-        assert expected["result"]["budgets"] == [base_epochs, 10]
+        expected = run_dir_files(tmp_path / "full")
+        assert expected["result.json"]["budgets"] == [base_epochs, 10]
 
         extended = copy.deepcopy(cfg)
         extended["task"]["max_epochs"] = 10
@@ -901,12 +902,12 @@ class TestCrashRecovery:
                 resumed = tmp_path / f"resumed{i}{'torn' * torn}"
                 shutil.copytree(wd, resumed)
                 assert resume_run(extended, resumed).budgets == [base_epochs, 10]
-                assert _run_files(resumed) == expected, (i, name, nth, torn)
+                assert run_dir_files(resumed) == expected, (i, name, nth, torn)
             else:  # no extended epoch is checkpointed: only extend_budget knows the budget
                 with pytest.raises(RunIdMismatchError):
                     resume_run(extended, wd)
             assert extend_budget(cfg, wd, 10).budgets == [base_epochs, 10]
-            assert _run_files(wd) == expected, (i, name, nth, torn)
+            assert run_dir_files(wd) == expected, (i, name, nth, torn)
             assert load_checkpoint(wd / "checkpoints" / "last.ckpt").budgets == [base_epochs, 10]
         assert seen == {True, False}
         return writes
@@ -922,7 +923,7 @@ class TestCrashRecovery:
         with open(tmp_path / "torn" / "metrics.jsonl", "a", encoding="utf-8") as f:
             f.write('{"epoch": 5, "lr_l')  # a kill inside the next append
         assert resume_run(cfg, tmp_path / "torn").status == "completed"
-        assert _run_files(tmp_path / "torn") == _run_files(tmp_path / "full")
+        assert run_dir_files(tmp_path / "torn") == run_dir_files(tmp_path / "full")
         # an unparseable line before the last is corruption, not a torn append
         metrics = tmp_path / "corrupt" / "metrics.jsonl"
         lines = metrics.read_text().splitlines(keepends=True)
@@ -1051,7 +1052,7 @@ class TestBatchOrderCache:
                         train_run(cfg, tmp_path / "resumed")
             else:
                 resume_run(cfg, tmp_path / "resumed")
-        assert _run_files(tmp_path / "resumed") == _run_files(tmp_path / "fresh")
+        assert run_dir_files(tmp_path / "resumed") == run_dir_files(tmp_path / "fresh")
         extend_budget(cfg, tmp_path / "resumed", 2 * PERM_BLOCK + 1)
         # the killed run read epoch 3's order before its checkpoint write was killed
         expected = [*range(1, 7), 1, 2, 3, *range(3, 2 * PERM_BLOCK + 2)]
@@ -1074,7 +1075,7 @@ class TestBatchOrderCache:
             with monkeypatch.context() as mp:
                 mp.setattr(engine, "_ORDERS", engine._OrderCache())
                 train_run(cfg, tmp_path / f"serial{i}")
-            serial[i] = _run_files(tmp_path / f"serial{i}")
+            serial[i] = run_dir_files(tmp_path / f"serial{i}")
         calls = _record_draws(monkeypatch)
         real = engine.permutations
 
@@ -1101,7 +1102,7 @@ class TestBatchOrderCache:
             assert not t.is_alive()
         assert errors == []
         for i in serial:
-            assert _run_files(tmp_path / f"thread{i}") == serial[i]
+            assert run_dir_files(tmp_path / f"thread{i}") == serial[i]
         drawn = sorted(seed for call in calls for seed in call)
         assert drawn == sorted(derive_child(derive_seeds(3)["shuffle"], e) for e in range(1, 21))
         assert order_cache.nbytes == _cache_bytes(order_cache) == 20 * 8 * 128
@@ -1157,6 +1158,210 @@ class TestBatchOrderCache:
         ]
         assert list(order_cache.rows) == [(shuffle, 128)]
         assert sorted(order_cache.rows[shuffle, 128]) == list(range(1, epochs + 1))
+
+
+LOCKSTEP_AXES = {  # per optimizer: axes that vary hyperparameters inside one group
+    "sgd_baseline": "learning_rate: [0.001, 0.0003]\n  weight_decay: [0.0, 0.01]",
+    "adamw_baseline": "learning_rate: [0.01, 0.003]\n  weight_decay: [0.0, 0.1]",
+    "adamcpr": "learning_rate: [0.01, 0.003]\n  kappa_init_param: [0.0, 1.0, 3.0]",
+    "adafactor": "learning_rate: [0.01, 0.003]\n  weight_decay: [0.0, 0.1]",
+}
+
+
+def _lockstep_jobs(tmp_path, text, where):
+    configs = resolve(text)
+    return [(cfg, tmp_path / where / str(i)) for i, cfg in enumerate(configs)]
+
+
+def _alone(jobs, tmp_path):
+    """The run dirs of ``jobs`` trained one at a time, as run dir snapshots."""
+    alone = []
+    for i, (cfg, _) in enumerate(jobs):
+        train_run(cfg, tmp_path / "alone" / str(i))
+        alone.append(run_dir_files(tmp_path / "alone" / str(i)))
+    return alone
+
+
+def _count_steps(monkeypatch) -> Counter:
+    """Calls of ``forward_backward`` and ``optimizer_step`` made by the engine."""
+    from optbench import engine
+
+    calls = Counter()
+    for name in ("forward_backward", "optimizer_step"):
+        def counted(*args, _name=name, _real=getattr(engine, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+class CliffTask(TaskInstance):
+    """One parameter on a bowl with two cliffs: past +10 the loss is
+    infinite, past -10 the loss stays finite but the gradient is infinite."""
+
+    name = "cliff"
+    metric = MetricSpec("loss", "minimize")
+
+    def _generate_splits(self, rng):
+        return self._dummy_splits()
+
+    def _build_groups(self):
+        return [ParamGroup("theta", 0, 1, (1,), True)]
+
+    def init_params(self, rng):
+        return np.ones(1)
+
+    def loss_grad(self, params, batch):
+        x = params[0]
+        loss = np.inf if x > 10.0 else float(min(x * x, 100.0))
+        return loss, np.array([-np.inf if x < -10.0 else 2.0 * x])
+
+    def metric_value(self, params, split):
+        return float(abs(params[0]))
+
+
+class TestLockstep:
+    """Runs that share their task config, optimizer name and start epoch
+    train as one [S, P] stack and write the run dirs they write alone."""
+
+    @pytest.mark.parametrize("opt_name", sorted(LOCKSTEP_AXES))
+    @pytest.mark.parametrize("task_name", ["quadratic", "rosenbrock", "blobs_logreg", "mlp_synth"])
+    def test_a_group_writes_the_run_dirs_of_runs_alone(
+        self, tmp_path, monkeypatch, task_name, opt_name
+    ):
+        text = (
+            f"task: {{name: {task_name}, max_epochs: 3}}\n"
+            f"optimizer:\n  name: {opt_name}\n  {LOCKSTEP_AXES[opt_name]}\n"
+            "engine: {seed: [0, 1]}"
+        )
+        jobs = _lockstep_jobs(tmp_path, text, "group")
+        alone = _alone(jobs, tmp_path)
+        calls = _count_steps(monkeypatch)
+        results = train_runs(jobs)
+        assert [run_dir_files(wd) for _, wd in jobs] == alone
+        assert all(r.status == "completed" for r in results)
+        steps = 3 * steps_per_epoch(build_task(jobs[0][0]["task"]))  # one stack: not S times more
+        assert calls == {"forward_backward": steps, "optimizer_step": steps}
+
+    def test_diverging_runs_leave_the_stack_with_the_errors_of_runs_alone(
+        self, tmp_path, monkeypatch
+    ):
+        register_task("cliff", CliffTask)
+        jobs = []
+        for i, lr in enumerate([0.1, 1.5, 2.0, 0.2]):
+            cfg = copy.deepcopy(VALLEY_CONFIG)  # 10 epochs of 1 step, sgd without momentum
+            cfg["task"]["name"] = "cliff"
+            cfg["optimizer"]["learning_rate"] = lr
+            jobs.append((cfg, tmp_path / "group" / str(i)))
+        alone = _alone(jobs, tmp_path)
+        calls = _count_steps(monkeypatch)
+        results = train_runs(jobs)
+        assert [run_dir_files(wd) for _, wd in jobs] == alone
+        errors = [r.error for r in results]
+        assert [r.status for r in results] == ["completed", "aborted", "aborted", "completed"]
+        assert "non-finite training loss at step" in errors[1]
+        assert errors[2].endswith("non-finite gradient")
+        assert calls["forward_backward"] == 10  # the survivors keep one stack
+
+    def test_a_plugin_optimizer_steps_each_row(self, tmp_path):
+        from optbench import register_optimizer, register_optimizer_defaults
+        from optbench import config as cfgmod
+        from optbench import optim as optmod
+        from optbench.optim import OptimizerState
+
+        def configure(groups, config):
+            return OptimizerState("signsgd", list(groups), config, buffers={"n": np.zeros(1)})
+
+        def step(params, grads, state, lr_t):  # one run's rows at a time
+            assert params.shape == grads.shape == (state.groups[-1].end,)
+            state.step_count += 1
+            state.buffers["n"] += 1.0
+            params -= lr_t * np.sign(grads)
+
+        register_optimizer("signsgd", configure, step)
+        register_optimizer_defaults(
+            "signsgd", {"learning_rate": 0.05, "lr_warmup": 0.01, "lr_min_factor": 0.01}
+        )
+        try:
+            text = (
+                "task: {name: quadratic, max_epochs: 3}\n"
+                "optimizer: {name: signsgd, learning_rate: [0.05, 0.01]}\n"
+                "engine: {seed: [1, 2]}"
+            )
+            jobs = _lockstep_jobs(tmp_path, text, "group")
+            alone = _alone(jobs, tmp_path)
+            train_runs(jobs)
+            assert [run_dir_files(wd) for _, wd in jobs] == alone
+        finally:
+            optmod.OPTIMIZERS.pop("signsgd", None)
+            cfgmod._EXTRA_DEFAULTS["optimizers"].pop("signsgd", None)
+
+    def test_groups_split_by_task_optimizer_and_start_epoch(self, tmp_path, monkeypatch):
+        text = (
+            "task: {name: blobs_logreg, max_epochs: 3, batch_size: [64, 128]}\n"
+            "optimizer: {name: [adamw_baseline, adamcpr], learning_rate: [0.01, 0.003]}\n"
+            "engine: {seed: 0}"
+        )
+        jobs = _lockstep_jobs(tmp_path, text, "group")
+        with monkeypatch.context() as mp:
+            stop_after_epoch(mp, 1)
+            with pytest.raises(Interrupted):
+                train_run(*jobs[0])  # a run one epoch ahead starts a group of its own
+        from optbench import engine
+
+        sizes = []
+        real = engine._run
+
+        def recording(starts):
+            sizes.append(len(starts))
+            return real(starts)
+
+        monkeypatch.setattr(engine, "_run", recording)
+        train_runs(jobs)
+        assert sizes == [1, 1, 2, 2, 2]
+        monkeypatch.undo()
+        assert [run_dir_files(wd) for _, wd in jobs] == _alone(jobs, tmp_path)
+
+    def test_one_workdir_given_twice_is_refused_before_anything_is_written(self, tmp_path):
+        configs = resolve(QUAD_ADAMW.format(epochs=2, seed=[1, 2]))
+        with pytest.raises(BadParameterError, match="one workdir twice"):
+            train_runs([(cfg, tmp_path / "run") for cfg in configs])
+        assert not (tmp_path / "run").exists()
+
+    def test_a_group_spanning_three_seeds_draws_three_orders_an_epoch(
+        self, tmp_path, monkeypatch, order_cache
+    ):
+        calls = _record_draws(monkeypatch)
+        text = (
+            "task: {name: mlp_synth, max_epochs: 2, train_size: 64}\n"
+            "optimizer: {name: adamw_baseline, learning_rate: [0.01, 0.003]}\n"
+            "engine: {seed: [4, 5, 6]}"
+        )
+        train_runs(_lockstep_jobs(tmp_path, text, "group"))
+        shuffles = [derive_seeds(seed)["shuffle"] for seed in (4, 5, 6)]
+        assert calls == [[derive_child(shuffle, e) for e in (1, 2)] for shuffle in shuffles]
+
+    def test_kill_at_every_write_of_a_group_then_rerun_finishes_each_run(
+        self, tmp_path, monkeypatch
+    ):
+        text = (
+            "task: {name: blobs_logreg, max_epochs: 2, train_size: 64, batch_size: 32}\n"
+            "optimizer: {name: adamcpr, learning_rate: [0.01, 0.003]}\n"
+            "engine: {seed: [0, 1]}"
+        )
+        jobs = _lockstep_jobs(tmp_path, text, "full")
+        writes = _record_writes(monkeypatch, train_runs, jobs)
+        expected = [run_dir_files(wd) for _, wd in jobs]
+        assert expected == _alone(jobs, tmp_path)
+        for i, name, nth, torn in _kill_points(writes):
+            killed = [(cfg, tmp_path / f"kill{i}{'torn' * torn}" / wd.name) for cfg, wd in jobs]
+            with monkeypatch.context() as mp:
+                fail_write(mp, name, nth, torn)
+                with pytest.raises(Interrupted):
+                    train_runs(killed)
+            assert all(r.status == "completed" for r in train_runs(killed))
+            assert [run_dir_files(wd) for _, wd in killed] == expected, (i, name, nth, torn)
 
 
 def test_result_bytes_are_those_of_asdict(workdir):

@@ -568,3 +568,49 @@ class TestGuards:
                 adamw_step(params, g, state, 0.02)
             outs.append(params.tobytes())
         assert outs[0] == outs[1]
+
+
+STACK_CONFIGS = {  # per optimizer: runs of one stack whose hyperparameters differ
+    "sgd_baseline": [dict(momentum=0.9, weight_decay=0.0), dict(momentum=0.5, weight_decay=0.1),
+                     dict(momentum=0.0, weight_decay=0.01)],
+    "adamw_baseline": [dict(weight_decay=0.0), dict(weight_decay=0.1, beta2=0.99),
+                       dict(weight_decay=0.5, one_minus_beta1=0.2)],
+    "adamcpr": [dict(kappa_init_param=0.0), dict(kappa_init_param=1.0), dict(kappa_init_param=3.0)],
+    "adafactor": [dict(weight_decay=0.0), dict(weight_decay=0.1), dict(weight_decay=0.0, epsilon=1e-3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_a_stack_steps_each_row_as_its_run_alone(name):
+    """Every row of an OptimizerStack gets the bits its run gets when it steps
+    alone, with other hyperparameters in the other rows, a row whose matrix
+    gradient is zero (Adafactor's row mean 0), and a -0.0 and an inf in a
+    group that does not decay."""
+    from optbench.optim import OptimizerStack
+
+    groups = make_groups([((3, 2), True), ((2,), False), ((4,), True)])
+    rng = np.random.default_rng(5)
+    configs = [OptimizerConfig(name, 0.05 * (i + 1), schedule=make_schedule(warmup_steps=2), **kw)
+               for i, kw in enumerate(STACK_CONFIGS[name])]
+    start = rng.normal(size=(3, 12))
+    start[0, 6:8] = [-0.0, np.inf]
+    if name != "adamcpr":  # row 0 does not decay: its eligible -0.0 and inf must stay
+        start[0, :2] = [-0.0, np.inf]
+    grads = rng.normal(size=(6, 3, 12))
+    grads[:, 1, :6] = 0.0
+    alone = []
+    for i, cfg in enumerate(configs):
+        state, params = configure_optimizer(groups, cfg), start[i].copy()
+        for t, g in enumerate(grads):
+            optimizer_step(params, g[i].copy(), state, 0.01 * (i + 1) / (t + 1))
+        alone.append((params, state))
+    states = [configure_optimizer(groups, cfg) for cfg in configs]
+    stack, params = OptimizerStack(states), start.copy()
+    for t, g in enumerate(grads):
+        optimizer_step(params, g.copy(), stack, [0.01 * (i + 1) / (t + 1) for i in range(3)])
+    for i, (want_params, want) in enumerate(alone):
+        assert params[i].tobytes() == want_params.tobytes()
+        assert states[i].step_count == want.step_count == len(grads)
+        assert {k: b.tobytes() for k, b in states[i].buffers.items()} == {
+            k: b.tobytes() for k, b in want.buffers.items()}
+        assert states[i].cpr == want.cpr
