@@ -1,5 +1,9 @@
 """Desk-scale optimizer benchmark harness.
 
+``train_runs`` (``train_run`` for one run) is the one way into a run dir:
+the same call starts, resumes or finishes a run, and a config with a larger
+``task.max_epochs`` extends the run of its smaller budget.
+
 Typical library usage::
 
     from pathlib import Path
@@ -21,9 +25,7 @@ from .config import (
 from .engine import (
     RunResult,
     derive_seeds,
-    extend_budget,
     load_checkpoint,
-    resume_run,
     save_checkpoint,
     train_run,
     train_runs,
@@ -49,7 +51,6 @@ __all__ = [
     "evaluate",
     "expand_grid",
     "export_table",
-    "extend_budget",
     "forward_backward",
     "hyperband_schedule",
     "load_checkpoint",
@@ -62,7 +63,6 @@ __all__ = [
     "register_task",
     "register_task_defaults",
     "render_heatmap",
-    "resume_run",
     "retrain_best",
     "run_hpo",
     "run_id",

@@ -9,17 +9,21 @@ in its own working directory:
     <workdir>/checkpoints/last.ckpt    the newest epoch (epoch 0 = untrained)
     <workdir>/checkpoints/next.ckpt    only while a run is training
 
-``read_run`` is the only reader of ``result.json`` and the checkpoints.
-Fresh start, resume and budget extension share one lifecycle, ``_run``: it
-builds the task, starts each run from the checkpoint its caller read and
-checked (or a new epoch-0 one), trains up to ``task.max_epochs`` and writes
-``result.json``. It trains the S >= 1 runs that ``train_runs`` groups, those
-that share the task config, the optimizer name and their start epoch, in
-lockstep as one [S, P] stack; a lone run is S = 1. Each run writes the files
-it would write alone, apart from wall-clock fields, which time the group: an
-epoch's ``wall_time_s`` since the group began it, a result's since the
-group's first step. A kill mid-group leaves several incomplete runs, which
-``train_runs`` (``optbench resume``) finishes bit-identically.
+``read_run`` is the only reader of ``result.json`` and the checkpoints, and
+``train_runs`` (``train_run`` for one job) the only way into a run dir.
+Fresh start, resume and budget extension are one call: the config's
+``task.max_epochs`` is the budget, and a larger one than the stored run's
+extends it. They share one lifecycle, ``_run``: it builds the task, starts
+each run from the checkpoint ``train_runs`` read and checked (or a new
+epoch-0 one), trains up to ``task.max_epochs`` and writes ``result.json``.
+It trains the S >= 1 runs that ``train_runs`` groups, those that share the
+task config, the optimizer name and their start epoch, in lockstep as one
+[S, P] stack: the runs of a grid, an HPO rung's cohort, a retrain's seeds;
+a lone run is S = 1. Each run writes the files it would write alone, apart
+from wall-clock fields, which time the group: an epoch's ``wall_time_s``
+since the group began it, a result's since the group's first step. A kill
+mid-group leaves several incomplete runs, which ``train_runs`` (``optbench
+resume``) finishes bit-identically.
 
 A checkpoint is the whole resume state: parameters, optimizer state (one
 array per buffer), the best validation value with its parameters, and the
@@ -31,9 +35,8 @@ holds the newest checkpoint; a finished ``_run`` leaves the final one in
 ``last.ckpt`` and no ``next.ckpt``. Every other file but the metrics append
 is written to a temporary file and renamed into place. So a kill at any
 write, or a torn slot write, leaves a run that resumes from the last
-checkpointed epoch. A kill inside ``extend_budget`` is finished by calling
-it again with the same arguments, or, once ``read_run`` reports the run as
-``extending``, by ``resume_run`` with the extended config.
+checkpointed epoch, and a kill inside an extension is finished by the same
+call with the extended config.
 
 Checkpoints are canonical JSON plus a SHA-256 trailer. Every float array
 and float scalar is stored as base64 of its little-endian float64 bytes, so
@@ -50,7 +53,6 @@ result depends on it.
 from __future__ import annotations
 
 import base64
-import copy
 import hashlib
 import json
 import math
@@ -403,9 +405,20 @@ def lockstep_key(config: dict) -> tuple[str, str]:
 
 
 def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
-    """``train_run`` of each (config, workdir) pair, in the order given. Every
-    run is read and checked before any trains; the runs left to train that
-    share ``lockstep_key`` and their start epoch train as one ``_run``."""
+    """Train each (config, workdir) job to ``config["task"]["max_epochs"]``
+    and return the results in the order given; the one way into a run dir.
+
+    A completed run returns its stored result, whatever its checkpoint
+    holds, and a partial run resumes from its checkpoint. A config that
+    matches the checkpoint's run at its last budget but asks for a larger
+    ``max_epochs`` extends it: the budget joins the checkpoint's budget
+    history, and the schedule re-totalizes over the new horizon from the
+    resume point on. So the extended config also finishes a killed
+    extension. Any other stored run, a smaller budget among them, raises
+    ``RunIdMismatchError``, and a corrupt run dir its ``CheckpointError``.
+    Every job is read and checked before any trains; the runs left to train
+    that share ``lockstep_key`` and their start epoch train as one ``_run``.
+    """
     if len({Path(workdir) for _, workdir in jobs}) != len(jobs):  # two runs would share one dir
         raise BadParameterError("train_runs got one workdir twice")
     results: list[RunResult | None] = [None] * len(jobs)
@@ -421,7 +434,9 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
             raise state.error
         stored = state.ckpt or state.result
         if stored is not None and stored.run_id != rid:
-            raise RunIdMismatchError(f"workdir {workdir} holds run {stored.run_id}, config is {rid}")
+            if not _extends(config, state.ckpt):
+                raise RunIdMismatchError(f"workdir {workdir} holds run {stored.run_id}, config is {rid}")
+            state.ckpt.budgets = state.ckpt.budgets + [int(config["task"]["max_epochs"])]
         key = (*lockstep_key(config), 0 if state.ckpt is None else state.ckpt.epoch)
         groups.setdefault(key, []).append((i, (config, workdir, state.ckpt, state.slot)))
     for members in groups.values():
@@ -431,54 +446,17 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
     return results
 
 
+def _extends(config: dict, ckpt: Checkpoint | None) -> bool:
+    """Whether ``config`` is the run of ``ckpt`` at its last budget with a larger one."""
+    if ckpt is None or config["task"]["max_epochs"] <= ckpt.budgets[-1]:
+        return False
+    at_budget = {**config, "task": {**config["task"], "max_epochs": ckpt.budgets[-1]}}
+    return run_id(at_budget) == ckpt.run_id
+
+
 def train_run(config: dict, workdir: str | Path) -> RunResult:
-    """Execute one resolved run to completion (idempotent, resumable).
-
-    A completed run returns its stored result without retraining, whatever
-    its checkpoint holds. A partial run continues from its checkpoint, which
-    must belong to ``config``; a corrupt run dir raises its ``CheckpointError``.
-    """
+    """``train_runs`` of one job: train, resume or extend one run dir."""
     return train_runs([(config, workdir)])[0]
-
-
-def resume_run(config: dict, workdir: str | Path) -> RunResult:
-    """Finish a run that stopped early; completed runs return their result."""
-    if not _paths(Path(workdir))["last"].exists():
-        raise CheckpointError(f"nothing to resume in {workdir}")
-    return train_run(config, workdir)
-
-
-def extend_budget(config: dict, workdir: str | Path, new_max_epochs: int) -> RunResult:
-    """Grow a run's epoch budget; the schedule re-totalizes over the new
-    horizon from the resume point on (past steps are not replayed).
-
-    The checkpoint's budget history gains ``new_max_epochs`` unless that is
-    already its last entry, so calling this again with the same arguments
-    after a kill at any of its writes finishes the extension.
-    """
-    workdir = Path(workdir)
-    state = read_run(workdir)
-    if state.error is not None:
-        raise state.error
-    ckpt = state.ckpt
-    if ckpt is None:
-        raise CheckpointError(f"no extendable run in {workdir}")
-
-    def _with_budget(epochs):
-        out = copy.deepcopy(config)
-        out["task"]["max_epochs"] = epochs
-        return out
-
-    # equal run ids: config matches the stored run in all but max_epochs
-    if run_id(_with_budget(ckpt.budgets[-1])) != ckpt.run_id:
-        raise RunIdMismatchError("config differs from the stored run beyond max_epochs")
-    if ckpt.budgets[-1] != new_max_epochs:
-        if new_max_epochs <= ckpt.epoch:
-            raise BadParameterError(
-                f"new budget {new_max_epochs} must exceed trained epochs {ckpt.epoch}"
-            )
-        ckpt.budgets = ckpt.budgets + [new_max_epochs]
-    return _run([(_with_budget(new_max_epochs), workdir, ckpt, state.slot)])[0]
 
 
 class _Run:
@@ -555,6 +533,7 @@ class _Run:
         result.save(paths["result"])
 
 
+@np.errstate(all="ignore")  # divergence is a result: a non-finite loss or gradient aborts its run
 def _run(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> list[RunResult]:
     """The one run lifecycle, for S >= 1 runs in lockstep: train each
     ``(config, workdir, ckpt, slot)`` from ``ckpt``, read from ``slot`` and

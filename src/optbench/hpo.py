@@ -3,8 +3,10 @@
 Random sampling over declared ranges plus a Hyperband intensifier: each
 bracket starts a batch of fresh configurations at a small epoch budget and
 repeatedly promotes the best fraction to a larger budget. Promotions never
-retrain from scratch; they extend the trial's existing run directory
-through the engine's resume contract.
+retrain from scratch: the promoted trial's config with the larger
+``max_epochs`` extends its existing run directory. Each rung's cohort is
+one ``train_runs`` call, so its trials, which share the task config, the
+optimizer and the start epoch, train in lockstep as one group.
 
 The whole search is a plan of cohorts fixed before anything trains: a
 fraction of the trials ("initial configurations") is evaluated directly
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import check_keys, identity_view, run_id, set_path
-from .engine import extend_budget, train_run
+from .engine import train_runs
 from .errors import BadParameterError, BenchmarkError, ConfigError, SchemaError
 from .evaluation import AggregateCell, aggregate
 from .rng import Xoshiro256StarStar, derive_stream
@@ -203,17 +205,9 @@ def _apply_overlay(base_config: dict, overlay: dict, budget: int) -> dict:
     return cfg
 
 
-def _evaluate_trial(trial: Trial, budget: int, rung: int) -> None:
-    """Train a trial (rung 0) or extend its run to the given budget, and
-    record its objective.
-
-    Only an aborted (diverged) run is a failed trial; any error propagates.
-    """
-    target_cfg = _apply_overlay(trial.config, {}, budget)
-    if rung == 0:
-        result = train_run(target_cfg, trial.workdir)
-    else:
-        result = extend_budget(target_cfg, trial.workdir, budget)
+def _record(trial: Trial, config: dict, result, rung: int) -> None:
+    """Record the engine's result of a trial at ``config``'s budget: only an
+    aborted (diverged) run is a failed trial."""
     if result.status == "completed":
         value = result.history[-1]["val_metric"]  # last epoch, signed so lower is better
         trial.objective = -value if result.metric["direction"] == "maximize" else value
@@ -221,9 +215,9 @@ def _evaluate_trial(trial: Trial, budget: int, rung: int) -> None:
     else:
         trial.objective = math.inf  # worst possible, keeps budget accounting exact
         trial.status = "failed"
-    trial.budget_epochs = budget
+    trial.budget_epochs = config["task"]["max_epochs"]
     trial.rung = rung
-    trial.config = target_cfg
+    trial.config = config
 
 
 @dataclass
@@ -252,9 +246,11 @@ def run_hpo(
 
     The cohorts of ``search_plan`` run one after another. Each rung after
     the first keeps the ``ceil(n/eta)`` best completed trials of the n the
-    rung before it evaluated, and every evaluation appends one line to
-    ``trials.jsonl``. Returns the completed trial with the largest budget
-    and the lowest objective, plus every trial.
+    rung before it evaluated. A rung trains its cohort as one lockstep
+    group and then appends one line per trial to ``trials.jsonl``, in
+    cohort order, so a rung's lines are written together. Returns the
+    completed trial with the largest budget and the lowest objective, plus
+    every trial.
     """
     trained = identity_view(base_config)  # what a trial's run sees of its config
     del trained["task"]["max_epochs"]  # each rung sets it to its budget
@@ -288,10 +284,12 @@ def run_hpo(
                     alive = [t for t in cohort if t.status == "completed"]
                     alive.sort(key=lambda t: (t.objective, t.trial_id))
                     cohort = alive[: math.ceil(len(cohort) / eta)]
-                for trial in cohort:
-                    _evaluate_trial(trial, budget, rung)
+                configs = [_apply_overlay(t.config, {}, budget) for t in cohort]
+                results = train_runs([(cfg, t.workdir) for cfg, t in zip(configs, cohort)])
+                for trial, cfg, result in zip(cohort, configs, results):
+                    _record(trial, cfg, result, rung)
                     log.write(json.dumps(trial.log_entry(), sort_keys=True) + "\n")
-                    log.flush()  # a killed search keeps every finished evaluation
+                log.flush()  # a killed search keeps every finished rung
 
     finished = [t for t in trials if t.status == "completed"]
     if not finished:
@@ -311,16 +309,16 @@ def _distinct_seeds(seeds: list) -> list[int]:
 def retrain_best(
     best_config: dict, seeds: list[int], workdir: str | Path
 ) -> list[AggregateCell]:
-    """Train the winning configuration once per seed and aggregate."""
+    """Train the winning configuration once per seed, as one lockstep
+    group, and aggregate."""
     workdir = Path(workdir)
-    results = []
+    configs = []
     for s in _distinct_seeds(seeds):
         cfg = copy.deepcopy(best_config)
         cfg["engine"]["seed"] = s
-        rid = run_id(cfg)
-        result = train_run(cfg, workdir / "retrain" / rid)
-        results.append((cfg, result))
-    return aggregate(results)
+        configs.append(cfg)
+    results = train_runs([(cfg, workdir / "retrain" / run_id(cfg)) for cfg in configs])
+    return aggregate(list(zip(configs, results)))
 
 
 _HPO_NUMBERS = {  # key: (default, accepted types, what a value must be)

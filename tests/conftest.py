@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 from pathlib import Path
@@ -64,6 +65,13 @@ def run_dir_files(workdir) -> dict:
         else:
             files[name] = path.read_bytes()
     return files
+
+
+def with_epochs(config: dict, epochs: int) -> dict:
+    """A copy of ``config`` with the budget ``task.max_epochs = epochs``."""
+    out = copy.deepcopy(config)
+    out["task"]["max_epochs"] = epochs
+    return out
 
 
 def quad_config(epochs: int = 5, seed: int = 42) -> dict:

@@ -8,7 +8,7 @@ import yaml
 from optbench.cli import main
 from optbench.hpo import load_hpo_file, parse_space
 
-from conftest import Interrupted, fail_write, run_dir_files, stop_after_epoch
+from conftest import Interrupted, fail_write, run_dir_files, stop_after_epoch, with_epochs
 
 TINY_EXPERIMENT = """
 task:
@@ -129,10 +129,7 @@ class TestRun:
             "task: {name: rosenbrock, max_epochs: 4}\n"
             "optimizer: {name: sgd_baseline, learning_rate: 100.0}",
         )
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            assert main(["run", exp]) == 1
+        assert main(["run", exp]) == 1
 
 
 class TestSlurmScript:
@@ -244,7 +241,7 @@ evaluation:
 
     def test_list_shows_incomplete(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
-        from optbench.engine import extend_budget, train_run
+        from optbench.engine import train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         name, configs = _expand_file(exp)
@@ -258,7 +255,7 @@ evaluation:
         with monkeypatch.context() as mp:
             fail_write(mp, "result.json", 1)
             with pytest.raises(Interrupted):
-                extend_budget(configs[1], _run_workdir(exp_dir, configs[1]), 6)
+                train_run(with_epochs(configs[1], 6), _run_workdir(exp_dir, configs[1]))
         capsys.readouterr()
         assert main(["list", str(project / "output")]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -423,7 +420,7 @@ class TestResumeCommand:
 
     def test_resume_run_and_plot_pass_a_killed_extension(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
-        from optbench.engine import extend_budget, read_run, train_run
+        from optbench.engine import read_run, train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         name, configs = _expand_file(exp)
@@ -433,7 +430,7 @@ class TestResumeCommand:
         with monkeypatch.context() as mp:
             fail_write(mp, "result.json", 1)
             with pytest.raises(Interrupted):
-                extend_budget(configs[0], extending, 6)
+                train_run(with_epochs(configs[0], 6), extending)
         assert read_run(extending).status == "extending"
         for cfg in configs[1:]:
             with monkeypatch.context() as mp:
@@ -451,7 +448,7 @@ class TestResumeCommand:
         assert main(["plot", exp]) == 0
         assert _cell_sizes(exp_dir / "aggregated.csv") == ["1", "2"]
         assert read_run(extending).status == "extending"
-        assert extend_budget(configs[0], extending, 6).budgets == [3, 6]
+        assert train_run(with_epochs(configs[0], 6), extending).budgets == [3, 6]
 
 
 def _cell_sizes(table: Path) -> list[str]:

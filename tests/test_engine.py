@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optbench import build_task
+from optbench import build_task, run_id
 from optbench.engine import (
     PERM_BLOCK,
     Checkpoint,
@@ -25,11 +25,9 @@ from optbench.engine import (
     _epoch_orders,
     derive_seeds,
     encode_checkpoint,
-    extend_budget,
     load_checkpoint,
     read_run,
     restore_optimizer_state,
-    resume_run,
     save_checkpoint,
     steps_per_epoch,
     train_run,
@@ -58,6 +56,7 @@ from conftest import (
     run_dir_files,
     stop_after_epoch,
     strip_wall,
+    with_epochs,
 )
 
 
@@ -364,8 +363,7 @@ class TestTrainRun:
             "task: {name: rosenbrock, max_epochs: 6}\n"
             "optimizer: {name: sgd_baseline, learning_rate: 100.0, momentum: 0.9}"
         )[0]
-        with np.errstate(all="ignore"):
-            result = train_run(cfg, workdir)
+        result = train_run(cfg, workdir)
         assert result.status == "aborted"
         assert result.error
         assert len(result.history) < 6
@@ -385,7 +383,7 @@ class TestResume:
             train_run(cfg, tmp_path / "part")
         assert read_run(tmp_path / "part").ckpt.epoch == interrupt
         assert not (tmp_path / "part" / "result.json").exists()
-        resumed = resume_run(cfg, tmp_path / "part")
+        resumed = train_run(cfg, tmp_path / "part")
         assert resumed.status == "completed"
         ck_full = load_checkpoint(tmp_path / "full" / "checkpoints" / "last.ckpt")
         ck_part = load_checkpoint(tmp_path / "part" / "checkpoints" / "last.ckpt")
@@ -403,19 +401,15 @@ class TestResume:
         changed = copy.deepcopy(cfg)
         changed["optimizer"]["learning_rate"] = 0.123
         with pytest.raises(RunIdMismatchError):
-            resume_run(changed, workdir)
+            train_run(changed, workdir)
 
     def test_resume_completed_returns_stored(self, workdir):
         cfg = quad_config(epochs=3)
         train_run(cfg, workdir)
         stamp = (workdir / "checkpoints" / "last.ckpt").stat().st_mtime_ns
-        result = resume_run(cfg, workdir)
+        result = train_run(cfg, workdir)
         assert result.status == "completed"
         assert (workdir / "checkpoints" / "last.ckpt").stat().st_mtime_ns == stamp
-
-    def test_resume_without_checkpoint(self, workdir):
-        with pytest.raises(CheckpointError):
-            resume_run(quad_config(), workdir)
 
 
 class TestReadRun:
@@ -448,8 +442,7 @@ class TestReadRun:
             "task: {name: rosenbrock, max_epochs: 6}\n"
             "optimizer: {name: sgd_baseline, learning_rate: 100.0, momentum: 0.9}"
         )[0]
-        with np.errstate(all="ignore"):
-            train_run(cfg, workdir)
+        train_run(cfg, workdir)
         state = read_run(workdir)
         assert state.status == "aborted"
         assert state.ckpt.run_id == state.result.run_id
@@ -460,7 +453,7 @@ class TestReadRun:
         with monkeypatch.context() as mp:
             fail_write(mp, "result.json", 1)
             with pytest.raises(Interrupted):
-                extend_budget(cfg, workdir, 4)
+                train_run(with_epochs(cfg, 4), workdir)
         state = read_run(workdir)
         assert state.status == "extending"
         assert (state.result.budgets, state.ckpt.budgets, state.ckpt.epoch) == ([2], [2, 4], 4)
@@ -493,7 +486,7 @@ class TestReadRun:
         last.write_bytes(last.read_bytes()[:-20])
         state = read_run(wd)
         assert (state.status, state.ckpt.epoch, state.slot.name) == ("incomplete", 3, "next.ckpt")
-        resume_run(cfg, wd)  # moves next.ckpt over the damaged last.ckpt
+        train_run(cfg, wd)  # moves next.ckpt over the damaged last.ckpt
         assert last.read_bytes() == (tmp_path / "full" / "checkpoints" / "last.ckpt").read_bytes()
 
     def test_both_slots_unreadable_is_corrupt(self, tmp_path, monkeypatch):
@@ -515,7 +508,7 @@ class TestReadRun:
             assert (state.status, state.result, state.ckpt) == ("corrupt", None, None)
             assert type(state.error) is error and str(path) in str(state.error)
             with pytest.raises(error, match=re.escape(str(path))):
-                resume_run(cfg, wd)
+                train_run(cfg, wd)
 
     def test_truncated_result_is_corrupt(self, workdir):
         cfg = quad_config(epochs=3)
@@ -525,9 +518,9 @@ class TestReadRun:
         state = read_run(workdir)
         assert (state.status, state.result, state.ckpt) == ("corrupt", None, None)
         assert str(path) in str(state.error) and "JSONDecodeError" in str(state.error)
-        for call in (lambda: train_run(cfg, workdir), lambda: extend_budget(cfg, workdir, 5)):
+        for budget in (3, 5):
             with pytest.raises(CheckpointError, match=re.escape(str(path))):
-                call()
+                train_run(with_epochs(cfg, budget), workdir)
 
     def test_corrupt_checkpoint(self, workdir):
         self._check_unreadable_checkpoint(
@@ -549,14 +542,16 @@ class TestReadRun:
         # the stored result still answers a rerun; the checkpoint cannot be extended
         assert train_run(cfg, workdir) == stored
         with pytest.raises(error, match=re.escape(str(path))):
-            extend_budget(cfg, workdir, 5)
+            train_run(with_epochs(cfg, 5), workdir)
 
 
 class TestExtendBudget:
+    """A budget extension is ``train_run`` of the config with a larger ``max_epochs``."""
+
     def test_extension_grows_history(self, workdir):
         cfg = quad_config(epochs=3)
         train_run(cfg, workdir)
-        result = extend_budget(cfg, workdir, 9)
+        result = train_run(with_epochs(cfg, 9), workdir)
         assert result.status == "completed"
         assert len(result.history) == 9
         assert result.budgets == [3, 9]
@@ -566,22 +561,39 @@ class TestExtendBudget:
     def test_extension_prefix_preserved(self, workdir):
         cfg = quad_config(epochs=3)
         first = train_run(cfg, workdir)
-        extended = extend_budget(cfg, workdir, 6)
+        extended = train_run(with_epochs(cfg, 6), workdir)
         assert strip_wall(extended.history[:3]) == strip_wall(first.history)
 
     def test_shrink_rejected(self, workdir):
         cfg = quad_config(epochs=5)
-        train_run(cfg, workdir)
-        with pytest.raises(BadParameterError):
-            extend_budget(cfg, workdir, 4)
+        stored = train_run(cfg, workdir)
+        before = run_dir_files(workdir)
+        with pytest.raises(RunIdMismatchError, match=stored.run_id):
+            train_run(with_epochs(cfg, 4), workdir)
+        assert run_dir_files(workdir) == before
+
+    def test_shrinking_a_killed_run_is_rejected_and_writes_nothing(self, workdir, monkeypatch):
+        cfg = quad_config(epochs=6)
+        with monkeypatch.context() as mp:
+            stop_after_epoch(mp, 2)
+            with pytest.raises(Interrupted):
+                train_run(cfg, workdir)
+        before = run_dir_files(workdir)
+        for budget in (1, 2, 4):  # at, below and above the trained epochs
+            smaller = with_epochs(cfg, budget)
+            with pytest.raises(RunIdMismatchError) as error:
+                train_run(smaller, workdir)
+            assert run_id(cfg) in str(error.value) and run_id(smaller) in str(error.value)
+            assert run_dir_files(workdir) == before
+        assert train_run(cfg, workdir).budgets == [6]
 
     def test_other_changes_rejected(self, workdir):
         cfg = quad_config(epochs=3)
         train_run(cfg, workdir)
-        changed = copy.deepcopy(cfg)
+        changed = with_epochs(cfg, 9)
         changed["optimizer"]["learning_rate"] = 0.5
         with pytest.raises(RunIdMismatchError):
-            extend_budget(changed, workdir, 9)
+            train_run(changed, workdir)
 
     def test_each_lifecycle_writes_config_once_and_reads_last_at_most_once(
         self, workdir, monkeypatch
@@ -601,14 +613,14 @@ class TestExtendBudget:
         train_run(cfg, workdir)  # best params stay in memory: no load
         assert calls == ["dump_config"]
         calls.clear()
-        result = extend_budget(cfg, workdir, 6)
+        train_run(with_epochs(cfg, 6), workdir)
         assert sorted(calls) == ["dump_config", "load_checkpoint"]
 
     def test_double_extension_accumulates_budgets(self, workdir):
         cfg = quad_config(epochs=2)
         train_run(cfg, workdir)
-        extend_budget(cfg, workdir, 4)
-        result = extend_budget(cfg, workdir, 8)
+        train_run(with_epochs(cfg, 4), workdir)
+        result = train_run(with_epochs(cfg, 8), workdir)
         assert result.budgets == [2, 4, 8]
         assert len(result.history) == 8
         assert load_checkpoint(workdir / "checkpoints" / "last.ckpt").budgets == [2, 4, 8]
@@ -616,9 +628,9 @@ class TestExtendBudget:
     def test_same_budget_again_finishes_without_training(self, workdir):
         cfg = quad_config(epochs=2)
         train_run(cfg, workdir)
-        first = extend_budget(cfg, workdir, 4)
+        first = train_run(with_epochs(cfg, 4), workdir)
         ckpt_bytes = (workdir / "checkpoints" / "last.ckpt").read_bytes()
-        again = extend_budget(cfg, workdir, 4)
+        again = train_run(with_epochs(cfg, 4), workdir)
         assert strip_wall(asdict(again)) == strip_wall(asdict(first))
         assert again.budgets == [2, 4]
         assert (workdir / "checkpoints" / "last.ckpt").read_bytes() == ckpt_bytes
@@ -819,9 +831,7 @@ class TestCrashRecovery:
                 fail_write(mp, name, nth, torn)
                 with pytest.raises(Interrupted):
                     train_run(cfg, wd)
-            # optbench resume needs last.ckpt; before it exists, optbench run restarts
-            finish = resume_run if (wd / "checkpoints" / "last.ckpt").exists() else train_run
-            assert finish(cfg, wd).status == "completed"
+            assert train_run(cfg, wd).status == "completed"
             assert run_dir_files(wd) == expected, (i, name, nth, torn)
 
     def test_kill_at_every_write_of_a_resume_from_next_ckpt(self, tmp_path, monkeypatch):
@@ -836,7 +846,7 @@ class TestCrashRecovery:
         state = read_run(tmp_path / "base")
         assert (state.status, state.ckpt.epoch, state.slot.name) == ("incomplete", 3, "next.ckpt")
         shutil.copytree(tmp_path / "base", tmp_path / "resumed")
-        writes = _record_writes(monkeypatch, resume_run, cfg, tmp_path / "resumed")
+        writes = _record_writes(monkeypatch, train_run, cfg, tmp_path / "resumed")
         assert run_dir_files(tmp_path / "resumed") == expected
         # epoch 4's metrics line is dropped; epochs 4-10 end in next.ckpt
         assert writes == (
@@ -851,8 +861,8 @@ class TestCrashRecovery:
             with monkeypatch.context() as mp:
                 fail_write(mp, name, nth, torn)
                 with pytest.raises(Interrupted):
-                    resume_run(cfg, wd)
-            assert resume_run(cfg, wd).status == "completed"
+                    train_run(cfg, wd)
+            assert train_run(cfg, wd).status == "completed"
             assert run_dir_files(wd) == expected, (i, name, nth, torn)
 
     def test_kill_at_every_write_of_an_extension(self, tmp_path, monkeypatch):
@@ -880,12 +890,11 @@ class TestCrashRecovery:
         cfg["task"]["max_epochs"] = base_epochs
         train_run(cfg, tmp_path / "base")
         shutil.copytree(tmp_path / "base", tmp_path / "full")
-        writes = _record_writes(monkeypatch, extend_budget, cfg, tmp_path / "full", 10)
+        extended = with_epochs(cfg, 10)
+        writes = _record_writes(monkeypatch, train_run, extended, tmp_path / "full")
         expected = run_dir_files(tmp_path / "full")
         assert expected["result.json"]["budgets"] == [base_epochs, 10]
 
-        extended = copy.deepcopy(cfg)
-        extended["task"]["max_epochs"] = 10
         seen = set()
         for i, name, nth, torn in _kill_points(writes):
             wd = tmp_path / f"kill{i}{'torn' * torn}"
@@ -893,20 +902,13 @@ class TestCrashRecovery:
             with monkeypatch.context() as mp:
                 fail_write(mp, name, nth, torn)
                 with pytest.raises(Interrupted):
-                    extend_budget(cfg, wd, 10)
+                    train_run(extended, wd)
             ckpt_rid = _newest_slot(wd).run_id
             extending = ckpt_rid != json.loads((wd / "result.json").read_text())["run_id"]
             seen.add(extending)
             assert (read_run(wd).status == "extending") == extending, (i, name, nth, torn)
-            if extending:  # the extended config finishes the run too
-                resumed = tmp_path / f"resumed{i}{'torn' * torn}"
-                shutil.copytree(wd, resumed)
-                assert resume_run(extended, resumed).budgets == [base_epochs, 10]
-                assert run_dir_files(resumed) == expected, (i, name, nth, torn)
-            else:  # no extended epoch is checkpointed: only extend_budget knows the budget
-                with pytest.raises(RunIdMismatchError):
-                    resume_run(extended, wd)
-            assert extend_budget(cfg, wd, 10).budgets == [base_epochs, 10]
+            # the extended config finishes every kill point, extended epoch checkpointed or not
+            assert train_run(extended, wd).budgets == [base_epochs, 10]
             assert run_dir_files(wd) == expected, (i, name, nth, torn)
             assert load_checkpoint(wd / "checkpoints" / "last.ckpt").budgets == [base_epochs, 10]
         assert seen == {True, False}
@@ -922,14 +924,14 @@ class TestCrashRecovery:
                     train_run(cfg, tmp_path / name)
         with open(tmp_path / "torn" / "metrics.jsonl", "a", encoding="utf-8") as f:
             f.write('{"epoch": 5, "lr_l')  # a kill inside the next append
-        assert resume_run(cfg, tmp_path / "torn").status == "completed"
+        assert train_run(cfg, tmp_path / "torn").status == "completed"
         assert run_dir_files(tmp_path / "torn") == run_dir_files(tmp_path / "full")
         # an unparseable line before the last is corruption, not a torn append
         metrics = tmp_path / "corrupt" / "metrics.jsonl"
         lines = metrics.read_text().splitlines(keepends=True)
         metrics.write_text(lines[0] + '{"epoch": 2, "lr_l\n' + "".join(lines[2:]))
         with pytest.raises(json.JSONDecodeError):
-            resume_run(cfg, tmp_path / "corrupt")
+            train_run(cfg, tmp_path / "corrupt")
 
 
 # --- the per-process batch-order cache ---------------------------------------
@@ -1051,9 +1053,9 @@ class TestBatchOrderCache:
                     with pytest.raises(Interrupted):
                         train_run(cfg, tmp_path / "resumed")
             else:
-                resume_run(cfg, tmp_path / "resumed")
+                train_run(cfg, tmp_path / "resumed")
         assert run_dir_files(tmp_path / "resumed") == run_dir_files(tmp_path / "fresh")
-        extend_budget(cfg, tmp_path / "resumed", 2 * PERM_BLOCK + 1)
+        train_run(with_epochs(cfg, 2 * PERM_BLOCK + 1), tmp_path / "resumed")
         # the killed run read epoch 3's order before its checkpoint write was killed
         expected = [*range(1, 7), 1, 2, 3, *range(3, 2 * PERM_BLOCK + 2)]
         assert [epoch for *_, epoch, _ in seen] == expected

@@ -3,9 +3,10 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from optbench import engine
+from optbench.config import run_id
 from optbench.engine import RunResult, train_run
 from optbench.errors import BadParameterError, RunIdMismatchError, SchemaError
 from optbench.hpo import (
@@ -20,7 +21,7 @@ from optbench.hpo import (
     search_plan,
 )
 from optbench.rng import Xoshiro256StarStar
-from conftest import resolve
+from conftest import resolve, run_dir_files, with_epochs
 
 # trials.jsonl of these searches is pinned in tests/golden_hpo_<task>.jsonl
 GOLDEN_SEARCHES = {  # task: (top of the learning-rate range, hpo seed, best (trial, budget))
@@ -315,8 +316,7 @@ class TestRunHpo:
             "optimizer.learning_rate": {"log_uniform": [1.0e-4, lr_max]},
             "optimizer.momentum": {"uniform": [0.0, 0.9]},
         })
-        with np.errstate(all="ignore"):
-            outcome = run_hpo(base, space, 20, 0.1, 9, 3, seed, tmp_path)
+        outcome = run_hpo(base, space, 20, 0.1, 9, 3, seed, tmp_path)
         golden = Path(__file__).parent / f"golden_hpo_{task}.jsonl"
         assert (tmp_path / "trials.jsonl").read_bytes() == golden.read_bytes()
         assert (outcome.best.trial_id, outcome.best.budget_epochs) == best
@@ -328,17 +328,16 @@ class TestRunHpo:
         )[0]
         space = parse_space({"optimizer.learning_rate": {"categorical": [100.0, 0.001]}})
         args = (base, space, 5, 1e-9, 3, 3, 1, tmp_path)
-        with np.errstate(all="ignore"):
-            outcome = run_hpo(*args)
-            assert {t.status for t in outcome.trials} == {"completed", "failed"}
-            assert max(t.rung for t in outcome.trials) == 1
-            for t in outcome.trials:
-                aborted = RunResult.load(t.workdir / "result.json").status == "aborted"
-                assert (t.status == "failed") == aborted == (t.objective == math.inf)
-            # the promoted trial's dir holds a larger budget than rung 0 asks
-            # for, so rerunning into the used dir is an error, not a failed trial
-            with pytest.raises(RunIdMismatchError):
-                run_hpo(*args)
+        outcome = run_hpo(*args)
+        assert {t.status for t in outcome.trials} == {"completed", "failed"}
+        assert max(t.rung for t in outcome.trials) == 1
+        for t in outcome.trials:
+            aborted = RunResult.load(t.workdir / "result.json").status == "aborted"
+            assert (t.status == "failed") == aborted == (t.objective == math.inf)
+        # the promoted trial's dir holds a larger budget than rung 0 asks
+        # for, so rerunning into the used dir is an error, not a failed trial
+        with pytest.raises(RunIdMismatchError):
+            run_hpo(*args)
 
     def test_validation(self, tmp_path):
         # n_trials, init_fraction, R and eta are all checked before trial 0 trains
@@ -348,6 +347,62 @@ class TestRunHpo:
             with pytest.raises(BadParameterError):
                 run_hpo(quad_base(), APP_SPACE, n_trials, init_fraction, R, eta, 0, tmp_path / "hpo")
         assert not (tmp_path / "hpo").exists()
+
+
+def count_groups(monkeypatch) -> list[int]:
+    """The number of runs of each ``engine._run`` call made while patched."""
+    sizes = []
+    real = engine._run
+
+    def counting(starts):
+        sizes.append(len(starts))
+        return real(starts)
+
+    monkeypatch.setattr(engine, "_run", counting)
+    return sizes
+
+
+def mlp_base(epochs=9):
+    return resolve(
+        f"task: {{name: mlp_synth, max_epochs: {epochs}}}\n"
+        "optimizer: {name: adamw_baseline}\nengine: {seed: 1}"
+    )[0]
+
+
+class TestLockstepRungs:
+    def test_each_rung_trains_as_one_group_and_writes_the_dirs_of_trials_alone(
+        self, tmp_path, monkeypatch
+    ):
+        # 1 trial at R, a bracket of 9@1 -> 3@3 -> 1@9, and one cut to 2@3 -> 1@9
+        space = parse_space({"optimizer.learning_rate": {"log_uniform": [1e-3, 1e-1]}})
+        sizes = count_groups(monkeypatch)
+        outcome = run_hpo(mlp_base(), space, 12, 0.1, 9, 3, 4, tmp_path / "hpo")
+        monkeypatch.undo()
+        cohort_of = {
+            tid: c for c, cohort in enumerate(search_plan(12, 0.1, 9, 3)) for tid in cohort.ids
+        }
+        log = [json.loads(x) for x in (tmp_path / "hpo" / "trials.jsonl").read_text().splitlines()]
+        rungs = [(cohort_of[e["trial_id"]], e["rung"]) for e in log]
+        assert sizes == [len(list(group)) for _, group in itertools.groupby(rungs)]
+        assert sizes == [1, 9, 3, 1, 2, 1]
+        for trial in outcome.trials:
+            alone = tmp_path / "alone" / trial.workdir.name
+            for entry in log:
+                if entry["trial_id"] == trial.trial_id:
+                    train_run(with_epochs(trial.config, entry["budget"]), alone)
+            assert run_dir_files(alone) == run_dir_files(trial.workdir), trial.trial_id
+
+    def test_retrain_trains_its_seeds_as_one_group(self, tmp_path, monkeypatch):
+        sizes = count_groups(monkeypatch)
+        cells = retrain_best(mlp_base(epochs=3), [1, 2, 3], tmp_path / "best")
+        monkeypatch.undo()
+        assert sizes == [3] and cells[0].n == 3
+        for seed in (1, 2, 3):
+            cfg = mlp_base(epochs=3)
+            cfg["engine"]["seed"] = seed
+            train_run(cfg, tmp_path / "alone" / run_id(cfg))
+        for alone in (tmp_path / "alone").iterdir():
+            assert run_dir_files(alone) == run_dir_files(tmp_path / "best" / "retrain" / alone.name)
 
 
 class TestRetrainBest:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optbench import tasks as tasks_module
-from optbench.engine import extend_budget, train_run
+from optbench.engine import train_run
 from optbench.errors import BadParameterError, ShapeMismatchError, UnknownNameError
 from optbench.rng import Xoshiro256StarStar
 from optbench.tasks import (
@@ -15,7 +15,7 @@ from optbench.tasks import (
     forward_backward,
     parameter_groups,
 )
-from conftest import resolve
+from conftest import resolve, with_epochs
 
 ALL_TASKS = ["quadratic", "rosenbrock", "blobs_logreg", "mlp_synth"]
 
@@ -199,7 +199,7 @@ class TestSplitMemo:
         assert len(configs) == 3
         for i, cfg in enumerate(configs):
             train_run(cfg, tmp_path / f"run{i}")
-        result = extend_budget(configs[0], tmp_path / "run0", 3)
+        result = train_run(with_epochs(configs[0], 3), tmp_path / "run0")
         assert result.status == "completed" and len(result.history) == 3
         assert calls == [42]
 
