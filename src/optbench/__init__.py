@@ -34,7 +34,7 @@ from .evaluation import AggregateCell, HeatmapSpec, aggregate, export_table, ren
 from .hpo import hyperband_schedule, run_hpo, retrain_best
 from .optim import OptimizerConfig, configure_optimizer, register_optimizer
 from .sched import ScheduleSpec, lr_at
-from .tasks import build_task, evaluate, forward_backward, parameter_groups, register_task
+from .tasks import build_task, evaluate, forward_backward, register_task
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "load_checkpoint",
     "lr_at",
     "merge_defaults",
-    "parameter_groups",
     "parse_experiment",
     "register_optimizer",
     "register_optimizer_defaults",

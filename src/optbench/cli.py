@@ -121,10 +121,8 @@ def cmd_resume(args) -> int:
     name, configs = _expand_file(args.experiment_file)
     exp_dir = _experiment_dir(configs, name)
     states, corrupt = _read_runs([_run_workdir(exp_dir, cfg) for cfg in configs])
-    jobs = [  # an extending run's config is not this one
-        (cfg, workdir)
-        for cfg, (workdir, state) in zip(configs, states)
-        if state.ckpt is not None and not state.finished
+    jobs = [  # a completed, aborted or extending dir holds a result of its own
+        (cfg, workdir) for cfg, (workdir, state) in zip(configs, states) if state.status == "incomplete"
     ]
     results = train_runs(jobs)
     for result in results:
@@ -172,7 +170,8 @@ def cmd_list(args) -> int:
         ckpt = state.ckpt  # every run past its first write has one
         epoch = "-" if ckpt is None else ckpt.epoch
         best = "-" if ckpt is None or ckpt.best_val is None else f"{ckpt.best_val['value']:.6g}"
-        print(f"{run_dir.name:<18}{state.status:<12}{epoch:<7}{best}")
+        error = f"  {state.result.error}" if state.status == "aborted" else ""
+        print(f"{run_dir.name:<18}{state.status:<12}{epoch:<7}{best}{error}")
     return 1 if corrupt else 0
 
 

@@ -11,7 +11,8 @@ in its own working directory:
 
 ``read_run`` is the only reader of ``result.json`` and the checkpoints, and
 ``train_runs`` (``train_run`` for one job) the only way into a run dir.
-Fresh start, resume and budget extension are one call: the config's
+A ``result.json`` of the config's own run, completed or aborted, answers
+that call without training: a diverged run is a result. Fresh start, resume and budget extension are one call: the config's
 ``task.max_epochs`` is the budget, and a larger one than the stored run's
 extends it. They share one lifecycle, ``_run``: it builds the task, starts
 each run from the checkpoint ``train_runs`` read and checked (or a new
@@ -272,10 +273,6 @@ class RunState:
     error: CheckpointError | None = None  # a corrupt dir's; its message names the file
     slot: Path | None = None  # the file ``ckpt`` was read from
 
-    @property
-    def finished(self) -> bool:  # result.json holds a completed result (also when extending)
-        return self.result is not None and self.result.status == "completed"
-
 
 def read_run(workdir: str | Path, cached_id: str | None = None) -> RunState:
     """Read ``result.json`` and the checkpoint slots where they exist.
@@ -285,15 +282,16 @@ def read_run(workdir: str | Path, cached_id: str | None = None) -> RunState:
     skipped, and the dir is ``corrupt`` only when neither loads.
     ``extending``: the checkpoint has another run id than the result, as
     after a budget extension killed once its first extended epoch was
-    checkpointed. A completed result of run ``cached_id`` is returned as
-    ``completed`` without reading a checkpoint: a cache hit needs nothing else."""
+    checkpointed. A result of run ``cached_id``, completed or aborted, is
+    returned with its status without reading a checkpoint: a cache hit needs
+    nothing else."""
     paths = _paths(Path(workdir))
     try:
         result = RunResult.load(paths["result"]) if paths["result"].exists() else None
     except (OSError, ValueError, TypeError) as exc:
         return RunState("corrupt", error=CheckpointError(f"{paths['result']}: {exc!r}"))
-    if result is not None and result.status == "completed" and result.run_id == cached_id:
-        return RunState("completed", result)
+    if result is not None and result.run_id == cached_id:
+        return RunState(result.status, result)
     ckpt = slot = error = None
     for path in (paths["last"], paths["next"]):
         try:
@@ -408,13 +406,14 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
     """Train each (config, workdir) job to ``config["task"]["max_epochs"]``
     and return the results in the order given; the one way into a run dir.
 
-    A completed run returns its stored result, whatever its checkpoint
-    holds, and a partial run resumes from its checkpoint. A config that
-    matches the checkpoint's run at its last budget but asks for a larger
-    ``max_epochs`` extends it: the budget joins the checkpoint's budget
-    history, and the schedule re-totalizes over the new horizon from the
-    resume point on. So the extended config also finishes a killed
-    extension. Any other stored run, a smaller budget among them, raises
+    A completed or aborted run returns its stored result, whatever its
+    checkpoint holds, and a partial run resumes from its checkpoint. A
+    config that matches the checkpoint's run at its last budget but asks
+    for a larger ``max_epochs`` extends it, an aborted run from its last
+    checkpoint: the budget joins the checkpoint's budget history, and the
+    schedule re-totalizes over the new horizon from the resume point on.
+    So the extended config also finishes a killed extension. Any other
+    stored run, a smaller budget among them, raises
     ``RunIdMismatchError``, and a corrupt run dir its ``CheckpointError``.
     Every job is read and checked before any trains; the runs left to train
     that share ``lockstep_key`` and their start epoch train as one ``_run``.
@@ -427,7 +426,7 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
         workdir = Path(workdir)
         rid = run_id(config)
         state = read_run(workdir, cached_id=rid)
-        if state.finished and state.result.run_id == rid:
+        if state.result is not None and state.result.run_id == rid:  # a cache hit
             results[i] = state.result
             continue
         if state.error is not None:

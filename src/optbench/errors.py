@@ -45,10 +45,6 @@ class ShapeMismatchError(BenchmarkError):
     """Parameter/gradient/buffer shapes disagree."""
 
 
-class NonFiniteError(BenchmarkError):
-    """NaN or Inf encountered in losses or gradients; the run aborts."""
-
-
 class CheckpointError(BenchmarkError):
     """Base class for checkpoint load/save failures."""
 

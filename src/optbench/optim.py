@@ -1,15 +1,17 @@
 """Baseline optimizers behind a single plugin surface.
 
 Every optimizer is a pair of functions: ``configure`` builds zeroed state
-for a list of parameter groups, and ``step`` advances flat parameters in
-place given flat gradients and the scheduled learning rate. Adding an
-optimizer means adding one entry to ``OPTIMIZERS`` plus a default file;
-nothing else in the harness changes. Variant names resolve through
-``config.OPTIMIZER_ALIASES``.
+for a list of parameter groups, and ``step`` advances parameters in place
+given gradients and the scheduled learning rates. A built-in step takes an
+``OptimizerStack`` of S >= 1 runs with [S, P] parameters and gradients and
+a list of S learning rates; a lone run is S = 1. A ``register_optimizer``
+plugin's step takes one run's row: its flat vectors, its ``OptimizerState``
+and its learning rate. Adding an optimizer means adding one entry to
+``OPTIMIZERS`` plus a default file; nothing else in the harness changes.
+Variant names resolve through ``config.OPTIMIZER_ALIASES``.
 
-Runs in lockstep step as one ``OptimizerStack`` of [S, P] arrays; each
-run's hyperparameters enter as a column of the Python floats it would use
-alone, so it gets the same bits. A plugin's step sees one run's rows.
+Each run's hyperparameters enter a stack as a column of the Python floats
+it would use alone, so it gets the same bits in any stack.
 
 ``OptimizerState.buffers`` maps a name to one float array. A moment of
 sgd, adamw or adamcpr is one flat vector over all parameters and is updated
@@ -29,7 +31,6 @@ Weight regularization differs by design between the baselines:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -37,12 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import OPTIMIZER_ALIASES, check_keys, default_tree
-from .errors import (
-    BadHyperparameterError,
-    NonFiniteError,
-    ShapeMismatchError,
-    UnknownNameError,
-)
+from .errors import BadHyperparameterError, ShapeMismatchError, UnknownNameError
 from .sched import ScheduleSpec
 from .tasks import ParamGroup
 
@@ -153,29 +149,6 @@ def _column(values: list[float]):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
-def _check(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None:
-    n = state.groups[-1].end
-    if params.shape != (n,) or grads.shape != (n,):
-        raise ShapeMismatchError(
-            f"expected flat vectors of length {n}, got {params.shape} and {grads.shape}"
-        )
-    if not np.isfinite(grads).all():
-        raise NonFiniteError("non-finite gradient")
-
-
-def _one_or_stack(step):
-    """Let a built-in ``step`` of a stack take one run's state and flat vectors, as S = 1."""
-
-    @functools.wraps(step)
-    def one_or_stack(params, grads, state, lr_t) -> None:
-        if isinstance(state, OptimizerStack):
-            return step(params, grads, state, lr_t)
-        _check(params, grads, state)
-        step(params[None], grads[None], OptimizerStack([state]), [lr_t])
-
-    return one_or_stack
-
-
 def _add_decay(out: np.ndarray, params: np.ndarray, coef, stack: "OptimizerStack") -> None:
     """``out += coef * params`` on the decay-eligible groups of the runs whose
     weight decay is not zero. A 0/1 mask would not do: ``0 * theta`` flips
@@ -194,7 +167,6 @@ def _configure_sgd(groups, config):
     return OptimizerState("sgd_baseline", list(groups), config, buffers={"velocity": np.zeros(n)})
 
 
-@_one_or_stack
 def sgd_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t) -> None:
     """Heavy-ball momentum with coupled L2 decay on eligible groups.
 
@@ -241,7 +213,6 @@ def _adam_core(params, grads, stack, lr_t, decay: bool):
     params -= update
 
 
-@_one_or_stack
 def adamw_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t) -> None:
     """Adam with bias correction and decoupled weight decay:
 
@@ -262,7 +233,6 @@ def _configure_adamcpr(groups, config):
     return state
 
 
-@_one_or_stack
 def adamcpr_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t) -> None:
     """AdamW without decay plus a constrained penalty on mean(theta^2).
 
@@ -315,7 +285,6 @@ def _configure_adafactor(groups, config):
     return state
 
 
-@_one_or_stack
 def adafactor_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t) -> None:
     """Factored second moments for matrix groups, full for the rest.
 
@@ -395,12 +364,12 @@ def configure_optimizer(groups: list[ParamGroup], config: OptimizerConfig) -> Op
     return impl.configure(groups, config)
 
 
-def optimizer_step(params, grads, state, lr_t) -> None:
-    """One step of a run's ``OptimizerState`` on flat vectors, or of an ``OptimizerStack``
-    on [S, P] arrays with a list of S learning rates (a plugin steps each row)."""
-    impl = _impl(state.config.name)
-    if isinstance(state, OptimizerStack) and not impl.stacked:
-        for i, run in enumerate(state.states):
-            impl.step(params[i], grads[i], run, lr_t[i])
+def optimizer_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t: list) -> None:
+    """One step of an ``OptimizerStack`` on [S, P] arrays with a list of S
+    learning rates: a built-in step takes the stack, a plugin's each row."""
+    impl = _impl(stack.config.name)
+    if impl.stacked:
+        impl.step(params, grads, stack, lr_t)
     else:
-        impl.step(params, grads, state, lr_t)
+        for i, run in enumerate(stack.states):
+            impl.step(params[i], grads[i], run, lr_t[i])

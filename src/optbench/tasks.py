@@ -489,6 +489,3 @@ def evaluate(task: TaskInstance, params: np.ndarray, split: str) -> float:
         raise ShapeMismatchError(f"unknown split {split!r}")
     return task.metric_value(params, task.splits[split])
 
-
-def parameter_groups(task: TaskInstance) -> list[ParamGroup]:
-    return list(task.groups)

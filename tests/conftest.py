@@ -38,6 +38,15 @@ def group_buffers(state) -> list[tuple[str, np.ndarray]]:
     return sorted(out, key=lambda pair: pair[0])
 
 
+def step_alone(params, grads, state, lr) -> None:
+    """One optimizer step of one run's ``state``, taken as a stack of one run:
+    the flat ``params`` are updated in place. The stack rebinds
+    ``state.buffers`` to row views of its own, so read a buffer after the step."""
+    from optbench.optim import OptimizerStack, optimizer_step
+
+    optimizer_step(params[None], grads[None], OptimizerStack([state]), [lr])
+
+
 def strip_wall(obj):
     """``obj`` without its wall-clock fields (keys that hold ``wall_time``),
     in nested dicts and lists alike."""

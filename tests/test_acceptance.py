@@ -17,19 +17,12 @@ from optbench.config import expand_grid, merge_defaults, parse_experiment
 from optbench.engine import load_checkpoint, read_run, train_run
 from optbench.evaluation import AggregateCell, HeatmapSpec, render_heatmap
 from optbench.hpo import hyperband_schedule, parse_space, run_hpo
-from optbench.optim import (
-    OptimizerConfig,
-    adamcpr_step,
-    adamw_step,
-    adafactor_step,
-    configure_optimizer,
-    sgd_step,
-)
+from optbench.optim import OptimizerConfig, configure_optimizer
 from optbench.rng import Xoshiro256StarStar
 from optbench.sched import ScheduleSpec, lr_at
 from optbench.tasks import build_task, forward_backward
 
-from conftest import Interrupted, resolve, stop_after_epoch
+from conftest import Interrupted, resolve, step_alone, stop_after_epoch
 from test_optim import (
     assert_close,
     make_groups,
@@ -132,12 +125,12 @@ def test_kappa_semantics_exact():
     p_w = p_cpr.copy()
     for step in range(39):
         g = np.array([rnd.gauss(0, 1) for _ in range(10)])
-        adamcpr_step(p_cpr, g, state, 0.02)
-        adamw_step(p_w, g, w_state, 0.02)
+        step_alone(p_cpr, g, state, 0.02)
+        step_alone(p_w, g, w_state, 0.02)
         assert p_cpr.tobytes() == p_w.tobytes()
     assert state.cpr["g0"].kappa is None  # not yet fixed
     g = np.array([rnd.gauss(0, 1) for _ in range(10)])
-    adamcpr_step(p_cpr, g, state, 0.02)  # step 40 fixes kappa
+    step_alone(p_cpr, g, state, 0.02)  # step 40 fixes kappa
     assert state.cpr["g0"].kappa is not None
 
 
@@ -160,7 +153,7 @@ def test_optimizer_oracles():
         )
         params = theta0.copy()
         for g, lr in zip(grad_seq, lr_seq):
-            sgd_step(params, g, state, lr)
+            step_alone(params, g, state, lr)
         assert_close(params, ref_sgd(theta0, grad_seq, lr_seq, groups, momentum, wd))
         checks["sgd_baseline"] += 1
 
@@ -172,7 +165,7 @@ def test_optimizer_oracles():
         )
         params = theta0.copy()
         for g, lr in zip(grad_seq, lr_seq):
-            adamw_step(params, g, state, lr)
+            step_alone(params, g, state, lr)
         assert_close(params, ref_adamw(theta0, grad_seq, lr_seq, groups, 1 - omb1, beta2, 1e-8, wd))
         checks["adamw_baseline"] += 1
 
@@ -186,7 +179,7 @@ def test_optimizer_oracles():
         )
         params = theta0.copy()
         for g, lr in zip(grad_seq, lr_seq):
-            adamcpr_step(params, g, state, lr)
+            step_alone(params, g, state, lr)
         assert_close(
             params, ref_adamcpr(theta0, grad_seq, lr_seq, groups, 1 - omb1, beta2, 1e-8, fix_step)
         )
@@ -197,7 +190,7 @@ def test_optimizer_oracles():
         )
         params = theta0.copy()
         for g, lr in zip(grad_seq, lr_seq):
-            adafactor_step(params, g, state, lr)
+            step_alone(params, g, state, lr)
         assert_close(params, ref_adafactor(theta0, grad_seq, lr_seq, groups, 1e-30, wd))
         checks["adafactor"] += 1
     assert all(v == 100 for v in checks.values())

@@ -132,6 +132,56 @@ class TestRun:
         assert main(["run", exp]) == 1
 
 
+DIVERGING_GRID = """
+task: {name: rosenbrock, max_epochs: 8}
+optimizer: {name: sgd_baseline, learning_rate: [0.05, 0.01, 1.0e-4]}
+"""
+
+
+def _file_stamps(root: Path) -> dict:
+    """Bytes, inode and ``mtime_ns`` of every file under ``root``: a rewrite
+    by rename changes the inode even where the clock is too coarse to tell."""
+    return {
+        p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestAbortedRuns:
+    """A diverged run is a stored result: no rerun retrains or rewrites it."""
+
+    def test_rerun_and_resume_of_a_diverging_grid_touch_nothing(self, project, capsys, monkeypatch):
+        from optbench import engine
+
+        exp = write(project / "diverge.yaml", DIVERGING_GRID)
+        assert main(["run", exp]) == 1
+        first = capsys.readouterr().out
+        assert [line.split()[1] for line in first.splitlines()] == ["aborted", "aborted", "completed"]
+        stamps = _file_stamps(project / "output")
+        calls = []
+        real = engine._run
+        monkeypatch.setattr(engine, "_run", lambda starts: calls.append(starts) or real(starts))
+        assert main(["run", exp]) == 1
+        assert capsys.readouterr().out == first
+        assert calls == [] and _file_stamps(project / "output") == stamps
+        assert main(["resume", exp]) == 0
+        assert capsys.readouterr().out == "resumed 0 run(s)\n"
+        assert calls == [] and _file_stamps(project / "output") == stamps
+
+    def test_list_ends_an_aborted_row_with_its_error(self, project, capsys):
+        exp = write(project / "diverge.yaml", DIVERGING_GRID)
+        main(["run", exp])
+        capsys.readouterr()
+        assert main(["list", str(project / "output")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "run_id            status      epoch  best_val",
+            "6b38a2d90b888636  completed   8      4.32264",
+            "d4012f6df1963b13  aborted     3      2609.4  epoch 4: non-finite training loss at step 7",
+            "f88349774bddda38  aborted     2      9.30598e+11  epoch 3: non-finite training loss at step 5",
+        ]
+
+
 class TestSlurmScript:
     @pytest.mark.parametrize(
         "yaml_text,expected",

@@ -10,7 +10,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +446,9 @@ class TestReadRun:
         state = read_run(workdir)
         assert state.status == "aborted"
         assert state.ckpt.run_id == state.result.run_id
+        # an aborted result of the config's run is a cache hit, as a completed one is
+        cached = read_run(workdir, cached_id=run_id(cfg))
+        assert (cached.status, cached.result, cached.ckpt) == ("aborted", state.result, None)
 
     def test_extending(self, workdir, monkeypatch):
         cfg = quad_config(epochs=2)
@@ -624,6 +627,36 @@ class TestExtendBudget:
         assert result.budgets == [2, 4, 8]
         assert len(result.history) == 8
         assert load_checkpoint(workdir / "checkpoints" / "last.ckpt").budgets == [2, 4, 8]
+
+    def test_a_larger_budget_extends_an_aborted_run_from_its_last_checkpoint(
+        self, workdir, monkeypatch
+    ):
+        from optbench import engine
+
+        cfg = resolve(
+            "task: {name: rosenbrock, max_epochs: 8}\n"
+            "optimizer: {name: sgd_baseline, learning_rate: 0.05}"
+        )[0]
+        aborted = train_run(cfg, workdir)
+        assert (aborted.status, len(aborted.history)) == ("aborted", 2)
+        last = (workdir / "checkpoints" / "last.ckpt").read_bytes()
+        starts = []
+        real = engine._run
+
+        def recording(jobs):
+            starts.extend(jobs)
+            return real(jobs)
+
+        monkeypatch.setattr(engine, "_run", recording)
+        assert train_run(cfg, workdir) == aborted and starts == []  # the same budget: stored
+        longer = with_epochs(cfg, 16)
+        extended = train_run(longer, workdir)
+        [(_, _, ckpt, _)] = starts
+        assert (ckpt.epoch, ckpt.budgets) == (2, [8, 16])
+        assert encode_checkpoint(replace(ckpt, budgets=[8])) == last
+        assert (extended.run_id, extended.budgets) == (run_id(longer), [8, 16])
+        assert strip_wall(extended.history[:2]) == strip_wall(aborted.history)
+        assert train_run(longer, workdir) == extended and len(starts) == 1
 
     def test_same_budget_again_finishes_without_training(self, workdir):
         cfg = quad_config(epochs=2)

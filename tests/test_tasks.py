@@ -13,7 +13,6 @@ from optbench.tasks import (
     build_task,
     evaluate,
     forward_backward,
-    parameter_groups,
 )
 from conftest import resolve, with_epochs
 
@@ -45,7 +44,7 @@ class TestBuild:
     def test_quadratic_shape(self):
         task = build_task({"name": "quadratic", "dim": 10})
         assert task.n_params == 10
-        groups = parameter_groups(task)
+        groups = task.groups
         assert len(groups) == 1 and groups[0].weight_decay_eligible
         assert task.metric == MetricSpec("loss", "minimize")
         eig = np.linalg.eigvalsh(task.a_matrix)
@@ -53,7 +52,7 @@ class TestBuild:
 
     def test_mlp_hidden_knob_and_groups(self):
         task = build_task({"name": "mlp_synth", "model": {"num_hidden": 42}})
-        groups = parameter_groups(task)
+        groups = task.groups
         assert [g.name for g in groups] == ["w1", "b1", "w2", "b2"]
         assert [g.weight_decay_eligible for g in groups] == [True, False, True, False]
         assert groups[0].shape == (42, 2)
@@ -61,7 +60,7 @@ class TestBuild:
 
     def test_blobs_groups(self):
         task = build_task({"name": "blobs_logreg"})
-        groups = parameter_groups(task)
+        groups = task.groups
         assert len(groups) == 2
         assert groups[0].weight_decay_eligible and not groups[1].weight_decay_eligible
 
