@@ -12,12 +12,13 @@ import argparse
 import concurrent.futures
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 
 from . import config as cfgmod
 from . import hpo as hpomod
-from .engine import RunState, lockstep_key, read_run, train_runs
+from .engine import RunState, lockstep_groups, read_run, train_runs
 from .errors import BenchmarkError, ConfigError
 from .evaluation import check_evaluation, run_evaluation
 
@@ -52,11 +53,12 @@ def _varying_paths(configs: list[dict]) -> list[str]:
     return [p for p in paths if len({repr(f.get(p)) for f in flat}) > 1]
 
 
-def _print_run_table(configs: list[dict]) -> None:
+def _print_run_table(configs: list[dict], groups: list[list[int]]) -> None:
     varying = _varying_paths(configs)
-    header = ["index", "run_id"] + varying
+    group_of = {i: g for g, members in enumerate(groups) for i in members}
+    header = ["index", "group", "run_id"] + varying
     rows = [
-        [str(i), cfgmod.run_id(c)] + [str(cfgmod.get_path(c, p)) for p in varying]
+        [str(i), str(group_of[i]), cfgmod.run_id(c)] + [str(cfgmod.get_path(c, p)) for p in varying]
         for i, c in enumerate(configs)
     ]
     widths = [max(len(h), *(len(r[j]) for r in rows)) if rows else len(h) for j, h in enumerate(header)]
@@ -68,41 +70,32 @@ def _print_run_table(configs: list[dict]) -> None:
 def cmd_run(args) -> int:
     name, configs = _expand_file(args.experiment_file)
     check_evaluation(configs[0]["evaluation"], configs)  # before anything trains
+    groups = lockstep_groups(configs)  # the unit of work of --workers and of --group-index
 
     if args.dry_run:
-        _print_run_table(configs)
+        _print_run_table(configs, groups)
         return 0
 
-    index = args.run_index
-    if index is None and "SLURM_ARRAY_TASK_ID" in os.environ:
-        index = int(os.environ["SLURM_ARRAY_TASK_ID"])
-    if index is not None:
-        if not 0 <= index < len(configs):
-            raise ConfigError(f"run index {index} outside 0..{len(configs) - 1}")
-        configs_to_run = [configs[index]]
-    else:
-        configs_to_run = configs
+    if args.group_index is not None:  # SLURM_ARRAY_TASK_ID by default
+        if not 0 <= args.group_index < len(groups):
+            raise ConfigError(f"group index {args.group_index} outside 0..{len(groups) - 1}")
+        groups = [groups[args.group_index]]
 
     exp_dir = _experiment_dir(configs, name)
-    jobs = [(cfg, _run_workdir(exp_dir, cfg)) for cfg in configs_to_run]
-    groups: dict[tuple, list[int]] = {}  # runs that may train in lockstep stay in one process
-    for i, (cfg, _) in enumerate(jobs):
-        groups.setdefault(lockstep_key(cfg), []).append(i)
-    if args.workers > 1 and len(groups) > 1:
+    jobs = [[(configs[i], _run_workdir(exp_dir, configs[i])) for i in group] for group in groups]
+    if args.workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            done = pool.map(train_runs, [[jobs[i] for i in group] for group in groups.values()])
-            by_index = dict(zip(sum(groups.values(), []), sum(done, [])))
-        results = [by_index[i] for i in range(len(jobs))]
-    else:
-        results = train_runs(jobs)
+            results = sum(pool.map(train_runs, jobs), [])
+    else:  # one call, so every run dir is read and checked before any trains
+        results = train_runs(sum(jobs, []))
 
-    for cfg, result in zip(configs_to_run, results):
+    pairs = [(configs[i], result) for i, result in zip(sum(groups, []), results)]
+    for _, result in pairs:
         print(f"{result.run_id}  {result.status}  epochs={len(result.history)}")
 
     failed = any(r.status != "completed" for r in results)
-    if index is None and not failed:
-        paths = run_evaluation(list(zip(configs, results)), configs[0]["evaluation"], exp_dir)
-        for p in paths:
+    if args.group_index is None and not failed:
+        for p in run_evaluation(pairs, configs[0]["evaluation"], exp_dir):
             print(f"wrote {p}")
     return 1 if failed else 0
 
@@ -208,18 +201,14 @@ def cmd_slurm_script(args) -> int:
     lines = [
         "#!/bin/bash",
         f"#SBATCH --job-name={name}",
-        f"#SBATCH --array=0-{len(configs) - 1}",
+        f"#SBATCH --array=0-{len(lockstep_groups(configs)) - 1}",
     ]
     if args.partition:
         lines.append(f"#SBATCH --partition={args.partition}")
     if args.time:
         lines.append(f"#SBATCH --time={args.time}")
-    lines += [
-        "",
-        f'optbench run "{args.experiment_file}" --run-index "$SLURM_ARRAY_TASK_ID"',
-        "",
-    ]
-    print("\n".join(lines), end="")
+    command = f'optbench run {shlex.quote(args.experiment_file)} --group-index "$SLURM_ARRAY_TASK_ID"'
+    print("\n".join([*lines, "", command]))
     return 0
 
 
@@ -232,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="expand an experiment file and train its runs")
     p_run.add_argument("experiment_file")
     p_run.add_argument("--workers", type=int, default=1)
-    p_run.add_argument("--run-index", type=int, default=None)
+    # a string default is converted like the flag: a bad SLURM_ARRAY_TASK_ID exits 2
+    p_run.add_argument("--group-index", type=int, default=os.environ.get("SLURM_ARRAY_TASK_ID"))
     p_run.add_argument("--dry-run", action="store_true")
     p_run.set_defaults(func=cmd_run)
 

@@ -10,19 +10,20 @@ in its own working directory:
     <workdir>/checkpoints/next.ckpt    only while a run is training
 
 ``read_run`` is the only reader of ``result.json`` and the checkpoints, and
-``train_runs`` (``train_run`` for one job) the only way into a run dir.
-A ``result.json`` of the config's own run, completed or aborted, answers
-that call without training: a diverged run is a result. Fresh start, resume and budget extension are one call: the config's
-``task.max_epochs`` is the budget, and a larger one than the stored run's
-extends it. They share one lifecycle, ``_run``: it builds the task, starts
-each run from the checkpoint ``train_runs`` read and checked (or a new
-epoch-0 one), trains up to ``task.max_epochs`` and writes ``result.json``.
-It trains the S >= 1 runs that ``train_runs`` groups, those that share the
-task config, the optimizer name and their start epoch, in lockstep as one
-[S, P] stack: the runs of a grid, an HPO rung's cohort, a retrain's seeds;
-a lone run is S = 1. Each run writes the files it would write alone, apart
-from wall-clock fields, which time the group: an epoch's ``wall_time_s``
-since the group began it, a result's since the group's first step. A kill
+``train_runs`` (``train_run`` for one job) the only way into a run dir. A
+``result.json`` of the config's own run, completed or aborted, answers that
+call without training: a diverged run is a result. Fresh start, resume and
+budget extension are one call: the config's ``task.max_epochs`` is the
+budget, and a larger one than the stored run's extends it. They share one
+lifecycle, ``_run``: it builds the task, starts each run from the
+checkpoint ``train_runs`` read and checked (or a new epoch-0 one), trains
+up to ``task.max_epochs`` and writes ``result.json``. It trains the S >= 1
+runs that ``train_runs`` groups, those that share the task config, the
+optimizer name and their start epoch, in lockstep as one [S, P] stack: the
+runs of a grid, an HPO rung's cohort, a retrain's seeds; a lone run is
+S = 1. Each run writes the files it would write alone, apart from
+wall-clock fields, which time the group: an epoch's ``wall_time_s`` since
+the group began it, a result's since the group's first step. A kill
 mid-group leaves several incomplete runs, which ``train_runs`` (``optbench
 resume``) finishes bit-identically.
 
@@ -400,6 +401,15 @@ def _build_schedule(task: TaskInstance, opt_cfg_dict: dict, max_epochs: int) -> 
 def lockstep_key(config: dict) -> tuple[str, str]:
     """What runs that take the same steps from one start epoch share."""
     return canonical_json(config["task"]), config["optimizer"]["name"]
+
+
+def lockstep_groups(configs: list[dict]) -> list[list[int]]:
+    """The indices of ``configs`` by ``lockstep_key``, numbered in order of first appearance:
+    the unit of work that ``optbench run`` hands to a worker process or a SLURM array task."""
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(lockstep_key(config), []).append(i)
+    return list(groups.values())
 
 
 def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:

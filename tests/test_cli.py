@@ -1,14 +1,23 @@
 import csv
 import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
 from optbench.cli import main
+from optbench.config import run_id
+from optbench.engine import lockstep_groups
 from optbench.hpo import load_hpo_file, parse_space
 
-from conftest import Interrupted, fail_write, run_dir_files, stop_after_epoch, with_epochs
+from conftest import Interrupted, fail_write, resolve, run_dir_files, stop_after_epoch, with_epochs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_EXPERIMENT = """
 task:
@@ -19,6 +28,18 @@ optimizer:
   learning_rate: [1.0e-1, 1.0e-2]
 engine:
   seed: [1, 2]
+"""
+
+DUO = TINY_EXPERIMENT.replace("name: adamw_baseline", "name: [adamw_baseline, sgd_baseline]")
+
+# an optimizer that comes back in a later branch: groups [0, 1, 4, 5] and [2, 3]
+INTERLEAVED = """
+task: {name: quadratic, max_epochs: 3}
+optimizer:
+  - {name: adamw_baseline, learning_rate: 1.0e-1}
+  - {name: sgd_baseline}
+  - {name: adamw_baseline, learning_rate: 1.0e-2}
+engine: {seed: [1, 2]}
 """
 
 GRID_8 = """
@@ -73,6 +94,19 @@ class TestDryRun:
         assert lines[0].startswith("index")
         assert "run_id" in lines[0]
 
+    def test_group_column_numbers_the_lockstep_groups(self, project, capsys):
+        exp = write(project / "mixed.yaml", INTERLEAVED)
+        assert main(["run", exp, "--dry-run"]) == 0
+        header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert header[:3] == ["index", "group", "run_id"]
+        configs = resolve(INTERLEAVED)
+        groups = lockstep_groups(configs)
+        assert groups == [[0, 1, 4, 5], [2, 3]]
+        assert {int(row[0]): int(row[1]) for row in rows} == {
+            i: g for g, members in enumerate(groups) for i in members
+        }
+        assert [row[2] for row in rows] == [run_id(cfg) for cfg in configs]
+
     def test_writes_nothing(self, project, capsys):
         exp = write(project / "grid8.yaml", GRID_8)
         before = sorted(p for p in project.rglob("*") if p.is_file())
@@ -94,21 +128,42 @@ class TestRun:
         for d, stamp in stamps.items():
             assert (d / "result.json").stat().st_mtime_ns == stamp
 
-    def test_run_index_selects_one(self, project):
-        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
-        assert main(["run", exp, "--run-index", "0"]) == 0
-        run_dirs = list((project / "output" / "tiny" / "runs").iterdir())
-        assert len(run_dirs) == 1
+    def test_group_index_trains_one_group(self, project, capsys):
+        exp = write(project / "duo.yaml", DUO)
+        assert main(["run", exp, "--group-index", "1"]) == 0
+        configs = resolve(DUO)
+        trained = {d.name for d in (project / "output" / "duo" / "runs").iterdir()}
+        assert trained == {run_id(configs[i]) for i in lockstep_groups(configs)[1]}
+        assert trained == {run_id(c) for c in configs if c["optimizer"]["name"] == "sgd_baseline"}
+        assert not (project / "output" / "duo" / "aggregated.csv").exists()
 
-    def test_run_index_out_of_range(self, project, capsys):
-        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
-        assert main(["run", exp, "--run-index", "4"]) == 2
+    def test_group_index_out_of_range(self, project, capsys):
+        exp = write(project / "duo.yaml", DUO)
+        assert main(["run", exp, "--group-index", "2"]) == 2
+        assert main(["run", exp, "--group-index=-1"]) == 2
+        assert "group index 2 outside 0..1" in capsys.readouterr().err
+        assert not (project / "output").exists()
 
-    def test_slurm_env_var_indexing(self, project, monkeypatch):
-        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
-        monkeypatch.setenv("SLURM_ARRAY_TASK_ID", "1")
+    def test_slurm_env_var_indexes_groups(self, project, capsys, monkeypatch):
+        exp = write(project / "duo.yaml", DUO)
+        monkeypatch.setenv("SLURM_ARRAY_TASK_ID", "0")
         assert main(["run", exp]) == 0
-        assert len(list((project / "output" / "tiny" / "runs").iterdir())) == 1
+        configs = resolve(DUO)
+        runs = project / "output" / "duo" / "runs"
+        groups = lockstep_groups(configs)
+        assert {d.name for d in runs.iterdir()} == {run_id(configs[i]) for i in groups[0]}
+        assert main(["run", exp, "--group-index", "1"]) == 0  # the flag wins over the variable
+        assert {d.name for d in runs.iterdir()} == {run_id(c) for c in configs}
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_bad_slurm_env_var_exit_2(self, project, capsys, monkeypatch, value):
+        exp = write(project / "duo.yaml", DUO)
+        monkeypatch.setenv("SLURM_ARRAY_TASK_ID", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", exp])
+        assert exc.value.code == 2
+        assert f"invalid int value: {value!r}" in capsys.readouterr().err
+        assert not (project / "output").exists()
 
     def test_config_error_exit_2(self, project, capsys):
         exp = write(project / "bad.yaml", "task: {name: not_a_task}\noptimizer: {name: adamw_baseline}")
@@ -185,7 +240,7 @@ class TestAbortedRuns:
 class TestSlurmScript:
     @pytest.mark.parametrize(
         "yaml_text,expected",
-        [(GRID_8, "0-7"), (TINY_EXPERIMENT, "0-3"), (GRID_120, "0-119")],
+        [(GRID_8, "0-3"), (TINY_EXPERIMENT, "0-0"), (GRID_120, "0-1")],
     )
     def test_array_range(self, project, capsys, yaml_text, expected):
         exp = write(project / "exp.yaml", yaml_text)
@@ -193,12 +248,53 @@ class TestSlurmScript:
         out = capsys.readouterr().out
         assert f"#SBATCH --array={expected}" in out
         assert "#SBATCH --partition=cpu" in out
-        assert 'optbench run' in out and "--run-index" in out and "$SLURM_ARRAY_TASK_ID" in out
+        assert 'optbench run' in out and "--group-index" in out and "$SLURM_ARRAY_TASK_ID" in out
 
     def test_single_run_degenerate(self, project, capsys):
         exp = write(project / "one.yaml", "task: {name: quadratic}\noptimizer: {name: adamw_baseline}")
         assert main(["slurm-script", exp]) == 0
         assert "#SBATCH --array=0-0" in capsys.readouterr().out
+
+    def test_path_is_shell_quoted(self, project, capsys):
+        (project / "we ird$x`y`").mkdir()
+        exp = "we ird$x`y`/a.yaml"
+        write(project / exp, TINY_EXPERIMENT)
+        assert main(["slurm-script", exp]) == 0
+        command = capsys.readouterr().out.splitlines()[-1]
+        assert shlex.split(command) == ["optbench", "run", exp, "--group-index", "$SLURM_ARRAY_TASK_ID"]
+        if shutil.which("bash") is None:
+            pytest.skip("no bash to expand the emitted command")
+        echo = 'optbench() { printf "%s\\0" "$@"; }; ' + command  # the words bash passes on
+        proc = subprocess.run(["bash", "-c", echo], env={"SLURM_ARRAY_TASK_ID": "3"},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split("\0")[:-1] == ["run", exp, "--group-index", "3"]
+
+
+class TestSlurmArray:
+    def test_each_group_in_its_own_process_equals_one_run(self, project, capsys):
+        """Each array task is a fresh process that trains one group; together
+        they write the run dirs that one ``optbench run`` writes, and
+        ``optbench plot`` then writes its table."""
+        exp = write(project / "mixed.yaml", INTERLEAVED)
+        inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *filter(None, inherited)]))
+        for index in range(len(lockstep_groups(resolve(INTERLEAVED)))):
+            proc = subprocess.run(
+                [sys.executable, "-m", "optbench.cli", "run", exp, "--group-index", str(index)],
+                cwd=project, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        runs = project / "output" / "mixed" / "runs"
+        array = {d.name: run_dir_files(d) for d in runs.iterdir()}
+        assert len(array) == 6
+        table = project / "output" / "mixed" / "aggregated.csv"
+        assert not table.exists()
+        assert main(["plot", exp]) == 0
+        array_table = table.read_bytes()
+        (project / "output").rename(project / "array_output")
+        assert main(["run", exp]) == 0
+        assert {d.name: run_dir_files(d) for d in runs.iterdir()} == array
+        assert table.read_bytes() == array_table
 
 
 class TestPlotAndList:
@@ -357,15 +453,19 @@ class TestWorkers:
                 return False
 
             def map(self, fn, jobs):
-                calls.append([len(group) for group in jobs])
+                calls.append([[Path(workdir).name for _, workdir in group] for group in jobs])
                 return map(fn, jobs)
 
         calls = []
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        exp = write(project / "duo.yaml", TINY_EXPERIMENT.replace(
-            "name: adamw_baseline", "name: [adamw_baseline, sgd_baseline]"))
+        exp = write(project / "mixed.yaml", INTERLEAVED)
         assert main(["run", exp, "--workers", "2"]) == 0
-        assert calls == [[4, 4]]  # 2 optimizers x (2 learning rates x 2 seeds)
+        assert [len(group) for group in calls[0]] == [4, 2]
+        capsys.readouterr()
+        for index, group in enumerate(calls[0]):  # each group is what one array task trains
+            assert main(["run", exp, "--group-index", str(index)]) == 0
+            assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == group
+        assert len(calls) == 1
 
 
 class TestTwoOptimizerPlots:

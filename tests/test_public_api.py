@@ -1,7 +1,9 @@
 """The public API: every exported name imports, and the documented examples run."""
 
 import inspect
+import itertools
 import re
+import shlex
 import shutil
 import textwrap
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import optbench
+from optbench.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -37,3 +40,32 @@ def test_documented_example_runs(source, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(source(), source.__name__, "exec"), {})
     assert list((tmp_path / "output" / "runs").glob("*/result.json"))
+
+
+def quick_start_commands() -> list[list[str]]:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    return [shell_words(line) for line in block.splitlines() if line.startswith("optbench ")]
+
+
+def shell_words(line: str) -> list[str]:
+    """The words of a shell command line up to its first redirect, pipe or comment."""
+    words = shlex.shlex(line, posix=True, punctuation_chars=True)
+    return list(itertools.takewhile(lambda word: word.strip("();<>|&"), words))
+
+
+def test_documented_and_emitted_commands_parse(monkeypatch, capsys):
+    """Every ``optbench`` line of the README Quick start and the command that
+    ``slurm-script`` emits parse, so a removed flag survives in neither."""
+    monkeypatch.delenv("SLURM_ARRAY_TASK_ID", raising=False)
+    commands = quick_start_commands()
+    assert len(commands) >= 8
+    monkeypatch.chdir(REPO)
+    assert main(["slurm-script", "configs/optimizer_comparison.yaml"]) == 0
+    emitted = shlex.split(capsys.readouterr().out.splitlines()[-1])
+    commands.append(["0" if arg == "$SLURM_ARRAY_TASK_ID" else arg for arg in emitted])  # as bash expands it
+    for argv in commands:
+        assert argv[0] == "optbench"
+        build_parser().parse_args(argv[1:])  # SystemExit on an unknown flag
+    assert build_parser().parse_args(commands[-1][1:]).group_index == 0
