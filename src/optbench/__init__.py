@@ -14,58 +14,35 @@ Typical library usage::
     results = train_runs([(cfg, f"output/runs/{run_id(cfg)}") for cfg in configs])
 """
 
-from .config import (
-    expand_grid,
-    merge_defaults,
-    parse_experiment,
-    register_optimizer_defaults,
-    register_task_defaults,
-    run_id,
-)
-from .engine import (
-    RunResult,
-    derive_seeds,
-    load_checkpoint,
-    save_checkpoint,
-    train_run,
-    train_runs,
-)
-from .evaluation import AggregateCell, HeatmapSpec, aggregate, export_table, render_heatmap
-from .hpo import hyperband_schedule, run_hpo, retrain_best
-from .optim import OptimizerConfig, configure_optimizer, register_optimizer
-from .sched import ScheduleSpec, lr_at
-from .tasks import build_task, evaluate, forward_backward, register_task
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateCell",
-    "HeatmapSpec",
-    "OptimizerConfig",
-    "RunResult",
-    "ScheduleSpec",
-    "aggregate",
-    "build_task",
-    "configure_optimizer",
-    "derive_seeds",
-    "evaluate",
-    "expand_grid",
-    "export_table",
-    "forward_backward",
-    "hyperband_schedule",
-    "load_checkpoint",
-    "lr_at",
-    "merge_defaults",
-    "parse_experiment",
-    "register_optimizer",
-    "register_optimizer_defaults",
-    "register_task",
-    "register_task_defaults",
-    "render_heatmap",
-    "retrain_best",
-    "run_hpo",
-    "run_id",
-    "save_checkpoint",
-    "train_run",
-    "train_runs",
-]
+_HOMES = {  # module -> the public names it defines; each loads on first use
+    "config": ("expand_grid", "merge_defaults", "parse_experiment", "register_optimizer_defaults",
+               "register_task_defaults", "run_id"),
+    "engine": ("derive_seeds", "load_checkpoint", "save_checkpoint"),
+    "evaluation": ("AggregateCell", "HeatmapSpec", "aggregate", "export_table", "render_heatmap"),
+    "hpo": ("hyperband_schedule", "retrain_best", "run_hpo"),
+    "optim": ("OptimizerConfig", "configure_optimizer", "register_optimizer"),
+    "rundir": ("RunResult", "train_run", "train_runs"),
+    "sched": ("ScheduleSpec", "lr_at"),
+    "tasks": ("build_task", "evaluate", "forward_backward", "register_task"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """PEP 562: import a public name's module when the name is first used,
+    so ``import optbench`` and ``optbench.cli`` load numpy only when needed."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,7 +9,6 @@ experiment name is the YAML file's stem.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import shlex
@@ -17,10 +16,9 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from . import hpo as hpomod
-from .engine import RunState, lockstep_groups, read_run, train_runs
 from .errors import BenchmarkError, ConfigError
 from .evaluation import check_evaluation, run_evaluation
+from .rundir import RunState, lockstep_groups, read_run, train_runs
 
 
 def _expand_file(experiment_file: str) -> tuple[str, list[dict]]:
@@ -84,6 +82,8 @@ def cmd_run(args) -> int:
     exp_dir = _experiment_dir(configs, name)
     jobs = [[(configs[i], _run_workdir(exp_dir, configs[i])) for i in group] for group in groups]
     if args.workers > 1 and len(jobs) > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = sum(pool.map(train_runs, jobs), [])
     else:  # one call, so every run dir is read and checked before any trains
@@ -169,6 +169,8 @@ def cmd_list(args) -> int:
 
 
 def cmd_hpo(args) -> int:
+    from . import hpo as hpomod  # numpy: only a search loads it
+
     raw = hpomod.load_hpo_file(args.hpo_file)
     spec = cfgmod.parse_experiment(raw["experiment_text"])
     configs = cfgmod.expand_grid(cfgmod.merge_defaults(spec))
@@ -212,6 +214,14 @@ def cmd_slurm_script(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: ``0``, ``-3`` and ``x`` each exit 2 as an ``invalid positive_int value``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive_int value: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optbench", description="Optimizer benchmark harness."
@@ -220,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="expand an experiment file and train its runs")
     p_run.add_argument("experiment_file")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=positive_int, default=1)
     # a string default is converted like the flag: a bad SLURM_ARRAY_TASK_ID exits 2
     p_run.add_argument("--group-index", type=int, default=os.environ.get("SLURM_ARRAY_TASK_ID"))
     p_run.add_argument("--dry-run", action="store_true")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import flatten, identity_view
-from .engine import RunResult
+from .rundir import RunResult
 from .errors import (
     DuplicateCellError,
     EmptyGridError,

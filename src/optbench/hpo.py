@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import check_keys, identity_view, run_id, set_path
-from .engine import train_runs
+from .rundir import train_runs
 from .errors import BadParameterError, BenchmarkError, ConfigError, SchemaError
 from .evaluation import AggregateCell, aggregate
 from .rng import Xoshiro256StarStar, derive_stream

@@ -1,12 +1,35 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optbench import expand_grid, merge_defaults, parse_experiment
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CLI = "import sys\nfrom optbench.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports ``optbench`` from ``src``."""
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *filter(None, inherited)]))
+
+
+def loads_numpy(script: str, *argv: str, cwd=None) -> bool:
+    """Whether a fresh interpreter that runs ``script`` with ``sys.argv[1:] ==
+    argv`` (``CLI``: one ``optbench`` command) ends with numpy imported."""
+    probe = f"{script}\nimport sys\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, env=src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
 
 
 def resolve(yaml_text: str) -> list[dict]:
@@ -101,7 +124,7 @@ SLOT_REMOVE = "rm next.ckpt"
 
 
 def intercept_writes(monkeypatch, hook) -> None:
-    """Call ``hook(name, tear)`` before each of the engine's file writes.
+    """Call ``hook(name, tear)`` before each file write of a run dir.
 
     ``name`` is the written file's name, or ``SLOT_MOVE`` / ``SLOT_REMOVE``
     for the move of ``next.ckpt`` onto ``last.ckpt`` and its removal.
@@ -110,9 +133,9 @@ def intercept_writes(monkeypatch, hook) -> None:
     written in place over a checkpoint slot (nothing for a move or a
     removal). The per-epoch metrics append is not intercepted.
     """
-    from optbench import engine
+    from optbench import engine, rundir
 
-    real_atomic, real_slot = engine._write_atomic, engine._write_slot
+    real_atomic, real_slot = rundir._write_atomic, engine._write_slot
     real_replace, real_unlink = os.replace, Path.unlink
 
     def write_atomic(path, data):
@@ -139,7 +162,7 @@ def intercept_writes(monkeypatch, hook) -> None:
             hook(SLOT_REMOVE, lambda: None)
         real_unlink(self, missing_ok=missing_ok)
 
-    monkeypatch.setattr(engine, "_write_atomic", write_atomic)
+    monkeypatch.setattr(rundir, "_write_atomic", write_atomic)  # engine's atomic writes too
     monkeypatch.setattr(engine, "_write_slot", write_slot)
     monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(Path, "unlink", unlink)

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from optbench.config import expand_grid, merge_defaults, parse_experiment
-from optbench.engine import load_checkpoint, read_run, train_run
+from optbench.engine import load_checkpoint
 from optbench.evaluation import AggregateCell, HeatmapSpec, render_heatmap
 from optbench.hpo import hyperband_schedule, parse_space, run_hpo
 from optbench.optim import OptimizerConfig, configure_optimizer
 from optbench.rng import Xoshiro256StarStar
+from optbench.rundir import read_run, train_run
 from optbench.sched import ScheduleSpec, lr_at
 from optbench.tasks import build_task, forward_backward
 

@@ -34,7 +34,7 @@ CHILD = r"""
 import ctypes, json, sys
 from pathlib import Path
 from conftest import resolve, run_dir_files
-from optbench.engine import train_run, train_runs
+from optbench.rundir import train_run, train_runs
 
 def corename():
     libs = [line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line]

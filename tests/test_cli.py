@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -12,12 +13,20 @@ import yaml
 
 from optbench.cli import main
 from optbench.config import run_id
-from optbench.engine import lockstep_groups
 from optbench.hpo import load_hpo_file, parse_space
+from optbench.rundir import lockstep_groups
 
-from conftest import Interrupted, fail_write, resolve, run_dir_files, stop_after_epoch, with_epochs
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import (
+    CLI,
+    Interrupted,
+    fail_write,
+    loads_numpy,
+    resolve,
+    run_dir_files,
+    src_env,
+    stop_after_epoch,
+    with_epochs,
+)
 
 TINY_EXPERIMENT = """
 task:
@@ -165,6 +174,15 @@ class TestRun:
         assert f"invalid int value: {value!r}" in capsys.readouterr().err
         assert not (project / "output").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_bad_workers_exit_2(self, project, capsys, value):
+        exp = write(project / "duo.yaml", DUO)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", exp, "--workers", value])
+        assert exc.value.code == 2
+        assert f"argument --workers: invalid positive_int value: {value!r}" in capsys.readouterr().err
+        assert not (project / "output").exists()
+
     def test_config_error_exit_2(self, project, capsys):
         exp = write(project / "bad.yaml", "task: {name: not_a_task}\noptimizer: {name: adamw_baseline}")
         assert main(["run", exp]) == 2
@@ -270,14 +288,37 @@ class TestSlurmScript:
         assert proc.stdout.split("\0")[:-1] == ["run", exp, "--group-index", "3"]
 
 
+class TestWithoutNumpy:
+    """Commands that only read results or configs start without numpy."""
+
+    def test_cached_rerun_loads_no_numpy_and_modifies_no_file(self, project, capsys):
+        exp = write(project / "duo.yaml", DUO)
+        assert main(["run", exp]) == 0
+        out = project / "output" / "duo"
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        assert len(list(out.glob("runs/*/result.json"))) == 8
+        before = {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in files}
+        assert not loads_numpy(CLI, "run", exp, cwd=project)
+        assert sorted(p for p in out.rglob("*") if p.is_file()) == files
+        for p, (data, inode, mtime) in before.items():  # the tables are rewritten, with equal bytes
+            assert p.read_bytes() == data
+            if "runs" in p.relative_to(out).parts:
+                assert (p.stat().st_ino, p.stat().st_mtime_ns) == (inode, mtime), p
+
+    @pytest.mark.parametrize("command", [["run", "--dry-run"], ["slurm-script"]])
+    def test_planning_commands_load_no_numpy(self, project, command):
+        exp = write(project / "duo.yaml", DUO)
+        assert not loads_numpy(CLI, command[0], exp, *command[1:], cwd=project)
+        assert not (project / "output").exists()
+
+
 class TestSlurmArray:
     def test_each_group_in_its_own_process_equals_one_run(self, project, capsys):
         """Each array task is a fresh process that trains one group; together
         they write the run dirs that one ``optbench run`` writes, and
         ``optbench plot`` then writes its table."""
         exp = write(project / "mixed.yaml", INTERLEAVED)
-        inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *filter(None, inherited)]))
+        env = src_env()
         for index in range(len(lockstep_groups(resolve(INTERLEAVED)))):
             proc = subprocess.run(
                 [sys.executable, "-m", "optbench.cli", "run", exp, "--group-index", str(index)],
@@ -387,7 +428,7 @@ evaluation:
 
     def test_list_shows_incomplete(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
-        from optbench.engine import train_run
+        from optbench.rundir import train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         name, configs = _expand_file(exp)
@@ -429,19 +470,18 @@ evaluation:
 
 class TestWorkers:
     def test_parallel_workers_match_serial(self, project, capsys):
-        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
+        exp = write(project / "duo.yaml", DUO)
+        assert len(lockstep_groups(resolve(DUO))) == 2  # so a real process pool trains them
         assert main(["run", exp, "--workers", "2"]) == 0
-        runs = project / "output" / "tiny" / "runs"
+        runs = project / "output" / "duo" / "runs"
         parallel = {d.name: run_dir_files(d) for d in runs.iterdir()}
-        assert len(parallel) == 4
+        assert len(parallel) == 8
         # serial re-run in a fresh tree writes the same run dirs
         (project / "output").rename(project / "parallel_output")
         assert main(["run", exp]) == 0
         assert {d.name: run_dir_files(d) for d in runs.iterdir()} == parallel
 
     def test_workers_split_groups_not_runs(self, project, capsys, monkeypatch):
-        import optbench.cli as cli
-
         class InlinePool:  # the jobs each worker would get, run in this process
             def __init__(self, max_workers):
                 pass
@@ -457,7 +497,7 @@ class TestWorkers:
                 return map(fn, jobs)
 
         calls = []
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         exp = write(project / "mixed.yaml", INTERLEAVED)
         assert main(["run", exp, "--workers", "2"]) == 0
         assert [len(group) for group in calls[0]] == [4, 2]
@@ -505,7 +545,7 @@ evaluation:
 class TestResumeCommand:
     def test_resumes_incomplete_runs(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
-        from optbench.engine import train_run
+        from optbench.rundir import train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         name, configs = _expand_file(exp)
@@ -525,7 +565,7 @@ class TestResumeCommand:
 
     def test_resume_finishes_a_group_killed_mid_epoch(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
-        from optbench.engine import read_run, train_run
+        from optbench.rundir import read_run, train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)  # one group of 4 runs
         name, configs = _expand_file(exp)
@@ -547,7 +587,7 @@ class TestResumeCommand:
 
     def test_resumes_the_others_past_a_corrupt_run(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
-        from optbench.engine import train_run
+        from optbench.rundir import train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         name, configs = _expand_file(exp)
@@ -570,7 +610,7 @@ class TestResumeCommand:
 
     def test_resume_run_and_plot_pass_a_killed_extension(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
-        from optbench.engine import read_run, train_run
+        from optbench.rundir import read_run, train_run
 
         exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
         name, configs = _expand_file(exp)

@@ -26,12 +26,9 @@ from optbench.engine import (
     derive_seeds,
     encode_checkpoint,
     load_checkpoint,
-    read_run,
     restore_optimizer_state,
     save_checkpoint,
     steps_per_epoch,
-    train_run,
-    train_runs,
 )
 from optbench.errors import (
     BadParameterError,
@@ -42,6 +39,7 @@ from optbench.errors import (
 )
 from optbench.optim import OptimizerConfig, configure_optimizer
 from optbench.rng import Xoshiro256StarStar, derive_child
+from optbench.rundir import read_run, train_run, train_runs
 from optbench.tasks import MetricSpec, ParamGroup, TaskInstance, register_task
 from conftest import (
     SLOT_MOVE,

@@ -4,7 +4,6 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from optbench.engine import RunResult
 from optbench.errors import (
     DuplicateCellError,
     EmptyGridError,
@@ -19,6 +18,7 @@ from optbench.evaluation import (
     render_heatmap,
     run_evaluation,
 )
+from optbench.rundir import RunResult
 
 
 def fake_run(config, test_best, test_last, direction="minimize"):

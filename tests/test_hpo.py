@@ -7,7 +7,6 @@ import pytest
 
 from optbench import engine
 from optbench.config import run_id
-from optbench.engine import RunResult, train_run
 from optbench.errors import BadParameterError, RunIdMismatchError, SchemaError
 from optbench.hpo import (
     Categorical,
@@ -21,6 +20,7 @@ from optbench.hpo import (
     search_plan,
 )
 from optbench.rng import Xoshiro256StarStar
+from optbench.rundir import RunResult, train_run
 from conftest import resolve, run_dir_files, with_epochs
 
 # trials.jsonl of these searches is pinned in tests/golden_hpo_<task>.jsonl

@@ -5,6 +5,7 @@ import itertools
 import re
 import shlex
 import shutil
+import sys
 import textwrap
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import optbench
 from optbench.cli import build_parser, main
+from conftest import loads_numpy
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -31,6 +33,22 @@ def test_every_exported_name_imports():
     namespace = {}
     exec("from optbench import *", namespace)  # AttributeError on a missing name
     assert set(optbench.__all__) <= set(namespace)
+
+
+def test_exported_names_resolve_to_their_home_modules():
+    """``optbench`` imports each name's module on first use: ``dir`` lists
+    every name before that, and each is the object its module defines."""
+    assert set(optbench.__all__) <= set(dir(optbench))
+    for name in optbench.__all__:
+        value = getattr(optbench, name)
+        assert value.__module__.startswith("optbench.")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+@pytest.mark.parametrize("statement", ["import optbench", "import optbench.cli"])
+def test_import_loads_no_numpy(statement):
+    assert not loads_numpy(statement)
+    assert loads_numpy(f"{statement}\noptbench.build_task")  # its module loads on first use
 
 
 @pytest.mark.parametrize("source", [readme_library_block, docstring_example])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from optbench import tasks as tasks_module
-from optbench.engine import train_run
 from optbench.errors import BadParameterError, ShapeMismatchError, UnknownNameError
 from optbench.rng import Xoshiro256StarStar
+from optbench.rundir import train_run
 from optbench.tasks import (
     TASKS,
     MetricSpec,
