@@ -67,7 +67,7 @@ def _print_run_table(configs: list[dict], groups: list[list[int]]) -> None:
 
 def cmd_run(args) -> int:
     name, configs = _expand_file(args.experiment_file)
-    check_evaluation(configs[0]["evaluation"], configs)  # before anything trains
+    checked = check_evaluation(configs[0]["evaluation"], configs)  # before anything trains
     groups = lockstep_groups(configs)  # the unit of work of --workers and of --group-index
 
     if args.dry_run:
@@ -95,7 +95,7 @@ def cmd_run(args) -> int:
 
     failed = any(r.status != "completed" for r in results)
     if args.group_index is None and not failed:
-        for p in run_evaluation(pairs, configs[0]["evaluation"], exp_dir):
+        for p in run_evaluation(pairs, configs[0]["evaluation"], exp_dir, checked):
             print(f"wrote {p}")
     return 1 if failed else 0
 

@@ -53,7 +53,7 @@ def parse_experiment(yaml_text: str) -> dict:
     become empty). Scalar types are preserved as parsed by YAML.
     """
     try:
-        raw = yaml.safe_load(yaml_text)
+        raw = yaml.load(yaml_text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ExperimentSyntaxError(f"invalid YAML: {exc}") from exc
     if raw is None:
@@ -101,7 +101,7 @@ def _load_yaml_resource(relpath: str) -> dict:
     res = _defaults_root() / relpath
     with resources.as_file(res) as path:
         with open(path, "r", encoding="utf-8") as f:
-            return yaml.safe_load(f) or {}
+            return yaml.load(f, Loader=_LOADER) or {}
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +326,9 @@ def set_path(config: dict, path: str, value) -> None:
     node[parts[-1]] = value
 
 
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml's emitter when PyYAML has it
+# libyaml's parser and emitter when PyYAML has them; the pure-Python ones build the same trees and bytes
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def dump_config(config: dict) -> str:
@@ -336,4 +338,4 @@ def dump_config(config: dict) -> str:
 
 
 def load_config(yaml_text: str) -> dict:
-    return yaml.safe_load(yaml_text)
+    return yaml.load(yaml_text, Loader=_LOADER)

@@ -30,9 +30,11 @@ place. So a kill at any write, or a torn slot write, leaves a run that
 resumes from the last checkpointed epoch, and a kill inside an extension is
 finished by the same call with the extended config.
 
-Checkpoints are canonical JSON plus a SHA-256 trailer. Every float array
-and float scalar is stored as base64 of its little-endian float64 bytes, so
-a load/save round trip reproduces the identical bytes and a resumed run is
+A checkpoint is one line of canonical JSON (the integers, the run id and
+the ordered ``[name, length]`` list of its arrays), one blob of those
+arrays' little-endian float64 bytes, ``best_params`` left out while it is
+bit-identical to ``params``, and a SHA-256 trailer over both. So a
+load/save round trip reproduces the identical bytes and a resumed run is
 bit-identical to one that never stopped. A checkpoint of another version
 raises ``VersionMismatchError``. Batch order depends only on (shuffle seed,
 epoch index). A process keeps the orders it draws, keyed by shuffle stream
@@ -44,7 +46,6 @@ result depends on it.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -65,7 +66,7 @@ from .rundir import RunResult, _paths
 from .sched import ScheduleSpec, lr_at
 from .tasks import TaskInstance, build_task, evaluate, forward_backward
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 SEED_STREAMS = ("init", "shuffle")
 PERM_BLOCK = 16  # epochs whose batch orders are drawn in one batched call
 ORDER_CACHE_BYTES = 16 << 20  # batch orders a process keeps for its later runs
@@ -84,26 +85,19 @@ def derive_seeds(engine_seed: int) -> dict[str, int]:
 
 # --- checkpoints ------------------------------------------------------------
 
-def _encode_array(a) -> str:
-    """Base64 of the little-endian float64 bytes of an array or a float."""
-    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_array(text: str) -> np.ndarray:
-    """Flat float64 array of ``_encode_array`` output; ``.item()`` for a float."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
+def _f8(a) -> bytes:
+    """The little-endian float64 bytes of an array or a float."""
+    return np.asarray(a, dtype="<f8").tobytes()
 
 
 def encode_optimizer_state(state: OptimizerState) -> dict:
+    """A snapshot that holds every float as its raw bytes, so ``==`` is exact."""
     return {
         "step_count": state.step_count,
-        "buffers": {k: _encode_array(a) for k, a in state.buffers.items()},
+        "buffers": {k: _f8(a) for k, a in state.buffers.items()},
         "cpr": {
-            g: {
-                "fix_step": cs.fix_step,
-                "lam": _encode_array(cs.lam),
-                "kappa": None if cs.kappa is None else _encode_array(cs.kappa),
-            }
+            g: {"fix_step": cs.fix_step, "lam": _f8(cs.lam),
+                "kappa": None if cs.kappa is None else _f8(cs.kappa)}
             for g, cs in state.cpr.items()
         },
     }
@@ -112,14 +106,14 @@ def encode_optimizer_state(state: OptimizerState) -> dict:
 def restore_optimizer_state(snapshot: dict, state: OptimizerState) -> None:
     """Load a snapshot into a freshly configured state (shapes must match)."""
     state.step_count = snapshot["step_count"]
-    for k, enc in snapshot["buffers"].items():
+    for k, raw in snapshot["buffers"].items():
         buf = state.buffers[k]
-        buf[...] = _decode_array(enc).reshape(buf.shape)
+        buf[...] = np.frombuffer(raw, dtype="<f8").reshape(buf.shape)
     for g, enc in snapshot["cpr"].items():
         cs = state.cpr[g]
         cs.fix_step = enc["fix_step"]
-        cs.lam = _decode_array(enc["lam"]).item()
-        cs.kappa = None if enc["kappa"] is None else _decode_array(enc["kappa"]).item()
+        cs.lam = np.frombuffer(enc["lam"], dtype="<f8").item()
+        cs.kappa = None if enc["kappa"] is None else np.frombuffer(enc["kappa"], dtype="<f8").item()
 
 
 @dataclass
@@ -129,30 +123,40 @@ class Checkpoint:
     params: np.ndarray
     optimizer_state: dict  # snapshot as produced by encode_optimizer_state
     best_val: dict | None  # {"value": float, "epoch": int}
-    best_params: np.ndarray | None  # None until the first improving epoch
+    best_params: np.ndarray | None  # None until the first improving epoch, as best_val
     budgets: list[int]  # every max_epochs the run was given, in order
     run_id: str
 
 
 def encode_checkpoint(ckpt: Checkpoint) -> bytes:
-    """Canonical file bytes of a checkpoint: JSON body plus SHA-256 trailer."""
-    best = ckpt.best_val
-    payload = {
+    """Canonical file bytes of a checkpoint: a JSON header line, the float64
+    blob it lists and a SHA-256 trailer over both."""
+    state, best = ckpt.optimizer_state, ckpt.best_val
+    arrays = {"params": _f8(ckpt.params)}
+    if best is not None:
+        arrays["best_val"] = _f8(best["value"])
+        best_params = _f8(ckpt.best_params)
+        if best_params != arrays["params"]:  # bit for bit: a zero of another sign differs
+            arrays["best_params"] = best_params
+    arrays.update((f"buffer:{k}", state["buffers"][k]) for k in sorted(state["buffers"]))
+    for g in sorted(state["cpr"]):
+        arrays[f"lam:{g}"] = state["cpr"][g]["lam"]
+        if state["cpr"][g]["kappa"] is not None:
+            arrays[f"kappa:{g}"] = state["cpr"][g]["kappa"]
+    header = {
         "version": CHECKPOINT_VERSION,
         "epoch": ckpt.epoch,
         "step_count": ckpt.step_count,
-        "params": _encode_array(ckpt.params),
-        "optimizer_state": ckpt.optimizer_state,
-        "best_val": None
-        if best is None
-        else {"value": _encode_array(best["value"]), "epoch": best["epoch"]},
-        "best_params": None if ckpt.best_params is None else _encode_array(ckpt.best_params),
+        "optimizer_step_count": state["step_count"],
         "budgets": ckpt.budgets,
         "run_id": ckpt.run_id,
+        "best_epoch": None if best is None else best["epoch"],
+        "fix_steps": {g: cs["fix_step"] for g, cs in state["cpr"].items()},
+        "arrays": [[name, len(raw) // 8] for name, raw in arrays.items()],
     }
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    trailer = "sha256 " + hashlib.sha256(body.encode("utf-8")).hexdigest() + "\n"
-    return (body + trailer).encode("utf-8")
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"".join([body, b"\n", *arrays.values()])
+    return body + b"sha256 " + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
 def _write_slot(path: Path, data: bytes) -> None:
@@ -170,39 +174,43 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    lines = text.splitlines(keepends=True)
-    if not lines or not lines[-1].startswith("sha256 "):
+    body, trailer = data[:-72], data[-72:]  # b"sha256 ", 64 hex digits, b"\n"
+    if not (trailer.startswith(b"sha256 ") and trailer.endswith(b"\n")):
         raise CorruptCheckpointError(f"missing integrity trailer in {path}")
-    body = "".join(lines[:-1])
-    expected = lines[-1].split()[1].strip()
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != expected:
+    if hashlib.sha256(body).hexdigest().encode("ascii") != trailer[7:-1]:
         raise CorruptCheckpointError(f"integrity check failed for {path}")
+    line, _, blob = body.partition(b"\n")  # versions 1-3: the whole JSON body, no blob
     try:
-        payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+        head = json.loads(line)
+    except ValueError as exc:
         raise CorruptCheckpointError(f"unparseable checkpoint {path}") from exc
-    if payload.get("version") != CHECKPOINT_VERSION:
+    if head.get("version") != CHECKPOINT_VERSION:
         raise VersionMismatchError(
-            f"{path} has checkpoint version {payload.get('version')}, this optbench "
+            f"{path} has checkpoint version {head.get('version')}, this optbench "
             f"reads only version {CHECKPOINT_VERSION}: delete the run directory and rerun"
         )
-    best = payload["best_val"]
+    raw, start = {}, 0
+    for name, n in head["arrays"]:
+        raw[name], start = blob[start : start + 8 * n], start + 8 * n
+    params = np.frombuffer(raw["params"], dtype="<f8").astype(np.float64)
+    best_val = best_params = None
+    if head["best_epoch"] is not None:
+        value = np.frombuffer(raw["best_val"], dtype="<f8").item()
+        best_val = {"value": value, "epoch": head["best_epoch"]}
+        best_params = np.frombuffer(raw.get("best_params", raw["params"]), dtype="<f8").astype(np.float64)
+    snapshot = {
+        "step_count": head["optimizer_step_count"],
+        "buffers": {name[7:]: part for name, part in raw.items() if name.startswith("buffer:")},
+        "cpr": {
+            g: {"fix_step": fix_step, "lam": raw[f"lam:{g}"], "kappa": raw.get(f"kappa:{g}")}
+            for g, fix_step in head["fix_steps"].items()
+        },
+    }
     return Checkpoint(
-        epoch=payload["epoch"],
-        step_count=payload["step_count"],
-        params=_decode_array(payload["params"]),
-        optimizer_state=payload["optimizer_state"],
-        best_val=None
-        if best is None
-        else {"value": _decode_array(best["value"]).item(), "epoch": best["epoch"]},
-        best_params=None
-        if payload["best_params"] is None
-        else _decode_array(payload["best_params"]),
-        budgets=payload["budgets"],
-        run_id=payload["run_id"],
+        head["epoch"], head["step_count"], params, snapshot, best_val, best_params, head["budgets"], head["run_id"]
     )
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import flatten, identity_view
-from .rundir import RunResult
+from .rundir import RunResult, _write_atomic
 from .errors import (
     DuplicateCellError,
     EmptyGridError,
@@ -90,6 +90,13 @@ def aggregate(results: list[tuple[dict, RunResult]]) -> list[AggregateCell]:
 STAT_COLUMNS = ("n", "mean_best", "std_best", "mean_last", "std_last")
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a table or plot by an atomic rename, unless it already holds ``text``."""
+    data = text.encode("utf-8")
+    if not path.is_file() or path.read_bytes() != data:
+        _write_atomic(path, data)
+
+
 def export_table(cells: list[AggregateCell], path: str | Path) -> None:
     """Write cells to CSV; output is byte-stable across calls."""
     if not cells:
@@ -105,7 +112,7 @@ def export_table(cells: list[AggregateCell], path: str | Path) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(key_columns + list(STAT_COLUMNS))
     writer.writerows(rows)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    _write_text(Path(path), buf.getvalue())
 
 
 @dataclass(frozen=True)
@@ -246,8 +253,9 @@ def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, l
     """Output types, x axes, y axis and value kinds of an evaluation block.
 
     A ``SchemaError`` if no run of ``configs`` could satisfy the block: an
-    output type other than svg/csv, a value kind other than best/last, or a
-    plot axis that names no grouping key of any config.
+    output type other than svg/csv, a value kind other than best/last, an x
+    axis that is the y axis, or a plot axis that names no grouping key of
+    any config.
     """
     plot_cfg = evaluation_cfg.get("plot", {}) or {}
     output_types = evaluation_cfg.get("output_types", ["svg", "csv"])
@@ -264,6 +272,8 @@ def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, l
     for value in values:
         if value not in ("best", "last"):
             raise SchemaError(f"`evaluation.plot.value` must be best or last, got {value!r}")
+    if y_key in x_keys:
+        raise SchemaError(f"plot x axis `{y_key}` is the y axis: a heatmap needs two distinct axes")
     paths = {path for cfg in configs for path in _group_key(cfg)}
     for axis in [*x_keys, y_key]:
         if axis not in paths:
@@ -272,15 +282,18 @@ def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, l
 
 
 def run_evaluation(
-    results: list[tuple[dict, RunResult]], evaluation_cfg: dict, out_dir: str | Path
+    results: list[tuple[dict, RunResult]], evaluation_cfg: dict, out_dir: str | Path,
+    checked: tuple | None = None,
 ) -> list[Path]:
     """Aggregate results and write tables/heatmaps per the evaluation block.
 
     One heatmap is rendered per (optimizer name, x-axis key, value kind)
-    for every x key applicable to that optimizer's cells.
+    for every x key applicable to that optimizer's cells. ``checked`` is
+    ``check_evaluation`` of the block and the results' configs, when the
+    caller has it. A file that already holds its bytes is not rewritten.
     """
     out_dir = Path(out_dir)
-    output_types, x_keys, y_key, values = check_evaluation(
+    output_types, x_keys, y_key, values = checked or check_evaluation(
         evaluation_cfg, [c for c, _ in results]
     )
     completed = [(c, r) for c, r in results if r.status == "completed"]
@@ -314,6 +327,6 @@ def run_evaluation(
                 svg = render_heatmap(opt_cells, spec, direction)
                 plots_dir.mkdir(parents=True, exist_ok=True)
                 path = plots_dir / f"{opt_name}.{x_key}.{value}.svg"
-                path.write_text(svg, encoding="utf-8")
+                _write_text(path, svg)
                 written.append(path)
     return written

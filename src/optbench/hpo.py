@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import check_keys, identity_view, run_id, set_path
-from .rundir import train_runs
+from .config import _LOADER, check_keys, identity_view, run_id, set_path
+from . import rundir
 from .errors import BadParameterError, BenchmarkError, ConfigError, SchemaError
 from .evaluation import AggregateCell, aggregate
 from .rng import Xoshiro256StarStar, derive_stream
@@ -247,8 +247,10 @@ def run_hpo(
     The cohorts of ``search_plan`` run one after another. Each rung after
     the first keeps the ``ceil(n/eta)`` best completed trials of the n the
     rung before it evaluated. A rung trains its cohort as one lockstep
-    group and then appends one line per trial to ``trials.jsonl``, in
-    cohort order, so a rung's lines are written together. Returns the
+    group and then adds one line per trial to ``trials.jsonl``, in cohort
+    order, by one atomic rewrite of the log: a killed search keeps every
+    finished rung. A log that already starts with those lines is left
+    alone, so a rerun that fails part way keeps the earlier one. Returns the
     completed trial with the largest budget and the lowest objective, plus
     every trial.
     """
@@ -276,20 +278,25 @@ def run_hpo(
         config = _apply_overlay(base_config, overlay, R)
         trials.append(Trial(tid, overlay, config, workdir / "trials" / f"trial_{tid:04d}"))
     workdir.mkdir(parents=True, exist_ok=True)
-    with open(workdir / "trials.jsonl", "w", encoding="utf-8") as log:
-        for ids, budgets in plan:
-            cohort = [trials[tid] for tid in ids]
-            for rung, budget in enumerate(budgets):
-                if rung:
-                    alive = [t for t in cohort if t.status == "completed"]
-                    alive.sort(key=lambda t: (t.objective, t.trial_id))
-                    cohort = alive[: math.ceil(len(cohort) / eta)]
-                configs = [_apply_overlay(t.config, {}, budget) for t in cohort]
-                results = train_runs([(cfg, t.workdir) for cfg, t in zip(configs, cohort)])
-                for trial, cfg, result in zip(cohort, configs, results):
-                    _record(trial, cfg, result, rung)
-                    log.write(json.dumps(trial.log_entry(), sort_keys=True) + "\n")
-                log.flush()  # a killed search keeps every finished rung
+    log_path, log = workdir / "trials.jsonl", ""
+    logged = log_path.read_text(encoding="utf-8") if log_path.exists() else ""  # an earlier search's
+    for ids, budgets in plan:
+        cohort = [trials[tid] for tid in ids]
+        for rung, budget in enumerate(budgets):
+            if rung:
+                alive = [t for t in cohort if t.status == "completed"]
+                alive.sort(key=lambda t: (t.objective, t.trial_id))
+                cohort = alive[: math.ceil(len(cohort) / eta)]
+            configs = [_apply_overlay(t.config, {}, budget) for t in cohort]
+            results = rundir.train_runs([(cfg, t.workdir) for cfg, t in zip(configs, cohort)])
+            for trial, cfg, result in zip(cohort, configs, results):
+                _record(trial, cfg, result, rung)
+                log += json.dumps(trial.log_entry(), sort_keys=True) + "\n"
+            if not logged.startswith(log):  # else a rerun: leave the earlier log alone
+                rundir._write_atomic(log_path, log.encode("utf-8"))
+                logged = log
+    if logged != log:  # a longer log of another search
+        rundir._write_atomic(log_path, log.encode("utf-8"))
 
     finished = [t for t in trials if t.status == "completed"]
     if not finished:
@@ -317,7 +324,7 @@ def retrain_best(
         cfg = copy.deepcopy(best_config)
         cfg["engine"]["seed"] = s
         configs.append(cfg)
-    results = train_runs([(cfg, workdir / "retrain" / run_id(cfg)) for cfg in configs])
+    results = rundir.train_runs([(cfg, workdir / "retrain" / run_id(cfg)) for cfg in configs])
     return aggregate(list(zip(configs, results)))
 
 
@@ -342,7 +349,7 @@ def load_hpo_file(path: str | Path) -> dict:
     import yaml
 
     path = Path(path)
-    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_LOADER)
     if not isinstance(raw, dict) or "space" not in raw or "experiment" not in raw:
         raise SchemaError("hpo file needs `experiment` and `space` blocks")
     unknown = sorted(set(raw) - {"experiment", "space", "retrain_seeds", *_HPO_NUMBERS})

@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -415,3 +416,21 @@ def test_dump_config_bytes_are_safe_dump_bytes(configs):
     assert config_module._DUMPER is (yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper)
     for tree in configs():
         assert dump_config(tree) == yaml.safe_dump(tree, sort_keys=True, default_flow_style=False)
+
+
+REPO = Path(__file__).resolve().parent.parent
+YAML_FILES = sorted([*REPO.glob("configs/*.yaml"), *REPO.glob("src/optbench/defaults/**/*.yaml")])
+
+
+@pytest.mark.parametrize("path", YAML_FILES, ids=[p.relative_to(REPO).as_posix() for p in YAML_FILES])
+def test_libyaml_loader_builds_the_trees_of_the_python_one(path):
+    # with libyaml present, every load takes its parser: the comparison is between two parsers
+    assert config_module._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    text = path.read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=config_module._LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_libyaml_loader_reads_dumped_edge_values():
+    text = dump_config(EDGE_TREE)
+    trees = [yaml.load(text, Loader=loader) for loader in (config_module._LOADER, yaml.SafeLoader)]
+    assert dump_config(trees[0]) == dump_config(trees[1]) == text

@@ -1,3 +1,4 @@
+import base64
 import builtins
 import copy
 import hashlib
@@ -21,7 +22,6 @@ from optbench.engine import (
     PERM_BLOCK,
     Checkpoint,
     _build_schedule,
-    _encode_array,
     _epoch_orders,
     derive_seeds,
     encode_checkpoint,
@@ -83,76 +83,99 @@ class TestDeriveSeeds:
 class TestCheckpointCodec:
     # -0.0, a subnormal, +-inf and nan must survive bit for bit
     PARAMS = [1.0, -2.5, 3.75e-300, 0.1 + 0.2, -0.0, 5e-324, np.inf, -np.inf, np.nan]
+    SCALARS = [-0.0, 5e-324, np.inf, -np.inf, np.nan]  # for the best value, lam and kappa
 
-    def make_ckpt(self):
+    def make_ckpt(self, scalar=5e-324, best_params=(-0.0, -np.inf, 2.5e-310)):
         return Checkpoint(
             epoch=3,
             step_count=12,
             params=np.array(self.PARAMS),
             optimizer_state={
                 "step_count": 12,
-                "buffers": {"m": _encode_array(np.array([0.1, -0.0]))},
+                "buffers": {"m": _f8([0.1, -0.0]), "g0.row": _f8([np.nan, 5e-324])},
                 "cpr": {
-                    "g0": {
-                        "fix_step": 4,
-                        "lam": _encode_array(-0.0),
-                        "kappa": _encode_array(np.inf),
-                    }
+                    "g0": {"fix_step": 4, "lam": _f8(scalar), "kappa": _f8(-scalar)},
+                    "g1": {"fix_step": 9, "lam": _f8(-0.0), "kappa": None},
                 },
             },
-            best_val={"value": 5e-324, "epoch": 2},
-            best_params=np.array([-0.0, -np.inf, 2.5e-310]),
+            best_val={"value": scalar, "epoch": 2},
+            best_params=np.array(best_params),
             budgets=[2, 6],
             run_id="ab" * 8,
         )
 
     def test_roundtrip_equal(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        ckpt = self.make_ckpt()
-        save_checkpoint(ckpt, path)
-        loaded = load_checkpoint(path)
-        assert encode_checkpoint(loaded) == encode_checkpoint(ckpt)
-        assert loaded.params.tobytes() == np.array(self.PARAMS).tobytes()
-        assert loaded.best_params.tobytes() == ckpt.best_params.tobytes()
-        assert loaded.best_val == {"value": 5e-324, "epoch": 2}
-        assert loaded.budgets == [2, 6]
+        for scalar in self.SCALARS:
+            ckpt = self.make_ckpt(scalar)
+            save_checkpoint(ckpt, path)
+            loaded = load_checkpoint(path)
+            assert encode_checkpoint(loaded) == encode_checkpoint(ckpt)
+            assert loaded.params.tobytes() == np.array(self.PARAMS).tobytes()
+            assert loaded.best_params.tobytes() == ckpt.best_params.tobytes()
+            assert _f8(loaded.best_val["value"]) == _f8(scalar)
+            assert loaded.best_val["epoch"] == 2
+            assert loaded.optimizer_state == ckpt.optimizer_state
+            assert loaded.budgets == [2, 6]
 
     def test_equality_sees_the_sign_of_zero(self):
         other = self.make_ckpt()
         other.best_params[0] = 0.0
         assert encode_checkpoint(other) != encode_checkpoint(self.make_ckpt())
 
+    def test_best_params_left_out_only_when_bit_identical(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        same = self.make_ckpt(best_params=self.PARAMS)
+        zero = self.make_ckpt(best_params=[0.0 if p == 0 else p for p in self.PARAMS])  # +0.0 for -0.0
+        for ckpt, kept in ((same, False), (zero, True)):
+            data = encode_checkpoint(ckpt)
+            names = [name for name, _ in json.loads(data.splitlines()[0])["arrays"]]
+            assert ("best_params" in names) == kept
+            save_checkpoint(ckpt, path)
+            loaded = load_checkpoint(path)
+            assert loaded.best_params.tobytes() == ckpt.best_params.tobytes()
+            assert loaded.best_params is not loaded.params
+            assert encode_checkpoint(loaded) == data
+
     def test_optimizer_scalars_roundtrip(self):
         from optbench.optim import CprState, OptimizerState
 
-        state = OptimizerState("adamcpr", [], None)
-        state.buffers = {"m": np.zeros(2)}
-        state.cpr = {"g0": CprState(fix_step=0)}
-        restore_optimizer_state(self.make_ckpt().optimizer_state, state)
-        assert state.buffers["m"].tobytes() == np.array([0.1, -0.0]).tobytes()
-        assert (state.cpr["g0"].fix_step, state.cpr["g0"].kappa) == (4, np.inf)
-        assert np.signbit(state.cpr["g0"].lam)
+        for scalar in self.SCALARS:
+            state = OptimizerState("adamcpr", [], None)
+            state.buffers = {"m": np.zeros(2), "g0.row": np.ones(2)}
+            state.cpr = {"g0": CprState(fix_step=0), "g1": CprState(fix_step=0, kappa=1.0)}
+            restore_optimizer_state(self.make_ckpt(scalar).optimizer_state, state)
+            assert state.buffers["m"].tobytes() == np.array([0.1, -0.0]).tobytes()
+            g0, g1 = state.cpr["g0"], state.cpr["g1"]
+            assert (g0.fix_step, g1.fix_step, g1.kappa) == (4, 9, None)
+            assert (_f8(g0.lam), _f8(g0.kappa)) == (_f8(scalar), _f8(-scalar))
+            assert np.signbit(g1.lam)
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(self.make_ckpt(), p1)
-        save_checkpoint(load_checkpoint(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for scalar in self.SCALARS:
+            save_checkpoint(self.make_ckpt(scalar), p1)
+            save_checkpoint(load_checkpoint(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_file_corrupt(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(self.make_ckpt(), path)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 20])
-        with pytest.raises(CorruptCheckpointError):
-            load_checkpoint(path)
+        for size in (len(data) - 20, len(data) - 72, 50, 0):
+            path.write_bytes(data[:size])
+            with pytest.raises(CorruptCheckpointError):
+                load_checkpoint(path)
 
     def test_tampered_body_corrupt(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(self.make_ckpt(), path)
-        path.write_bytes(path.read_bytes().replace(b'"epoch":3', b'"epoch":4'))
-        with pytest.raises(CorruptCheckpointError):
-            load_checkpoint(path)
+        data = path.read_bytes()
+        flipped = data[:-80] + bytes([data[-80] ^ 1]) + data[-79:]  # a bit of the blob
+        for tampered in (data.replace(b'"epoch":3', b'"epoch":4'), flipped):
+            path.write_bytes(tampered)
+            with pytest.raises(CorruptCheckpointError):
+                load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -162,15 +185,36 @@ class TestCheckpointCodec:
             load_checkpoint(path)
 
     def test_v1_file_says_how_to_proceed(self, tmp_path):
-        for write in (write_v1_checkpoint, write_v2_checkpoint):
+        for version, write in enumerate((write_v1_checkpoint, write_v2_checkpoint, write_v3_checkpoint), 1):
             path = tmp_path / "last.ckpt"
             write(path)
-            with pytest.raises(VersionMismatchError, match="delete the run directory and rerun"):
+            with pytest.raises(VersionMismatchError, match="delete the run directory and rerun") as info:
                 load_checkpoint(path)
+            assert f"has checkpoint version {version}," in str(info.value)
+
+    def test_v3_run_dir_is_a_corrupt_row(self, tmp_path, capsys):
+        from optbench.cli import main
+
+        workdir = tmp_path / "out" / "exp" / "runs" / ("ab" * 8)
+        (workdir / "checkpoints").mkdir(parents=True)
+        write_v3_checkpoint(workdir / "checkpoints" / "last.ckpt")
+        assert main(["list", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].split() == ["ab" * 8, "corrupt", "-", "-"]
+        assert "VersionMismatchError" in captured.err and "version 3" in captured.err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def _f8(a) -> bytes:
+    return np.asarray(a, dtype="<f8").tobytes()
+
+
+def _b64(a) -> str:
+    """Base64 of little-endian float64 bytes, as versions 2 and 3 stored floats."""
+    return base64.b64encode(_f8(a)).decode("ascii")
 
 
 def _write_with_trailer(path: Path, payload: dict) -> None:
@@ -199,15 +243,35 @@ def write_v2_checkpoint(path: Path) -> None:
         "version": 2,
         "epoch": 1,
         "step_count": 2,
-        "params": _encode_array(np.ones(1)),
+        "params": _b64(np.ones(1)),
         "optimizer_state": {
             "step_count": 2,
-            "buffers": {"g0": {"m": _encode_array(np.zeros(1))}},
+            "buffers": {"g0": {"m": _b64(np.zeros(1))}},
             "cpr": {},
         },
         "rng_states": {"init": "00000000deadbeef", "shuffle": "0000000000000042"},
-        "best_val": {"value": _encode_array(1.0), "epoch": 1},
-        "best_params": _encode_array(np.ones(1)),
+        "best_val": {"value": _b64(1.0), "epoch": 1},
+        "best_params": _b64(np.ones(1)),
+        "budgets": [1],
+        "run_id": "ab" * 8,
+    })
+
+
+def write_v3_checkpoint(path: Path) -> None:
+    """The base64 JSON layout of version 3, as its codec wrote it: flat
+    buffers, every float as ``_b64``, ``best_params`` always stored."""
+    _write_with_trailer(path, {
+        "version": 3,
+        "epoch": 1,
+        "step_count": 2,
+        "params": _b64(np.ones(2)),
+        "optimizer_state": {
+            "step_count": 2,
+            "buffers": {"m": _b64(np.zeros(2)), "v": _b64(np.zeros(2))},
+            "cpr": {"g0": {"fix_step": 1, "lam": _b64(0.0), "kappa": None}},
+        },
+        "best_val": {"value": _b64(1.0), "epoch": 1},
+        "best_params": _b64(np.ones(2)),
         "budgets": [1],
         "run_id": "ab" * 8,
     })

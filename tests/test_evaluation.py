@@ -247,6 +247,24 @@ class TestRunEvaluation:
         with pytest.raises(SchemaError):
             run_evaluation(self.make_results(), {"output_types": ["pdf"]}, tmp_path)
 
+    def test_x_axis_equal_to_the_y_axis_rejected(self, tmp_path):
+        eval_cfg = {"plot": {"x_axis": ["optimizer.weight_decay", "optimizer.learning_rate"]}}
+        with pytest.raises(SchemaError, match="x axis `optimizer.learning_rate` is the y axis"):
+            run_evaluation(self.make_results(), eval_cfg, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_rerun_rewrites_only_changed_files(self, tmp_path):
+        eval_cfg = {"plot": {"x_axis": ["optimizer.weight_decay"], "value": ["best", "last"]}}
+        written = run_evaluation(self.make_results(), eval_cfg, tmp_path)
+        stamps = {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in written}
+        assert run_evaluation(self.make_results(), eval_cfg, tmp_path) == written
+        assert {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in written} == stamps
+        run_evaluation(self.make_results()[1:], eval_cfg, tmp_path)  # one seed fewer, same means
+        for p in written:  # the table's n changed; the plots show only means
+            kept = (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) == stamps[p]
+            assert kept == (p.suffix == ".svg"), p
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(written)
+
     def test_csv_only(self, tmp_path):
         written = run_evaluation(self.make_results(), {"output_types": ["csv"]}, tmp_path)
         assert [p.name for p in written] == ["aggregated.csv"]

@@ -21,7 +21,7 @@ from optbench.hpo import (
 )
 from optbench.rng import Xoshiro256StarStar
 from optbench.rundir import RunResult, train_run
-from conftest import resolve, run_dir_files, with_epochs
+from conftest import Interrupted, fail_write, resolve, run_dir_files, with_epochs
 
 # trials.jsonl of these searches is pinned in tests/golden_hpo_<task>.jsonl
 GOLDEN_SEARCHES = {  # task: (top of the learning-rate range, hpo seed, best (trial, budget))
@@ -338,6 +338,29 @@ class TestRunHpo:
         # for, so rerunning into the used dir is an error, not a failed trial
         with pytest.raises(RunIdMismatchError):
             run_hpo(*args)
+
+    def test_killed_search_keeps_finished_rungs_and_failed_rerun_keeps_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        # 1 trial at R, a bracket of 9@1 -> 3@3 -> 1@9, and one cut to 2@3 -> 1@9
+        space = parse_space({"optimizer.learning_rate": {"log_uniform": [1e-3, 1e-1]}})
+        args = (quad_base(epochs=9), space, 12, 0.1, 9, 3, 4)
+        run_hpo(*args, tmp_path / "full")
+        log = tmp_path / "full" / "trials.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + 9 + 3 + 1 + 2 + 1
+        # a kill inside rung 2's first run, or tearing rung 2's log write
+        for kill in (("result.json", 1 + 9 + 1, False), ("trials.jsonl", 3, True)):
+            with monkeypatch.context() as mp:
+                fail_write(mp, *kill)
+                with pytest.raises(Interrupted):
+                    run_hpo(*args, tmp_path / kill[0])
+            assert (tmp_path / kill[0] / "trials.jsonl").read_text() == "".join(lines[:10])
+        # rung 0 of the bracket asks for less than its promoted trials hold
+        stamp = (log.read_bytes(), log.stat().st_ino, log.stat().st_mtime_ns)
+        with pytest.raises(RunIdMismatchError):
+            run_hpo(*args, tmp_path / "full")
+        assert (log.read_bytes(), log.stat().st_ino, log.stat().st_mtime_ns) == stamp
 
     def test_validation(self, tmp_path):
         # n_trials, init_fraction, R and eta are all checked before trial 0 trains
