@@ -160,7 +160,7 @@ def cmd_list(args) -> int:
     states, corrupt = _read_runs(sorted(Path(args.output_dir).glob("*/runs/*/")))
     print(f"{'run_id':<18}{'status':<12}{'epoch':<7}best_val")
     for run_dir, state in states:
-        ckpt = state.ckpt  # every run past its first write has one
+        ckpt = state.ckpt  # none before a run's first epoch ends
         epoch = "-" if ckpt is None else ckpt.epoch
         best = "-" if ckpt is None or ckpt.best_val is None else f"{ckpt.best_val['value']:.6g}"
         error = f"  {state.result.error}" if state.status == "aborted" else ""

@@ -7,10 +7,10 @@ whose every run is a cache hit never loads it.
 
 Fresh start, resume and budget extension share one lifecycle, ``_run``: it
 builds the task, starts each run from the checkpoint ``train_runs`` read and
-checked (or a new epoch-0 one), trains up to ``task.max_epochs`` and writes
-``result.json``. It trains the S >= 1 runs that ``train_runs`` groups, those
-that share the task config, the optimizer name and their start epoch, in
-lockstep as one [S, P] stack: the runs of a grid, an HPO rung's cohort, a
+checked (or epoch 0, never written), trains up to ``task.max_epochs`` and
+writes ``result.json``. It trains the S >= 1 runs that ``train_runs`` groups,
+those that share the task config, the optimizer name and their start epoch,
+in lockstep as one [S, P] stack: the runs of a grid, an HPO rung's cohort, a
 retrain's seeds; a lone run is S = 1. Each run writes the files it would
 write alone, apart from wall-clock fields, which time the group: an epoch's
 ``wall_time_s`` since the group began it, a result's since the group's first
@@ -24,11 +24,12 @@ budget history. It holds no seeds: ``_run`` derives them from
 Each epoch appends its metrics line and then rewrites one of two checkpoint
 slots in place, ``next.ckpt`` and ``last.ckpt`` in turn, never the one that
 holds the newest checkpoint; a finished ``_run`` leaves the final one in
-``last.ckpt`` and no ``next.ckpt``. Every other file but the metrics append
-is written by ``rundir._write_atomic`` to a temporary file and renamed into
-place. So a kill at any write, or a torn slot write, leaves a run that
-resumes from the last checkpointed epoch, and a kill inside an extension is
-finished by the same call with the extended config.
+``last.ckpt`` and no ``next.ckpt``. ``_write_slot`` is the only checkpoint
+writer; every other file but the metrics append is written by
+``rundir._write_atomic`` to a temporary file and renamed into place. So a
+kill at any write, or a torn slot write, leaves a run that resumes from the
+last checkpointed epoch, and a kill inside an extension is finished by the
+same call with the extended config.
 
 A checkpoint is one line of canonical JSON (the integers, the run id and
 the ordered ``[name, length]`` list of its arrays), one blob of those
@@ -167,11 +168,6 @@ def _write_slot(path: Path, data: bytes) -> None:
         f.truncate()
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write a checkpoint atomically."""
-    rundir._write_atomic(path, encode_checkpoint(ckpt))
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         data = Path(path).read_bytes()
@@ -218,18 +214,21 @@ def _truncate_metrics(metrics_path: Path, up_to_epoch: int) -> list[dict]:
     """Drop metric lines past the checkpointed epoch (mid-epoch crashes).
 
     An unparseable final line was torn by a kill inside the per-epoch
-    append, so it lies past the checkpoint too; one anywhere else raises.
+    append, so it lies past the checkpoint too; any other line that is not
+    an epoch's entry raises ``CheckpointError``, naming the file and line.
     """
     raw = metrics_path.read_text(encoding="utf-8") if metrics_path.exists() else ""
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
+    lines = raw.splitlines()
     history = []
     for n, line in enumerate(lines, 1):
         try:
             entry = json.loads(line)
         except json.JSONDecodeError:
-            if n < len(lines):
-                raise
-            break
+            if n == len(lines):
+                break
+            entry = None
+        if not (isinstance(entry, dict) and isinstance(entry.get("epoch"), int)):
+            raise CheckpointError(f"{metrics_path} line {n} is not an epoch's metrics: {line[:60]!r}")
         if entry["epoch"] <= up_to_epoch:
             history.append(entry)
     text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
@@ -311,20 +310,17 @@ class _Run:
         self.opt_state = configure_optimizer(task.groups, opt_cfg)
         seeds = derive_seeds(int(config["engine"]["seed"]))
         self.shuffle_seed = seeds["shuffle"]
-        paths["ckpt_dir"].mkdir(parents=True, exist_ok=True)
+        paths["last"].parent.mkdir(parents=True, exist_ok=True)
         rundir._write_atomic(paths["config"], dump_config(config).encode("utf-8"))
-        if ckpt is None:
+        if ckpt is None:  # epoch 0: the config fixes it, so no file holds it
             params = task.init_params(Xoshiro256StarStar(seeds["init"]))
             state = encode_optimizer_state(self.opt_state)
             ckpt = Checkpoint(0, 0, params, state, None, None, [task.max_epochs], self.rid)
-            save_checkpoint(ckpt, paths["last"])
         else:
-            if slot == paths["next"]:  # the start checkpoint must be in last.ckpt
-                os.replace(slot, paths["last"])
             restore_optimizer_state(ckpt.optimizer_state, self.opt_state)
         task.check_params(ckpt.params)
         self.ckpt = ckpt
-        self.newest = 0  # index of the slot that holds ckpt; epochs write the other one
+        self.newest = int(slot == paths["next"])  # the slot that holds ckpt; epochs write the other one
         info = ("total_steps", "warmup_steps", "warmup_clamped")
         self.result = RunResult(
             self.rid, "completed", _truncate_metrics(paths["metrics"], ckpt.epoch), seeds_used=seeds,
@@ -378,8 +374,8 @@ class _Run:
 def _run(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> list[RunResult]:
     """The one run lifecycle, for S >= 1 runs in lockstep: train each
     ``(config, workdir, ckpt, slot)`` from ``ckpt``, read from ``slot`` and
-    checked by the caller against ``config`` (``None``: from a new epoch-0
-    checkpoint), up to ``task.max_epochs`` and write its ``result.json``.
+    checked by the caller against ``config`` (``None``: from epoch 0), up to
+    ``task.max_epochs`` and write its ``result.json``.
 
     The runs share their task config and start epoch, so they take the same
     steps; each run's batches follow its own batch orders. A run whose loss

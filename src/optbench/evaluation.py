@@ -17,8 +17,6 @@ from .errors import (
     SchemaError,
 )
 
-ALLOWED_OUTPUT_TYPES = {"svg", "csv"}
-
 
 @dataclass
 class AggregateCell:
@@ -249,6 +247,16 @@ def render_heatmap(cells: list[AggregateCell], spec: HeatmapSpec, direction: str
     return "\n".join(out) + "\n"
 
 
+def _entries(value, path: str, allowed: tuple = ()) -> list:
+    """A list key of the evaluation block: one string is one entry, null none.
+    With ``allowed``, each entry must be one of them."""
+    entries = [value] if isinstance(value, str) else [] if value is None else value
+    if not isinstance(entries, list) or allowed and not set(entries) <= set(allowed):
+        what = "/".join(allowed) + " or a list of them" if allowed else "a string or a list"
+        raise SchemaError(f"`evaluation.{path}` must be {what}, got {value!r}")
+    return entries
+
+
 def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, list, str, list]:
     """Output types, x axes, y axis and value kinds of an evaluation block.
 
@@ -258,20 +266,11 @@ def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, l
     any config.
     """
     plot_cfg = evaluation_cfg.get("plot", {}) or {}
-    output_types = evaluation_cfg.get("output_types", ["svg", "csv"])
-    x_keys = plot_cfg.get("x_axis", []) or []
-    x_keys = [x_keys] if isinstance(x_keys, str) else x_keys
+    formats = ("svg", "csv")
+    output_types = _entries(evaluation_cfg.get("output_types", list(formats)), "output_types", formats)
+    x_keys = _entries(plot_cfg.get("x_axis", []), "plot.x_axis")
     y_key = plot_cfg.get("y_axis", "optimizer.learning_rate")
-    values = plot_cfg.get("value", ["best"])
-    values = [values] if isinstance(values, str) else values
-    unknown = set(output_types) - ALLOWED_OUTPUT_TYPES
-    if unknown:
-        raise SchemaError(
-            f"unsupported output types {sorted(unknown)}; allowed: {sorted(ALLOWED_OUTPUT_TYPES)}"
-        )
-    for value in values:
-        if value not in ("best", "last"):
-            raise SchemaError(f"`evaluation.plot.value` must be best or last, got {value!r}")
+    values = _entries(plot_cfg.get("value", ["best"]), "plot.value", ("best", "last"))
     if y_key in x_keys:
         raise SchemaError(f"plot x axis `{y_key}` is the y axis: a heatmap needs two distinct axes")
     paths = {path for cfg in configs for path in _group_key(cfg)}

@@ -101,9 +101,9 @@ def parse_space(raw: dict) -> SearchSpace:
 
 
 def _bounds(path: str, kind: str, args) -> tuple[float, float]:
-    """``[lo, hi]`` of a range entry as floats."""
+    """``[lo, hi]`` of a range entry as floats; a boolean is no bound."""
     try:
-        if isinstance(args, list) and len(args) == 2:
+        if isinstance(args, list) and len(args) == 2 and not any(isinstance(a, bool) for a in args):
             return float(args[0]), float(args[1])
     except (TypeError, ValueError):
         pass

@@ -6,7 +6,7 @@ in its own working directory:
     <workdir>/config.resolved.yaml
     <workdir>/metrics.jsonl            one line per epoch
     <workdir>/result.json              written on completion or abort
-    <workdir>/checkpoints/last.ckpt    the newest epoch (epoch 0 = untrained)
+    <workdir>/checkpoints/last.ckpt    the newest epoch, once one has ended
     <workdir>/checkpoints/next.ckpt    only while a run is training
 
 ``read_run`` is the only reader of ``result.json`` and the checkpoints, and
@@ -76,7 +76,6 @@ def _paths(workdir: Path) -> dict[str, Path]:
         "config": workdir / "config.resolved.yaml",
         "metrics": workdir / "metrics.jsonl",
         "result": workdir / "result.json",
-        "ckpt_dir": workdir / "checkpoints",
         "last": workdir / "checkpoints" / "last.ckpt",
         "next": workdir / "checkpoints" / "next.ckpt",
     }
@@ -96,7 +95,9 @@ def read_run(workdir: str | Path, cached_id: str | None = None) -> RunState:
 
     The checkpoint is the one with the larger epoch of ``last.ckpt`` and
     ``next.ckpt``; a slot that does not load (torn by a kill mid-write) is
-    skipped, and the dir is ``corrupt`` only when neither loads.
+    skipped. The dir is ``corrupt`` when neither loads and ``last.ckpt``
+    exists: without it, an unreadable ``next.ckpt`` is a torn first epoch.
+    ``incomplete``: a config but no result; ``new``: nothing written.
     ``extending``: the checkpoint has another run id than the result, as
     after a budget extension killed once its first extended epoch was
     checkpointed. A result of run ``cached_id``, completed or aborted, is
@@ -122,10 +123,10 @@ def read_run(workdir: str | Path, cached_id: str | None = None) -> RunState:
         else:
             if loaded is not None and (ckpt is None or loaded.epoch > ckpt.epoch):
                 ckpt, slot = loaded, path
-    if ckpt is None and error is not None:
+    if ckpt is None and error is not None and paths["last"].exists():
         return RunState("corrupt", result, error=error)
     if result is None:
-        return RunState("new" if ckpt is None else "incomplete", None, ckpt, slot=slot)
+        return RunState("incomplete" if ckpt or paths["config"].exists() else "new", None, ckpt, slot=slot)
     extending = ckpt is not None and ckpt.run_id != result.run_id
     return RunState("extending" if extending else result.status, result, ckpt, slot=slot)
 
@@ -154,9 +155,10 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
     for a larger ``max_epochs`` extends it, an aborted run from its last
     checkpoint: the budget joins the checkpoint's budget history, and the
     schedule re-totalizes over the new horizon from the resume point on.
-    So the extended config also finishes a killed extension. Any other
-    stored run, a smaller budget among them, raises
-    ``RunIdMismatchError``, and a corrupt run dir its ``CheckpointError``.
+    So the extended config also finishes a killed extension, and restarts a
+    run aborted in its first epoch, which has no checkpoint. Any other stored
+    run, a smaller budget among them, raises ``RunIdMismatchError``, and a
+    corrupt run dir its ``CheckpointError``.
     Every job is read and checked before any trains; the runs left to train
     that share ``lockstep_key`` and their start epoch train as one ``_run``.
     """
@@ -175,9 +177,10 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
             raise state.error
         stored = state.ckpt or state.result
         if stored is not None and stored.run_id != rid:
-            if not _extends(config, state.ckpt):
+            if not _extends(config, stored) or stored is state.result and stored.history:
                 raise RunIdMismatchError(f"workdir {workdir} holds run {stored.run_id}, config is {rid}")
-            state.ckpt.budgets = state.ckpt.budgets + [int(config["task"]["max_epochs"])]
+            if state.ckpt is not None:
+                state.ckpt.budgets = state.ckpt.budgets + [int(config["task"]["max_epochs"])]
         key = (*lockstep_key(config), 0 if state.ckpt is None else state.ckpt.epoch)
         groups.setdefault(key, []).append((i, (config, workdir, state.ckpt, state.slot)))
     if groups:
@@ -189,12 +192,12 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
     return results
 
 
-def _extends(config: dict, ckpt: Checkpoint | None) -> bool:
-    """Whether ``config`` is the run of ``ckpt`` at its last budget with a larger one."""
-    if ckpt is None or config["task"]["max_epochs"] <= ckpt.budgets[-1]:
+def _extends(config: dict, stored: Checkpoint | RunResult) -> bool:
+    """Whether ``config`` is the run of ``stored`` at its last budget with a larger one."""
+    if config["task"]["max_epochs"] <= stored.budgets[-1]:
         return False
-    at_budget = {**config, "task": {**config["task"], "max_epochs": ckpt.budgets[-1]}}
-    return run_id(at_budget) == ckpt.run_id
+    at_budget = {**config, "task": {**config["task"], "max_epochs": stored.budgets[-1]}}
+    return run_id(at_budget) == stored.run_id
 
 
 def train_run(config: dict, workdir: str | Path) -> RunResult:

@@ -189,7 +189,7 @@ def fail_write(monkeypatch, name: str | tuple[str, ...], nth: int, torn: bool = 
 
 
 def stop_after_epoch(monkeypatch, k: int) -> None:
-    """Kill a fresh run once epoch ``k`` is checkpointed: epochs 0, 1, ... are
-    written to ``last.ckpt`` and ``next.ckpt`` in turn, so checkpoint write
-    ``k + 2`` is epoch ``k + 1``."""
-    fail_write(monkeypatch, ("last.ckpt", "next.ckpt"), k + 2)
+    """Kill a fresh run once epoch ``k`` is checkpointed: epochs 1, 2, ... are
+    written to ``next.ckpt`` and ``last.ckpt`` in turn, and epoch 0 is never
+    written, so checkpoint write ``k + 1`` is epoch ``k + 1``."""
+    fail_write(monkeypatch, ("last.ckpt", "next.ckpt"), k + 1)

@@ -573,8 +573,9 @@ class TestResumeCommand:
             with pytest.raises(Interrupted):
                 main(["run", exp])
         states = [read_run(_run_workdir(exp_dir, cfg)) for cfg in configs]
-        assert [(st.status, st.ckpt.epoch) for st in states] == [
-            ("incomplete", 1), ("incomplete", 1), ("incomplete", 0), ("incomplete", 0)
+        # the last two were killed in their first epoch, before any checkpoint
+        assert [(st.status, st.ckpt and st.ckpt.epoch) for st in states] == [
+            ("incomplete", 1), ("incomplete", 1), ("incomplete", None), ("incomplete", None)
         ]
         assert main(["resume", exp]) == 0
         assert "resumed 4 run(s)" in capsys.readouterr().out
@@ -582,6 +583,49 @@ class TestResumeCommand:
             alone = project / "alone" / str(i)
             train_run(cfg, alone)
             assert run_dir_files(_run_workdir(exp_dir, cfg)) == run_dir_files(alone)
+
+    def test_resume_finishes_a_torn_first_checkpoint_write(self, project, capsys, monkeypatch):
+        from optbench.cli import _expand_file, _experiment_dir, _run_workdir
+        from optbench.engine import load_checkpoint
+        from optbench.errors import CorruptCheckpointError
+        from optbench.rundir import read_run, train_run
+
+        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)  # one group of 4 runs
+        name, configs = _expand_file(exp)
+        exp_dir = _experiment_dir(configs, name)
+        with monkeypatch.context() as mp:
+            fail_write(mp, "next.ckpt", 1, torn=True)  # epoch 1 of the group's first run
+            with pytest.raises(Interrupted):
+                main(["run", exp])
+        slots = _run_workdir(exp_dir, configs[0]) / "checkpoints"
+        assert [p.name for p in slots.iterdir()] == ["next.ckpt"]
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(slots / "next.ckpt")
+        # a torn next.ckpt without last.ckpt is a torn first epoch: start again from epoch 0
+        states = [read_run(_run_workdir(exp_dir, cfg)) for cfg in configs]
+        assert [(st.status, st.ckpt, st.error) for st in states] == [("incomplete", None, None)] * 4
+        assert main(["resume", exp]) == 0
+        assert "resumed 4 run(s)" in capsys.readouterr().out
+        for i, cfg in enumerate(configs):
+            alone = project / "alone" / str(i)
+            train_run(cfg, alone)
+            assert run_dir_files(_run_workdir(exp_dir, cfg)) == run_dir_files(alone)
+
+    def test_a_metrics_line_without_an_epoch_exits_1_naming_the_line(self, project, capsys, monkeypatch):
+        from optbench.cli import _expand_file, _experiment_dir, _run_workdir
+        from optbench.rundir import train_run
+
+        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
+        name, configs = _expand_file(exp)
+        workdir = _run_workdir(_experiment_dir(configs, name), configs[0])
+        with monkeypatch.context() as mp:
+            stop_after_epoch(mp, 1)
+            with pytest.raises(Interrupted):
+                train_run(configs[0], workdir)
+        metrics = workdir / "metrics.jsonl"
+        metrics.write_text('{"val": 1}\n' + metrics.read_text())
+        assert main(["resume", exp]) == 1
+        assert f"error: {metrics} line 1 is not an epoch's metrics" in capsys.readouterr().err
 
     def test_resumes_the_others_past_a_corrupt_run(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir
@@ -749,6 +793,7 @@ UNKNOWN_PATHS = [
     ("run", {"evaluation": {"plots": {"x_axis": ["optimizer.weight_decay"]}}}, "evaluation.plots"),
     ("run", {"evaluation": {"output_types": ["png"]}}, "png"),
     ("run", {"evaluation": {"plot": {"value": "mean"}}}, "mean"),
+    ("run", {"evaluation": {"output_types": 3}}, "evaluation.output_types"),
     ("run", {"optimizer": {"name": "adamw_baseline", "weight_decay": [0.1, 0.01]},
              "evaluation": {"plot": {"x_axis": ["optimizer.weight_decy"]}}}, "optimizer.weight_decy"),
     ("run", {"optimizer": {"name": "adamw_baseline", "learning_rate": [0.1, 0.01]},  # the y axis

@@ -27,7 +27,6 @@ from optbench.engine import (
     encode_checkpoint,
     load_checkpoint,
     restore_optimizer_state,
-    save_checkpoint,
     steps_per_epoch,
 )
 from optbench.errors import (
@@ -108,7 +107,7 @@ class TestCheckpointCodec:
         path = tmp_path / "x.ckpt"
         for scalar in self.SCALARS:
             ckpt = self.make_ckpt(scalar)
-            save_checkpoint(ckpt, path)
+            path.write_bytes(encode_checkpoint(ckpt))
             loaded = load_checkpoint(path)
             assert encode_checkpoint(loaded) == encode_checkpoint(ckpt)
             assert loaded.params.tobytes() == np.array(self.PARAMS).tobytes()
@@ -131,7 +130,7 @@ class TestCheckpointCodec:
             data = encode_checkpoint(ckpt)
             names = [name for name, _ in json.loads(data.splitlines()[0])["arrays"]]
             assert ("best_params" in names) == kept
-            save_checkpoint(ckpt, path)
+            path.write_bytes(encode_checkpoint(ckpt))
             loaded = load_checkpoint(path)
             assert loaded.best_params.tobytes() == ckpt.best_params.tobytes()
             assert loaded.best_params is not loaded.params
@@ -154,13 +153,13 @@ class TestCheckpointCodec:
     def test_save_load_save_identical_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         for scalar in self.SCALARS:
-            save_checkpoint(self.make_ckpt(scalar), p1)
-            save_checkpoint(load_checkpoint(p1), p2)
+            p1.write_bytes(encode_checkpoint(self.make_ckpt(scalar)))
+            p2.write_bytes(encode_checkpoint(load_checkpoint(p1)))
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_file_corrupt(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(self.make_ckpt(), path)
+        path.write_bytes(encode_checkpoint(self.make_ckpt()))
         data = path.read_bytes()
         for size in (len(data) - 20, len(data) - 72, 50, 0):
             path.write_bytes(data[:size])
@@ -169,7 +168,7 @@ class TestCheckpointCodec:
 
     def test_tampered_body_corrupt(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(self.make_ckpt(), path)
+        path.write_bytes(encode_checkpoint(self.make_ckpt()))
         data = path.read_bytes()
         flipped = data[:-80] + bytes([data[-80] ^ 1]) + data[-79:]  # a bit of the blob
         for tampered in (data.replace(b'"epoch":3', b'"epoch":4'), flipped):
@@ -409,9 +408,9 @@ class TestTrainRun:
                 ops = _count_file_ops(mp)
                 train_run(quad_config(epochs=epochs), tmp_path / str(epochs))
             counts.append(dict(ops))
-        # renames: config, epoch 0 and result.json; creations: their temporary
-        # files, next.ckpt and metrics.jsonl
-        assert counts == [{"replace": 3, "create": 5}] * 2
+        # renames: config and result.json; creations: their temporary files,
+        # next.ckpt, last.ckpt and metrics.jsonl (epoch 0 is never written)
+        assert counts == [{"replace": 2, "create": 5}] * 2
 
     def test_partial_last_batch(self, workdir):
         cfg = quad_config(epochs=3)
@@ -478,11 +477,11 @@ class TestReadRun:
     def test_new(self, workdir, monkeypatch):
         assert read_run(workdir).status == "new"
         with monkeypatch.context() as mp:
-            fail_write(mp, "last.ckpt", 1)  # config written, no checkpoint yet
+            fail_write(mp, "next.ckpt", 1)  # config written, no checkpoint yet
             with pytest.raises(Interrupted):
                 train_run(quad_config(epochs=3), workdir)
-        state = read_run(workdir)
-        assert (state.status, state.result, state.ckpt) == ("new", None, None)
+        state = read_run(workdir)  # killed in its first epoch: resume finishes it
+        assert (state.status, state.result, state.ckpt) == ("incomplete", None, None)
 
     def test_incomplete(self, workdir, monkeypatch):
         stop_after_epoch(monkeypatch, 2)
@@ -531,7 +530,7 @@ class TestReadRun:
         for k, torn in ((2, "next.ckpt"), (3, "last.ckpt")):
             wd = tmp_path / str(k)
             with monkeypatch.context() as mp:
-                fail_write(mp, ("last.ckpt", "next.ckpt"), k + 2, torn=True)  # epoch k + 1
+                fail_write(mp, ("last.ckpt", "next.ckpt"), k + 1, torn=True)  # epoch k + 1
                 with pytest.raises(Interrupted):
                     train_run(quad_config(epochs=6), wd)
             with pytest.raises(CorruptCheckpointError):
@@ -551,13 +550,13 @@ class TestReadRun:
         last.write_bytes(last.read_bytes()[:-20])
         state = read_run(wd)
         assert (state.status, state.ckpt.epoch, state.slot.name) == ("incomplete", 3, "next.ckpt")
-        train_run(cfg, wd)  # moves next.ckpt over the damaged last.ckpt
+        train_run(cfg, wd)  # epoch 4 rewrites the damaged last.ckpt in place
         assert last.read_bytes() == (tmp_path / "full" / "checkpoints" / "last.ckpt").read_bytes()
 
     def test_both_slots_unreadable_is_corrupt(self, tmp_path, monkeypatch):
         cfg = quad_config(epochs=6)
         with monkeypatch.context() as mp:
-            fail_write(mp, ("last.ckpt", "next.ckpt"), 4, torn=True)  # epoch 3 in next.ckpt
+            fail_write(mp, ("last.ckpt", "next.ckpt"), 3, torn=True)  # epoch 3 in next.ckpt
             with pytest.raises(Interrupted):
                 train_run(cfg, tmp_path / "base")
         damages = {
@@ -719,6 +718,36 @@ class TestExtendBudget:
         assert (extended.run_id, extended.budgets) == (run_id(longer), [8, 16])
         assert strip_wall(extended.history[:2]) == strip_wall(aborted.history)
         assert train_run(longer, workdir) == extended and len(starts) == 1
+
+    def test_a_run_aborted_in_its_first_epoch_restarts_at_a_larger_budget(self, tmp_path):
+        register_task("cliff", CliffTask)
+        cfg = copy.deepcopy(VALLEY_CONFIG)
+        cfg["task"].update(name="cliff", batch_size=1, max_epochs=3)  # 4 steps an epoch
+        cfg["optimizer"].update(learning_rate=6.0, lr_warmup=0.1)  # step 0 jumps past -10
+        aborted = train_run(cfg, tmp_path / "run")
+        assert (aborted.status, aborted.history) == ("aborted", [])
+        assert not any((tmp_path / "run" / "checkpoints").iterdir())  # no epoch to restart from
+        longer = with_epochs(cfg, 30)  # a warmup of 12 steps: step 0 lands on 0 and stays
+        restarted = train_run(longer, tmp_path / "run")
+        assert (restarted.status, restarted.budgets) == ("completed", [30])
+        train_run(longer, tmp_path / "fresh")
+        assert run_dir_files(tmp_path / "run") == run_dir_files(tmp_path / "fresh")
+
+    def test_a_result_whose_checkpoints_are_gone_is_not_extended(self, tmp_path):
+        diverging = resolve(
+            "task: {name: rosenbrock, max_epochs: 4}\n"
+            "optimizer: {name: sgd_baseline, learning_rate: 100.0, momentum: 0.9}"
+        )[0]
+        for cfg in (quad_config(epochs=3), diverging):  # completed; aborted in epoch 3
+            wd = tmp_path / run_id(cfg)
+            stored = train_run(cfg, wd)
+            assert stored.history
+            shutil.rmtree(wd / "checkpoints")
+            before = {p: p.read_bytes() for p in wd.rglob("*")}
+            with pytest.raises(RunIdMismatchError, match=stored.run_id):
+                train_run(with_epochs(cfg, 8), wd)
+            assert {p: p.read_bytes() for p in wd.rglob("*")} == before
+            assert train_run(cfg, wd) == stored  # still a cache hit
 
     def test_same_budget_again_finishes_without_training(self, workdir):
         cfg = quad_config(epochs=2)
@@ -913,9 +942,9 @@ class TestCrashRecovery:
         cfg = copy.deepcopy(VALLEY_CONFIG)  # 10 epochs, epochs 1-3 improve
         writes = _record_writes(monkeypatch, train_run, cfg, tmp_path / "full")
         expected = run_dir_files(tmp_path / "full")
-        # epoch 0 is saved atomically, epochs 1-10 go to next.ckpt and last.ckpt in turn
+        # epoch 0 is never written, epochs 1-10 go to next.ckpt and last.ckpt in turn
         assert writes == (
-            ["config.resolved.yaml", "last.ckpt"]
+            ["config.resolved.yaml"]
             + ["next.ckpt", "last.ckpt"] * 5
             + [SLOT_REMOVE, "result.json"]
         )
@@ -928,6 +957,28 @@ class TestCrashRecovery:
                     train_run(cfg, wd)
             assert train_run(cfg, wd).status == "completed"
             assert run_dir_files(wd) == expected, (i, name, nth, torn)
+
+    def test_an_epoch_0_checkpoint_of_an_earlier_release_resumes_identically(self, tmp_path):
+        """Earlier releases wrote the untrained state to ``last.ckpt`` before
+        epoch 1; a run killed then holds only that and its config."""
+        from optbench.config import dump_config
+        from optbench.engine import encode_optimizer_state
+
+        cfg = quad_config(epochs=5)
+        train_run(cfg, tmp_path / "full")
+        task = build_task(cfg["task"])
+        schedule = _build_schedule(task, cfg["optimizer"], 5)
+        state = configure_optimizer(task.groups, OptimizerConfig.from_dict(cfg["optimizer"], schedule))
+        params = task.init_params(Xoshiro256StarStar(derive_seeds(cfg["engine"]["seed"])["init"]))
+        epoch0 = Checkpoint(0, 0, params, encode_optimizer_state(state), None, None, [5], run_id(cfg))
+        wd = tmp_path / "old"
+        (wd / "checkpoints").mkdir(parents=True)
+        (wd / "config.resolved.yaml").write_text(dump_config(cfg), encoding="utf-8")
+        (wd / "checkpoints" / "last.ckpt").write_bytes(encode_checkpoint(epoch0))
+        read = read_run(wd)
+        assert (read.status, read.ckpt.epoch, read.slot.name) == ("incomplete", 0, "last.ckpt")
+        assert train_run(cfg, wd).status == "completed"
+        assert run_dir_files(wd) == run_dir_files(tmp_path / "full")
 
     def test_kill_at_every_write_of_a_resume_from_next_ckpt(self, tmp_path, monkeypatch):
         register_task("valley", ValleyTask)
@@ -943,11 +994,12 @@ class TestCrashRecovery:
         shutil.copytree(tmp_path / "base", tmp_path / "resumed")
         writes = _record_writes(monkeypatch, train_run, cfg, tmp_path / "resumed")
         assert run_dir_files(tmp_path / "resumed") == expected
-        # epoch 4's metrics line is dropped; epochs 4-10 end in next.ckpt
+        # epoch 4's metrics line is dropped; epochs 4-10 start in last.ckpt,
+        # the slot that does not hold epoch 3, and end there
         assert writes == (
-            ["config.resolved.yaml", SLOT_MOVE, "metrics.jsonl"]
-            + ["next.ckpt", "last.ckpt"] * 3
-            + ["next.ckpt", SLOT_MOVE, "result.json"]
+            ["config.resolved.yaml", "metrics.jsonl"]
+            + ["last.ckpt", "next.ckpt"] * 3
+            + ["last.ckpt", SLOT_REMOVE, "result.json"]
         )
 
         for i, name, nth, torn in _kill_points(writes):
@@ -1021,12 +1073,21 @@ class TestCrashRecovery:
             f.write('{"epoch": 5, "lr_l')  # a kill inside the next append
         assert train_run(cfg, tmp_path / "torn").status == "completed"
         assert run_dir_files(tmp_path / "torn") == run_dir_files(tmp_path / "full")
-        # an unparseable line before the last is corruption, not a torn append
+        # an unparseable line before the last, or a line with no epoch anywhere,
+        # is corruption, not a torn append: the error names the file and line
         metrics = tmp_path / "corrupt" / "metrics.jsonl"
-        lines = metrics.read_text().splitlines(keepends=True)
-        metrics.write_text(lines[0] + '{"epoch": 2, "lr_l\n' + "".join(lines[2:]))
-        with pytest.raises(json.JSONDecodeError):
-            train_run(cfg, tmp_path / "corrupt")
+        good = metrics.read_text().splitlines(keepends=True)  # epochs 1-4
+        cases = [
+            (good[:1] + ['{"epoch": 2, "lr_l\n'] + good[2:], 2),
+            (good[:1] + ['{"val": 1}\n'] + good[2:], 2),
+            (good + ['{"val": 1}\n'], 5),
+            (good + ["[5]\n"], 5),
+        ]
+        for lines, n in cases:
+            metrics.write_text("".join(lines))
+            with pytest.raises(CheckpointError, match=re.escape(f"{metrics} line {n} ")):
+                train_run(cfg, tmp_path / "corrupt")
+            assert metrics.read_text() == "".join(lines)
 
 
 # --- the per-process batch-order cache ---------------------------------------

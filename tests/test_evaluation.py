@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -14,6 +15,7 @@ from optbench.evaluation import (
     AggregateCell,
     HeatmapSpec,
     aggregate,
+    check_evaluation,
     export_table,
     render_heatmap,
     run_evaluation,
@@ -268,3 +270,20 @@ class TestRunEvaluation:
     def test_csv_only(self, tmp_path):
         written = run_evaluation(self.make_results(), {"output_types": ["csv"]}, tmp_path)
         assert [p.name for p in written] == ["aggregated.csv"]
+
+    def test_a_single_string_is_one_entry(self, tmp_path):
+        axis = "optimizer.weight_decay"
+        as_lists = {"output_types": ["svg"], "plot": {"x_axis": [axis], "value": ["last"]}}
+        as_strings = {"output_types": "svg", "plot": {"x_axis": axis, "value": "last"}}
+        configs = [cfg for cfg, _ in self.make_results()]
+        assert check_evaluation(as_strings, configs) == check_evaluation(as_lists, configs)
+        written = run_evaluation(self.make_results(), as_strings, tmp_path)
+        assert [p.name for p in written] == ["adamw_baseline.optimizer.weight_decay.last.svg"]
+        bad_blocks = [
+            ({"output_types": 3}, "`evaluation.output_types` must be svg/csv or a list of them, got 3"),
+            ({"plot": {"value": "mean"}}, "`evaluation.plot.value` must be best/last or a list of them"),
+            ({"plot": {"x_axis": {}}}, "`evaluation.plot.x_axis` must be a string or a list, got {}"),
+        ]
+        for block, message in bad_blocks:
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                check_evaluation(block, configs)

@@ -124,6 +124,8 @@ class TestSampling:
             {"uniform": [0.1]},
             {"log_uniform": [1e-5, 1e-1, 1.0]},
             {"log_uniform": ["low", 1.0]},
+            {"uniform": [False, 0.999]},  # a boolean is no bound
+            {"log_uniform": [1e-5, True]},
             {"uniform": {"lo": 0, "hi": 1}},
             {"categorical": "adam"},
             {"categorical": []},
