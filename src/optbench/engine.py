@@ -10,12 +10,14 @@ builds the task, starts each run from the checkpoint ``train_runs`` read and
 checked (or epoch 0, never written), trains up to ``task.max_epochs`` and
 writes ``result.json``. It trains the S >= 1 runs that ``train_runs`` groups,
 those that share the task config, the optimizer name and their start epoch,
-in lockstep as one [S, P] stack: the runs of a grid, an HPO rung's cohort, a
-retrain's seeds; a lone run is S = 1. Each run writes the files it would
-write alone, apart from wall-clock fields, which time the group: an epoch's
-``wall_time_s`` since the group began it, a result's since the group's first
-step. A kill mid-group leaves several incomplete runs, which ``train_runs``
-(``optbench resume``) finishes bit-identically.
+in lockstep as one [S, P] stack: the runs of a grid, an HPO wave's trials of
+one budget, a retrain's seeds; a lone run is S = 1. Each epoch's validation
+is one ``evaluate`` call over the stack, as are the survivors' test values
+at the end. Each run writes the files it would write alone, apart from
+wall-clock fields, which time the group: an epoch's ``wall_time_s`` since
+the group began it, a result's since the group's first step. A kill
+mid-group leaves several incomplete runs, which ``train_runs`` (``optbench
+resume``) finishes bit-identically.
 
 A checkpoint is the whole resume state: parameters, optimizer state (one
 array per buffer), the best validation value with its parameters, and the
@@ -302,7 +304,7 @@ def _build_schedule(task: TaskInstance, opt_cfg_dict: dict, max_epochs: int) -> 
 class _Run:
     """One run of a ``_run``: files, schedule, optimizer state, checkpoint, result."""
 
-    def __init__(self, task: TaskInstance, config: dict, workdir: Path, ckpt, slot):
+    def __init__(self, task: TaskInstance, inits: dict, config: dict, workdir: Path, ckpt, slot):
         self.paths = paths = _paths(workdir)
         self.rid = run_id(config)
         self.schedule = _build_schedule(task, config["optimizer"], task.max_epochs)
@@ -313,7 +315,9 @@ class _Run:
         paths["last"].parent.mkdir(parents=True, exist_ok=True)
         rundir._write_atomic(paths["config"], dump_config(config).encode("utf-8"))
         if ckpt is None:  # epoch 0: the config fixes it, so no file holds it
-            params = task.init_params(Xoshiro256StarStar(seeds["init"]))
+            if seeds["init"] not in inits:  # the group's runs of one engine.seed share it
+                inits[seeds["init"]] = task.init_params(Xoshiro256StarStar(seeds["init"]))
+            params = inits[seeds["init"]]
             state = encode_optimizer_state(self.opt_state)
             ckpt = Checkpoint(0, 0, params, state, None, None, [task.max_epochs], self.rid)
         else:
@@ -328,9 +332,8 @@ class _Run:
             schedule_info={k: getattr(self.schedule, k) for k in info},
         )
 
-    def end_epoch(self, task, epoch, step_count, params, lr_last, losses, epoch_start) -> None:
+    def end_epoch(self, task, epoch, step_count, params, lr_last, losses, val_metric, epoch_start) -> None:
         """Append the epoch's metrics line and write it to the other slot."""
-        val_metric = evaluate(task, params, "val")
         entry = {
             "epoch": epoch,
             "lr_last": lr_last,
@@ -353,8 +356,9 @@ class _Run:
         self.newest ^= 1
         _write_slot(self.paths["next" if self.newest else "last"], encode_checkpoint(self.ckpt))
 
-    def finish(self, task, params, t_start: float, error: str | None = None) -> None:
-        """Move the newest checkpoint to ``last.ckpt``; write the result, aborted if ``error``."""
+    def finish(self, t_start: float, test: tuple[float, float] | None, error: str | None = None) -> None:
+        """Move the newest checkpoint to ``last.ckpt``; write the result with
+        its ``test`` values (best, last), or aborted with ``error``."""
         paths, result = self.paths, self.result
         if self.newest:
             os.replace(paths["next"], paths["last"])
@@ -363,8 +367,7 @@ class _Run:
         result.best_val = self.ckpt.best_val
         result.wall_time_s = time.monotonic() - t_start
         if error is None:
-            result.test_best = evaluate(task, self.ckpt.best_params, "test")
-            result.test_last = evaluate(task, params, "test")
+            result.test_best, result.test_last = test
         else:
             result.status, result.error = "aborted", error
         result.save(paths["result"])
@@ -379,12 +382,16 @@ def _run(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> lis
 
     The runs share their task config and start epoch, so they take the same
     steps; each run's batches follow its own batch orders. A run whose loss
-    or gradient turns non-finite leaves the stack at that step."""
+    or gradient turns non-finite leaves the stack at that step. Validation
+    is one ``evaluate`` of the stack per epoch; ``test_best`` and
+    ``test_last`` one each of the runs that complete, none if every run
+    aborted."""
     task = build_task(starts[0][0]["task"])
-    runs = [_Run(task, *start) for start in starts]
+    inits = {}  # init seed -> epoch-0 params, read-only
+    runs = [_Run(task, inits, *start) for start in starts]
     live = list(runs)  # the runs still in the stack, one per row
     train, batch = task.splits["train"], task.batch_size
-    batches = [(slice(None), slice(b, b + batch)) for b in range(0, train.n, batch)]  # every run's rows
+    batches = [slice(b, b + batch) for b in range(0, train.n, batch)]
     params = np.array([run.ckpt.params for run in live])
     stack = OptimizerStack([run.opt_state for run in live])
     step_count = live[0].ckpt.step_count
@@ -393,11 +400,13 @@ def _run(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> lis
     t_start = time.monotonic()
     for epoch in epochs:
         epoch_start = time.monotonic()
-        shuffled = train.take(np.array([next(run_orders)[1] for run_orders in orders]))
+        order = np.array([next(run_orders)[1] for run_orders in orders])  # [S, n]
         losses = []
-        for rows in batches:
+        for cols in batches:
             lrs = [lr_at(run.schedule, step_count) for run in live]
-            loss, grad = forward_backward(task, params, shuffled.take(rows))
+            # each step gathers its own rows: a shuffled copy of the split per run would
+            # outweigh the step's activations
+            loss, grad = forward_backward(task, params, train.take(order[:, cols]))
             if not (all(map(math.isfinite, loss.tolist())) and math.isfinite(grad.sum())):
                 errors = {}  # none if only the sum overflowed; a lone run checks its loss first
                 for i in range(len(live)):
@@ -406,20 +415,23 @@ def _run(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> lis
                     elif not np.isfinite(grad[i]).all():
                         errors[i] = "non-finite gradient"
                 for i, error in errors.items():
-                    live[i].finish(task, None, t_start, f"epoch {epoch}: {error}")
+                    live[i].finish(t_start, None, f"epoch {epoch}: {error}")
                 keep = [i for i in range(len(live)) if i not in errors]
                 if not keep:
                     return [run.result for run in runs]
                 live, orders = [live[i] for i in keep], [orders[i] for i in keep]
                 lrs, losses = [lrs[i] for i in keep], [row[keep] for row in losses]
-                params, loss, grad, shuffled = params[keep], loss[keep], grad[keep], shuffled.take(keep)
+                params, loss, grad, order = params[keep], loss[keep], grad[keep], order[keep]
                 stack = OptimizerStack([run.opt_state for run in live])
             optimizer_step(params, grad, stack, lrs)
             step_count += 1
             losses.append(loss)
         per_run = np.array(losses).T  # np.mean of a row sums as for a list; .mean(axis=1) would not
+        val = evaluate(task, params, "val")
         for i, run in enumerate(live):
-            run.end_epoch(task, epoch, step_count, params[i], lrs[i], per_run[i], epoch_start)
+            run.end_epoch(task, epoch, step_count, params[i], lrs[i], per_run[i], val[i], epoch_start)
+    test_best = evaluate(task, np.array([run.ckpt.best_params for run in live]), "test")
+    test_last = evaluate(task, params, "test")
     for i, run in enumerate(live):
-        run.finish(task, params[i], t_start)
+        run.finish(t_start, (test_best[i], test_last[i]))
     return [run.result for run in runs]

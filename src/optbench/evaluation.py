@@ -249,9 +249,10 @@ def render_heatmap(cells: list[AggregateCell], spec: HeatmapSpec, direction: str
 
 def _entries(value, path: str, allowed: tuple = ()) -> list:
     """A list key of the evaluation block: one string is one entry, null none.
-    With ``allowed``, each entry must be one of them."""
+    Each entry must be a string, and with ``allowed`` one of them."""
     entries = [value] if isinstance(value, str) else [] if value is None else value
-    if not isinstance(entries, list) or allowed and not set(entries) <= set(allowed):
+    if (not isinstance(entries, list) or not all(isinstance(e, str) for e in entries)
+            or allowed and not set(entries) <= set(allowed)):
         what = "/".join(allowed) + " or a list of them" if allowed else "a string or a list"
         raise SchemaError(f"`evaluation.{path}` must be {what}, got {value!r}")
     return entries
@@ -266,10 +267,14 @@ def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, l
     any config.
     """
     plot_cfg = evaluation_cfg.get("plot", {}) or {}
+    if not isinstance(plot_cfg, dict):
+        raise SchemaError(f"`evaluation.plot` must be a mapping, got {plot_cfg!r}")
     formats = ("svg", "csv")
     output_types = _entries(evaluation_cfg.get("output_types", list(formats)), "output_types", formats)
     x_keys = _entries(plot_cfg.get("x_axis", []), "plot.x_axis")
     y_key = plot_cfg.get("y_axis", "optimizer.learning_rate")
+    if not isinstance(y_key, str):
+        raise SchemaError(f"`evaluation.plot.y_axis` must be a string, got {y_key!r}")
     values = _entries(plot_cfg.get("value", ["best"]), "plot.value", ("best", "last"))
     if y_key in x_keys:
         raise SchemaError(f"plot x axis `{y_key}` is the y axis: a heatmap needs two distinct axes")

@@ -4,9 +4,11 @@ Random sampling over declared ranges plus a Hyperband intensifier: each
 bracket starts a batch of fresh configurations at a small epoch budget and
 repeatedly promotes the best fraction to a larger budget. Promotions never
 retrain from scratch: the promoted trial's config with the larger
-``max_epochs`` extends its existing run directory. Each rung's cohort is
-one ``train_runs`` call, so its trials, which share the task config, the
-optimizer and the start epoch, train in lockstep as one group.
+``max_epochs`` extends its existing run directory. Brackets are
+independent, so the search trains in waves: wave k is rung k of every
+cohort, one ``train_runs`` call, in which the trials that share the task
+config (budget included), the optimizer and the start epoch train in
+lockstep as one group, whatever their cohort.
 
 The whole search is a plan of cohorts fixed before anything trains: a
 fraction of the trials ("initial configurations") is evaluated directly
@@ -82,6 +84,8 @@ def parse_space(raw: dict) -> SearchSpace:
 
         {log_uniform: [lo, hi]} | {uniform: [lo, hi]} | {categorical: [...]}
     """
+    if not isinstance(raw, dict):
+        raise SchemaError(f"`space` must map config paths to distributions, got {raw!r}")
     space: SearchSpace = {}
     for path, desc in raw.items():
         if not isinstance(desc, dict) or len(desc) != 1:
@@ -244,15 +248,17 @@ def run_hpo(
     task or optimizer and so the keys its config may hold (a ``SchemaError``
     before anything is written otherwise).
 
-    The cohorts of ``search_plan`` run one after another. Each rung after
-    the first keeps the ``ceil(n/eta)`` best completed trials of the n the
-    rung before it evaluated. A rung trains its cohort as one lockstep
-    group and then adds one line per trial to ``trials.jsonl``, in cohort
-    order, by one atomic rewrite of the log: a killed search keeps every
-    finished rung. A log that already starts with those lines is left
-    alone, so a rerun that fails part way keeps the earlier one. Returns the
-    completed trial with the largest budget and the lowest objective, plus
-    every trial.
+    The cohorts of ``search_plan`` advance together: wave k trains rung k
+    of every cohort that has one, in one ``train_runs`` call. Each rung
+    after the first keeps the ``ceil(n/eta)`` best completed trials of the
+    n its cohort's rung before it evaluated, so no cohort reads another's
+    results. After each wave one atomic rewrite sets ``trials.jsonl`` to
+    the longest complete prefix of the plan-order log (cohort by cohort,
+    rung by rung, one line per trial): a killed search keeps every line
+    of it, and lines of a later cohort wait for the cohorts before it. A
+    log that already starts with those lines is left alone, so a rerun
+    that fails part way keeps the earlier one. Returns the completed trial
+    with the largest budget and the lowest objective, plus every trial.
     """
     trained = identity_view(base_config)  # what a trial's run sees of its config
     del trained["task"]["max_epochs"]  # each rung sets it to its budget
@@ -280,21 +286,29 @@ def run_hpo(
     workdir.mkdir(parents=True, exist_ok=True)
     log_path, log = workdir / "trials.jsonl", ""
     logged = log_path.read_text(encoding="utf-8") if log_path.exists() else ""  # an earlier search's
-    for ids, budgets in plan:
-        cohort = [trials[tid] for tid in ids]
-        for rung, budget in enumerate(budgets):
-            if rung:
-                alive = [t for t in cohort if t.status == "completed"]
-                alive.sort(key=lambda t: (t.objective, t.trial_id))
-                cohort = alive[: math.ceil(len(cohort) / eta)]
-            configs = [_apply_overlay(t.config, {}, budget) for t in cohort]
-            results = rundir.train_runs([(cfg, t.workdir) for cfg, t in zip(configs, cohort)])
-            for trial, cfg, result in zip(cohort, configs, results):
-                _record(trial, cfg, result, rung)
-                log += json.dumps(trial.log_entry(), sort_keys=True) + "\n"
-            if not logged.startswith(log):  # else a rerun: leave the earlier log alone
-                rundir._write_atomic(log_path, log.encode("utf-8"))
-                logged = log
+    rungs = [[trials[tid] for tid in ids] for ids, _ in plan]  # each cohort's newest rung
+    lines: list[list[str]] = [[] for _ in plan]  # each cohort's log lines so far
+    for wave in range(max(len(budgets) for _, budgets in plan)):
+        jobs = []  # (cohort, trial, config) of rung ``wave`` of every cohort that has one
+        for c, (_, budgets) in enumerate(plan):
+            if wave < len(budgets):
+                if wave:
+                    alive = [t for t in rungs[c] if t.status == "completed"]
+                    alive.sort(key=lambda t: (t.objective, t.trial_id))
+                    rungs[c] = alive[: math.ceil(len(rungs[c]) / eta)]
+                jobs += [(c, t, _apply_overlay(t.config, {}, budgets[wave])) for t in rungs[c]]
+        results = rundir.train_runs([(cfg, t.workdir) for _, t, cfg in jobs])
+        for (c, trial, cfg), result in zip(jobs, results):
+            _record(trial, cfg, result, wave)
+            lines[c].append(json.dumps(trial.log_entry(), sort_keys=True) + "\n")
+        log = ""  # the longest plan-order prefix that is complete
+        for (_, budgets), cohort_lines in zip(plan, lines):
+            log += "".join(cohort_lines)
+            if wave + 1 < len(budgets):
+                break
+        if not logged.startswith(log):  # else a rerun: leave the earlier log alone
+            rundir._write_atomic(log_path, log.encode("utf-8"))
+            logged = log
     if logged != log:  # a longer log of another search
         rundir._write_atomic(log_path, log.encode("utf-8"))
 
@@ -306,11 +320,12 @@ def run_hpo(
 
 
 def _distinct_seeds(seeds: list) -> list[int]:
-    """The seeds as ints; a repeated one would aggregate one run twice."""
-    ints = [int(s) for s in seeds]
-    if len(set(ints)) != len(ints):
+    """The seeds, a list of integers; a repeated one would aggregate one run twice."""
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):  # no bool, no 1.5
+        raise SchemaError(f"`retrain_seeds` must be a list of integers, got {seeds!r}")
+    if len(set(seeds)) != len(seeds):
         raise BadParameterError(f"retrain_seeds must not repeat a seed: {seeds}")
-    return ints
+    return seeds
 
 
 def retrain_best(
@@ -366,5 +381,6 @@ def load_hpo_file(path: str | Path) -> dict:
         raw["experiment_text"] = yaml.safe_dump(raw["experiment"])
     else:
         raise ConfigError("`experiment` must be a mapping or a path string")
-    _distinct_seeds(raw.get("retrain_seeds") or [])  # before the search trains
+    if raw.get("retrain_seeds") is not None:
+        _distinct_seeds(raw["retrain_seeds"])  # before the search trains
     return raw

@@ -11,7 +11,8 @@ A batch shuffle is defined by ``Xoshiro256StarStar.shuffled_indices``: the
 Fisher-Yates permutation drawn from one stream. ``permutations`` computes
 the same permutations for many streams at once with numpy; it is only a
 faster way to get them, and falls back to ``shuffled_indices`` for any
-stream it cannot batch.
+stream it cannot batch. ``normal_array`` draws the words of long runs of
+normals the same way.
 """
 
 from __future__ import annotations
@@ -110,7 +111,23 @@ class Xoshiro256StarStar:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def normal_array(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        """n draws of ``normal``, leaving the state where they leave it. From
+        ``_LANE_NORMALS`` on, the 2n words come from ``_lane_states``;
+        ``math`` still takes each log, square root and cosine, since
+        ``np.log`` may round the last bit otherwise."""
+        if n < _LANE_NORMALS:
+            return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        words, ends = _lane_states([self.s], 2 * n)
+        chunks, rest = divmod(2 * n, _LANE)
+        self.s = ends[:, chunks - 1].tolist()  # the state after chunks * _LANE words
+        for _ in range(rest):
+            self.next_u64()
+        u1 = ((words[0, 0::2] >> 11) + 1).astype(np.float64) * 2.0**-53  # exact, as in ``normal``
+        angle = (words[0, 1::2] >> 11).astype(np.float64) * 2.0**-53 * (2.0 * math.pi)
+        return np.array(
+            [math.sqrt(-2.0 * math.log(a)) * math.cos(b) for a, b in zip(u1.tolist(), angle.tolist())],
+            dtype=np.float64,
+        )
 
     def shuffled_indices(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
@@ -133,6 +150,7 @@ class Xoshiro256StarStar:
 # together as numpy uint64 lanes.
 
 _LANE = 64  # draws per lane; fixed, so every n and epoch count share one ladder
+_LANE_NORMALS = 256  # the fewest normals ``normal_array`` draws through lanes
 _LADDER: dict[int, np.ndarray] = {}  # level i: nibble table of T^(_LANE * 2^i)
 _NIBBLE_ROWS = np.arange(0, 64 * 16, 16)[:, None]  # row of nibble q's value 0
 _U64_MAX = np.uint64(_MASK64)
@@ -198,19 +216,25 @@ def _ladder(level: int) -> np.ndarray:
 
 def _lane_draws(seeds: list[int], count: int) -> np.ndarray:
     """uint64 [len(seeds), count]: the first ``count`` outputs of each stream."""
+    return _lane_states([Xoshiro256StarStar(seed).s for seed in seeds], count)[0]
+
+
+def _lane_states(states: list[list[int]], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 [len(states), count], the first ``count`` outputs from each
+    xoshiro256** state, and uint64 [4, len(states) * chunks]: column
+    ``i * chunks + c`` is state i after ``(c + 1) * _LANE`` outputs."""
     chunks = -(-count // _LANE)
-    starts = np.array([Xoshiro256StarStar(seed).s for seed in seeds], dtype=np.uint64)
-    lanes = starts.T[:, :, None]  # [4, seed, chunk]
+    lanes = np.array(states, dtype=np.uint64).T[:, :, None]  # [4, state, chunk]
     level = 0
     while lanes.shape[2] < chunks:
         new = min(lanes.shape[2], chunks - lanes.shape[2])
         jumped = _jump(_ladder(level), lanes[:, :, :new].reshape(4, -1))
-        lanes = np.concatenate([lanes, jumped.reshape(4, len(seeds), new)], axis=2)
+        lanes = np.concatenate([lanes, jumped.reshape(4, len(states), new)], axis=2)
         level += 1
     lanes = np.ascontiguousarray(lanes.reshape(4, -1))
     out = np.empty((lanes.shape[1], _LANE), dtype=np.uint64)
     _step_lanes(lanes, _LANE, out.T)
-    return out.reshape(len(seeds), chunks * _LANE)[:, :count]
+    return out.reshape(len(states), chunks * _LANE)[:, :count], lanes
 
 
 def permutations(seeds: list[int], n: int) -> np.ndarray:

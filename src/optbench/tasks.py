@@ -4,8 +4,9 @@ Each task bundles a model (as a flat parameter vector with named groups),
 fixed train/val/test splits generated from the task's own data seed, and
 a metric with an improvement direction. Gradients are analytic; there is
 no autodiff framework underneath, which keeps runs bit-reproducible.
-``loss_grads`` takes the [S, P] parameters of S runs in lockstep: stacked
-for ``mlp_synth`` and ``blobs_logreg``, ``loss_grad`` per row otherwise.
+``loss_grads`` and ``metric_values`` take the [S, P] parameters of S runs
+in lockstep: stacked for ``mlp_synth`` and ``blobs_logreg``, ``loss_grad``
+and ``metric_value`` per row otherwise.
 
 Registered tasks:
 
@@ -77,11 +78,15 @@ class DataSplit:
     def take(self, idx) -> "DataSplit":
         """Rows ``idx``: copies for an index array, views for a slice. An
         [S, n] index array takes S runs' rows; ``take(i)`` of those is run i's."""
+        if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":  # take gathers faster than indexing
+            return DataSplit(*(a.take(idx, axis=0) for a in (self.inputs, self.targets, self.indices)))
         return DataSplit(self.inputs[idx], self.targets[idx], self.indices[idx])
 
 
-def accuracy(predicted_classes: np.ndarray, targets: np.ndarray) -> float:
-    return float(np.mean(predicted_classes == targets))
+def accuracy(predicted_classes: np.ndarray, targets: np.ndarray):
+    """The share of correct predictions; of each row, for [S, n] predictions."""
+    correct = np.mean(predicted_classes == targets, axis=-1)  # counts are exact: any row sums alike
+    return correct.tolist()
 
 
 def _softmax_ce(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,6 +192,11 @@ class TaskInstance:
     def metric_value(self, params: np.ndarray, split: DataSplit) -> float:
         raise NotImplementedError
 
+    def metric_values(self, params: np.ndarray, split: DataSplit) -> list[float]:
+        """The metric of each row of [S, P] ``params`` over ``split``; this
+        default calls ``metric_value`` on each row."""
+        return [self.metric_value(p, split) for p in params]
+
     # common plumbing ------------------------------------------------------
     @property
     def n_params(self) -> int:
@@ -214,10 +224,12 @@ class TaskInstance:
             offset += n
         return splits
 
-    def _balanced_splits(self, rng, sampler) -> dict[str, DataSplit]:
+    def _balanced_splits(self, rng, dim: int, sampler) -> dict[str, DataSplit]:
         """Two-class splits with exactly balanced labels per split.
 
-        ``sampler(rng, cls)`` draws one input row for class ``cls``.
+        A split's [n, dim] standard normal noise is drawn in one call, class
+        0's rows first; ``sampler(cls, noise)`` turns class ``cls``'s rows of
+        it into input rows.
         """
         splits = {}
         offset = 0
@@ -227,14 +239,10 @@ class TaskInstance:
                 raise BadParameterError(
                     f"{split_name}_size must be even for balanced classes"
                 )
-            rows, labels = [], []
-            for cls in (0, 1):
-                for i in range(n // 2):
-                    rows.append(sampler(rng, cls, i, n // 2))
-                    labels.append(cls)
+            noise = rng.normal_array(n * dim).reshape(n, dim)
             splits[split_name] = DataSplit(
-                inputs=np.array(rows, dtype=np.float64),
-                targets=np.array(labels, dtype=np.int64),
+                inputs=np.concatenate([sampler(0, noise[: n // 2]), sampler(1, noise[n // 2 :])]),
+                targets=np.repeat(np.arange(2, dtype=np.int64), n // 2),
                 indices=np.arange(offset, offset + n, dtype=np.int64),
             )
             offset += n
@@ -322,11 +330,7 @@ class BlobsLogregTask(TaskInstance):
     def _generate_splits(self, rng):
         direction = np.ones(self.dim) / math.sqrt(self.dim)
         centers = [-0.5 * self.separation * direction, 0.5 * self.separation * direction]
-
-        def sampler(r, cls, i, m):
-            return centers[cls] + r.normal_array(self.dim)
-
-        return self._balanced_splits(rng, sampler)
+        return self._balanced_splits(rng, self.dim, lambda cls, noise: centers[cls] + noise)
 
     def _build_groups(self):
         d = self.dim
@@ -350,9 +354,8 @@ class BlobsLogregTask(TaskInstance):
         dw = dlogits.transpose(0, 2, 1) @ batch.inputs
         return losses, np.concatenate([dw.reshape(len(params), -1), dlogits.sum(axis=1)], axis=1)
 
-    def metric_value(self, params, split):
-        pred = np.argmax(self._logits(params[None], split.inputs)[0], axis=1)
-        return accuracy(pred, split.targets.astype(np.int64))
+    def metric_values(self, params, split):
+        return accuracy(np.argmax(self._logits(params, split.inputs), axis=2), split.targets)
 
 
 class MlpSynthTask(TaskInstance):
@@ -370,14 +373,16 @@ class MlpSynthTask(TaskInstance):
         super().__init__(cfg, data_seed)
 
     def _generate_splits(self, rng):
-        def sampler(r, cls, i, m):
-            u = i / max(m - 1, 1)
-            radius = 0.4 + 2.6 * u
-            angle = self.turns * 2.0 * math.pi * u + cls * math.pi
-            point = radius * np.array([math.cos(angle), math.sin(angle)])
-            return point + self.noise * r.normal_array(2)
+        def sampler(cls, noise):
+            points = []
+            for i in range(len(noise)):
+                u = i / max(len(noise) - 1, 1)
+                radius = 0.4 + 2.6 * u
+                angle = self.turns * 2.0 * math.pi * u + cls * math.pi
+                points.append([radius * math.cos(angle), radius * math.sin(angle)])
+            return np.array(points) + self.noise * noise
 
-        return self._balanced_splits(rng, sampler)
+        return self._balanced_splits(rng, 2, sampler)
 
     def _build_groups(self):
         h = self.num_hidden
@@ -429,10 +434,9 @@ class MlpSynthTask(TaskInstance):
         s = len(params)
         return losses, np.concatenate([dw1.reshape(s, -1), db1, dw2.reshape(s, -1), db2], axis=1)
 
-    def metric_value(self, params, split):
-        _, logits = self._forward(self._unpack(params[None]), split.inputs)
-        pred = np.argmax(logits[0], axis=1)
-        return accuracy(pred, split.targets.astype(np.int64))
+    def metric_values(self, params, split):
+        _, logits = self._forward(self._unpack(params), split.inputs)
+        return accuracy(np.argmax(logits, axis=2), split.targets)
 
 
 TASKS: dict[str, type[TaskInstance]] = {
@@ -482,10 +486,20 @@ def forward_backward(task: TaskInstance, params: np.ndarray, batch: DataSplit):
     return float(losses[0]), grads[0]
 
 
-def evaluate(task: TaskInstance, params: np.ndarray, split: str) -> float:
-    """Metric value over a whole named split, deterministic at eval time."""
-    params = task.check_params(params)
+def evaluate(task: TaskInstance, params: np.ndarray, split: str):
+    """Metric value over a whole named split, deterministic at eval time, of
+    one run's flat params; or the list of S values of an [S, P] stack, each
+    bit-identical to its row's lone value. A stack is evaluated
+    ``max(1, S * batch_size // n)`` rows at a time, so that its activations
+    over the n examples stay within a training step's. Only a single run's
+    shapes are checked."""
+    stacked = isinstance(params, np.ndarray) and params.ndim == 2
+    if not stacked:
+        params = task.check_params(params)[None]
     if split not in task.splits:
         raise ShapeMismatchError(f"unknown split {split!r}")
-    return task.metric_value(params, task.splits[split])
+    data = task.splits[split]
+    rows = max(1, len(params) * task.batch_size // data.n)
+    values = [v for i in range(0, len(params), rows) for v in task.metric_values(params[i : i + rows], data)]
+    return values if stacked else values[0]
 

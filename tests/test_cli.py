@@ -758,6 +758,8 @@ retrain_seeds: [4, 4]
         ("n_trial: 2", "n_trial"),  # a misspelt key, not the default n_trials
         ('R: "3"', "R"),
         ("eta: 1\ninit_fraction: 0.5", "eta"),  # checked before the initial cohort trains
+        ("retrain_seeds: 5", "retrain_seeds"),
+        ("retrain_seeds: [1.5, 2]", "retrain_seeds"),  # not retrained as seed 1
     ])
     def test_invalid_search_exit_2_before_anything_is_written(self, project, capsys, bad, key):
         hpo_file = write(
@@ -798,6 +800,11 @@ UNKNOWN_PATHS = [
              "evaluation": {"plot": {"x_axis": ["optimizer.weight_decy"]}}}, "optimizer.weight_decy"),
     ("run", {"optimizer": {"name": "adamw_baseline", "learning_rate": [0.1, 0.01]},  # the y axis
              "evaluation": {"plot": {"x_axis": ["optimizer.learning_rate"]}}}, "optimizer.learning_rate"),
+    ("run", {"evaluation": {"plot": {"y_axis": ["optimizer.learning_rate"]}}}, "evaluation.plot.y_axis"),
+    ("run", {"evaluation": {"plot": {"x_axis": [["optimizer.learning_rate"]]}}}, "evaluation.plot.x_axis"),
+    ("run", {"evaluation": {"plot": ["x"]}}, "evaluation.plot"),
+    ("run", {"evaluation": {"plot": "x"}}, "`evaluation.plot` must be a mapping"),
+    ("hpo", {**_hpo_over("optimizer.learning_rate"), "space": ["optimizer.learning_rate"]}, "space"),
     ("hpo", _hpo_over("optimizer.momentum"), "optimizer.momentum"),
     ("hpo", _hpo_over("optimizer.learning_rat"), "optimizer.learning_rat"),
 ]

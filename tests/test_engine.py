@@ -39,7 +39,7 @@ from optbench.errors import (
 from optbench.optim import OptimizerConfig, configure_optimizer
 from optbench.rng import Xoshiro256StarStar, derive_child
 from optbench.rundir import read_run, train_run, train_runs
-from optbench.tasks import MetricSpec, ParamGroup, TaskInstance, register_task
+from optbench.tasks import MetricSpec, MlpSynthTask, ParamGroup, TaskInstance, register_task
 from conftest import (
     SLOT_MOVE,
     SLOT_REMOVE,
@@ -1341,11 +1341,11 @@ def _alone(jobs, tmp_path):
 
 
 def _count_steps(monkeypatch) -> Counter:
-    """Calls of ``forward_backward`` and ``optimizer_step`` made by the engine."""
+    """Calls of ``forward_backward``, ``optimizer_step`` and ``evaluate`` made by the engine."""
     from optbench import engine
 
     calls = Counter()
-    for name in ("forward_backward", "optimizer_step"):
+    for name in ("forward_backward", "optimizer_step", "evaluate"):
         def counted(*args, _name=name, _real=getattr(engine, name)):
             calls[_name] += 1
             return _real(*args)
@@ -1400,7 +1400,7 @@ class TestLockstep:
         assert [run_dir_files(wd) for _, wd in jobs] == alone
         assert all(r.status == "completed" for r in results)
         steps = 3 * steps_per_epoch(build_task(jobs[0][0]["task"]))  # one stack: not S times more
-        assert calls == {"forward_backward": steps, "optimizer_step": steps}
+        assert calls == {"forward_backward": steps, "optimizer_step": steps, "evaluate": 3 + 2}
 
     def test_diverging_runs_leave_the_stack_with_the_errors_of_runs_alone(
         self, tmp_path, monkeypatch
@@ -1454,6 +1454,55 @@ class TestLockstep:
         finally:
             optmod.OPTIMIZERS.pop("signsgd", None)
             cfgmod._EXTRA_DEFAULTS["optimizers"].pop("signsgd", None)
+
+    def test_a_group_evaluates_once_per_epoch_and_tests_only_its_survivors(self, tmp_path, monkeypatch):
+        from optbench import engine
+
+        register_task("cliff", CliffTask)
+        calls = []
+        real = engine.evaluate
+
+        def recording(task, params, split):
+            calls.append((split, len(params)))
+            return real(task, params, split)
+
+        # 10 epochs of 1 step: 0.1 and 0.2 complete, 2.0 aborts in epoch 4 and 1.5 in epoch 5
+        for lrs, rows in (([0.1, 1.5, 2.0, 0.2], [4, 4, 4, 3] + [2] * 6), ([1.5, 2.0], [2, 2, 2, 1])):
+            jobs = []
+            for i, lr in enumerate(lrs):
+                cfg = copy.deepcopy(VALLEY_CONFIG)
+                cfg["task"]["name"] = "cliff"
+                cfg["optimizer"]["learning_rate"] = lr
+                jobs.append((cfg, tmp_path / f"group{len(lrs)}" / str(i)))
+            alone = _alone(jobs, tmp_path / f"alone{len(lrs)}")
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "evaluate", recording)
+                train_runs(jobs)
+            assert [run_dir_files(wd) for _, wd in jobs] == alone
+            assert [n for split, n in calls if split == "val"] == rows  # each epoch, its live rows
+            survivors = [2, 2] if len(lrs) == 4 else []  # test_best, test_last; none if all aborted
+            assert [n for split, n in calls if split == "test"] == survivors
+
+    def test_a_group_draws_the_init_params_of_each_seed_once(self, tmp_path, monkeypatch):
+        text = (
+            "task: {name: mlp_synth, max_epochs: 1}\n"
+            "optimizer: {name: adamw_baseline, learning_rate: [0.01, 0.003, 0.001]}\n"
+            "engine: {seed: [4, 5]}"
+        )
+        jobs = _lockstep_jobs(tmp_path, text, "group")
+        alone = _alone(jobs, tmp_path)
+        drawn = []
+        real = MlpSynthTask.init_params
+
+        def recording(self, rng):
+            drawn.append(list(rng.s))
+            return real(self, rng)
+
+        monkeypatch.setattr(MlpSynthTask, "init_params", recording)
+        train_runs(jobs)
+        assert sorted(drawn) == sorted(Xoshiro256StarStar(derive_seeds(s)["init"]).s for s in (4, 5))
+        assert [run_dir_files(wd) for _, wd in jobs] == alone
 
     def test_groups_split_by_task_optimizer_and_start_epoch(self, tmp_path, monkeypatch):
         text = (

@@ -351,8 +351,9 @@ class TestRunHpo:
         log = tmp_path / "full" / "trials.jsonl"
         lines = log.read_text().splitlines(keepends=True)
         assert len(lines) == 1 + 9 + 3 + 1 + 2 + 1
-        # a kill inside rung 2's first run, or tearing rung 2's log write
-        for kill in (("result.json", 1 + 9 + 1, False), ("trials.jsonl", 3, True)):
+        # a kill inside wave 1's first run, or tearing wave 1's log write: wave 0
+        # trained 1 + 9 + 2 trials and logged the first cohort and the bracket's rung 0
+        for kill in (("result.json", 1 + 9 + 2 + 1, False), ("trials.jsonl", 2, True)):
             with monkeypatch.context() as mp:
                 fail_write(mp, *kill)
                 with pytest.raises(Interrupted):
@@ -363,6 +364,21 @@ class TestRunHpo:
         with pytest.raises(RunIdMismatchError):
             run_hpo(*args, tmp_path / "full")
         assert (log.read_bytes(), log.stat().st_ino, log.stat().st_mtime_ns) == stamp
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_a_kill_at_each_wave_log_write_leaves_a_plan_order_prefix(self, tmp_path, monkeypatch, torn):
+        # waves 0, 1 and 2 log the first 10, 13 and all 17 lines of the plan-order log
+        space = parse_space({"optimizer.learning_rate": {"log_uniform": [1e-3, 1e-1]}})
+        args = (quad_base(epochs=9), space, 12, 0.1, 9, 3, 4)
+        run_hpo(*args, tmp_path / "full")
+        lines = (tmp_path / "full" / "trials.jsonl").read_text().splitlines(keepends=True)
+        for wave, kept in enumerate((0, 10, 13)):
+            with monkeypatch.context() as mp:
+                fail_write(mp, "trials.jsonl", wave + 1, torn)
+                with pytest.raises(Interrupted):
+                    run_hpo(*args, tmp_path / f"wave{wave}")
+            log = tmp_path / f"wave{wave}" / "trials.jsonl"
+            assert (log.read_text() if log.exists() else "") == "".join(lines[:kept]), wave
 
     def test_validation(self, tmp_path):
         # n_trials, init_fraction, R and eta are all checked before trial 0 trains
@@ -398,7 +414,8 @@ class TestLockstepRungs:
     def test_each_rung_trains_as_one_group_and_writes_the_dirs_of_trials_alone(
         self, tmp_path, monkeypatch
     ):
-        # 1 trial at R, a bracket of 9@1 -> 3@3 -> 1@9, and one cut to 2@3 -> 1@9
+        # 1 trial at R, a bracket of 9@1 -> 3@3 -> 1@9, and one cut to 2@3 -> 1@9: wave 0
+        # trains 1@9, 9@1 and 2@3, wave 1 3@3 and 1@9, wave 2 1@9, one group each
         space = parse_space({"optimizer.learning_rate": {"log_uniform": [1e-3, 1e-1]}})
         sizes = count_groups(monkeypatch)
         outcome = run_hpo(mlp_base(), space, 12, 0.1, 9, 3, 4, tmp_path / "hpo")
@@ -407,9 +424,9 @@ class TestLockstepRungs:
             tid: c for c, cohort in enumerate(search_plan(12, 0.1, 9, 3)) for tid in cohort.ids
         }
         log = [json.loads(x) for x in (tmp_path / "hpo" / "trials.jsonl").read_text().splitlines()]
-        rungs = [(cohort_of[e["trial_id"]], e["rung"]) for e in log]
-        assert sizes == [len(list(group)) for _, group in itertools.groupby(rungs)]
-        assert sizes == [1, 9, 3, 1, 2, 1]
+        rungs = [(e["rung"], cohort_of[e["trial_id"]]) for e in log]
+        assert sizes == [len(list(group)) for _, group in itertools.groupby(sorted(rungs))]
+        assert sizes == [1, 9, 2, 3, 1, 1]
         for trial in outcome.trials:
             alone = tmp_path / "alone" / trial.workdir.name
             for entry in log:

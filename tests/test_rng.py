@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from optbench import rng
 from optbench.engine import PERM_BLOCK, _epoch_orders
@@ -57,6 +58,18 @@ def test_normal_moments():
     xs = gen.normal_array(20000)
     assert abs(float(np.mean(xs))) < 0.03
     assert abs(float(np.std(xs)) - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 4096])
+def test_normal_array_equals_scalar_normals_and_leaves_their_state(n):
+    for seed in (3, 2**64 - 1):
+        gen, ref = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+        gen.next_u64(), ref.next_u64()  # not a freshly seeded state
+        xs = gen.normal_array(n)
+        expected = np.array([ref.normal() for _ in range(n)], dtype=np.float64)
+        assert xs.dtype == np.float64 and xs.tobytes() == expected.tobytes()
+        assert gen.s == ref.s and all(type(w) is int for w in gen.s)
+        assert gen.next_u64() == ref.next_u64()
 
 
 def test_shuffle_is_permutation():

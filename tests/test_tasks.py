@@ -92,6 +92,28 @@ class TestBuild:
                             == getattr(other.splits[split], field).tobytes()
                         )
 
+    @pytest.mark.parametrize("data_seed", [7, 42])
+    def test_splits_and_init_equal_scalar_normals_bit_for_bit(self, monkeypatch, data_seed):
+        # long draws go through the numpy lanes; the scalar ``normal`` defines them
+        def scalar(self, n):
+            return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+
+        big = {"mlp_synth": {"model": {"num_hidden": 300}}, "quadratic": {"dim": 20}}
+        for name in ALL_TASKS:
+            cfg = {"name": name, "data_seed": data_seed, **big.get(name, {})}
+            tasks_module._SPLITS_MEMO.clear()
+            lanes = build_task(cfg)
+            with monkeypatch.context() as mp:
+                mp.setattr(Xoshiro256StarStar, "normal_array", scalar)
+                tasks_module._SPLITS_MEMO.clear()
+                ref = build_task(cfg)
+            tasks_module._SPLITS_MEMO.clear()
+            assert lanes.params.tobytes() == ref.params.tobytes(), name
+            for split in ("train", "val", "test"):
+                for field in ("inputs", "targets", "indices"):
+                    a, b = getattr(lanes.splits[split], field), getattr(ref.splits[split], field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, split, field)
+
     def test_data_seed_changes_data(self):
         a = build_task({"name": "blobs_logreg", "data_seed": 1})
         b = build_task({"name": "blobs_logreg", "data_seed": 2})
@@ -254,6 +276,32 @@ class TestEvaluate:
             for _ in range(5):
                 v = evaluate(task, rng.normal_array(task.n_params), "val")
                 assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("name", ALL_TASKS)
+    def test_a_stack_equals_lone_calls_bit_for_bit(self, monkeypatch, name):
+        task = build_task({"name": name})
+        rng = Xoshiro256StarStar(11)
+        stack = np.array([rng.normal_array(task.n_params) for _ in range(9)])
+        sizes = []
+        real = task.metric_values
+
+        def spy(params, split):
+            sizes.append(len(params))
+            return real(params, split)
+
+        monkeypatch.setattr(task, "metric_values", spy)
+        for split in ("val", "test"):
+            lone = [evaluate(task, p, split).hex() for p in stack]
+            gone = [0, 2, 3, 5, 6, 7, 8]  # rows 1 and 4 left the stack
+            for rows in (list(range(9)), [4], gone):
+                sizes.clear()
+                values = evaluate(task, stack[rows], split)
+                assert [v.hex() for v in values] == [lone[i] for i in rows], (split, rows)
+                # at most max(1, S * batch_size // n) rows at a time
+                chunk = max(1, len(rows) * task.batch_size // task.splits[split].n)
+                assert sizes == [min(chunk, len(rows) - i) for i in range(0, len(rows), chunk)]
+        if name in ("blobs_logreg", "mlp_synth"):  # accuracies of random params differ
+            assert len(set(lone)) > 1
 
     def test_eval_deterministic(self):
         task = build_task({"name": "mlp_synth"})
