@@ -27,6 +27,7 @@ rerun whose every run is a cache hit never loads numpy.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from dataclasses import dataclass, field
@@ -41,10 +42,29 @@ if TYPE_CHECKING:
 
 
 def _write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp`` and rename it onto ``path``.
+
+    The temporary file's blocks are allocated before it is written, where
+    the file system can: on ext4 (``auto_da_alloc``), a rename over an
+    existing file writes a file with delayed allocation out at once, and
+    with ``discard`` the next rewrite then waits for the device to discard
+    those blocks. A write that fails leaves ``path`` as it was and no
+    ``<path>.tmp``."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            if data and hasattr(os, "posix_fallocate"):  # 0 bytes is EINVAL; macOS has none
+                try:
+                    os.posix_fallocate(f.fileno(), 0, len(data))
+                except OSError as exc:
+                    if exc.errno not in (errno.EINVAL, errno.EOPNOTSUPP):
+                        raise
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import base64
 import builtins
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optbench import build_task, run_id
+from optbench import build_task, rundir, run_id
 from optbench.engine import (
     PERM_BLOCK,
     Checkpoint,
@@ -578,13 +579,15 @@ class TestReadRun:
         cfg = quad_config(epochs=3)
         train_run(cfg, workdir)
         path = workdir / "result.json"
-        path.write_text(path.read_text()[:30])
-        state = read_run(workdir)
-        assert (state.status, state.result, state.ckpt) == ("corrupt", None, None)
-        assert str(path) in str(state.error) and "JSONDecodeError" in str(state.error)
-        for budget in (3, 5):
-            with pytest.raises(CheckpointError, match=re.escape(str(path))):
-                train_run(with_epochs(cfg, budget), workdir)
+        text = path.read_text()
+        for damaged in (text[:30], "\0" * len(text)):  # zeros: a power cut before any flush
+            path.write_text(damaged)
+            state = read_run(workdir)
+            assert (state.status, state.result, state.ckpt) == ("corrupt", None, None)
+            assert str(path) in str(state.error) and "JSONDecodeError" in str(state.error)
+            for budget in (3, 5):
+                with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                    train_run(with_epochs(cfg, budget), workdir)
 
     def test_corrupt_checkpoint(self, workdir):
         self._check_unreadable_checkpoint(
@@ -934,6 +937,75 @@ def _newest_slot(workdir):
         except CheckpointError:
             pass
     return max(loaded, key=lambda ckpt: ckpt.epoch)
+
+
+def _record_fallocate(monkeypatch, effect=None) -> list:
+    """Record each ``os.posix_fallocate`` call as (inode, size so far, offset,
+    length), then raise ``effect`` if given, else allocate."""
+    calls, real = [], os.posix_fallocate
+
+    def fallocate(fd, offset, length):
+        st = os.fstat(fd)
+        calls.append((st.st_ino, st.st_size, offset, length))
+        if effect is not None:
+            raise effect
+        real(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", fallocate)
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="no posix_fallocate on this platform")
+class TestWriteAtomic:
+    DATA = b'{"run_id": "new"}\n' * 100
+
+    @pytest.fixture
+    def target(self, tmp_path):
+        path = tmp_path / "result.json"
+        path.write_bytes(b"old bytes\n")
+        return path
+
+    def test_preallocates_the_temporary_file_before_writing_it(self, target, monkeypatch):
+        calls = _record_fallocate(monkeypatch)
+        real_replace, inodes = os.replace, []
+
+        def replace(src, dst, **kwargs):
+            inodes.append(os.stat(src).st_ino)
+            real_replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        rundir._write_atomic(target, self.DATA)
+        # once, on the file that is renamed into place, while it is still empty
+        assert calls == [(inodes[0], 0, 0, len(self.DATA))]
+        assert target.read_bytes() == self.DATA
+        assert sorted(p.name for p in target.parent.iterdir()) == ["result.json"]
+
+    def test_empty_data_is_not_preallocated(self, target, monkeypatch):
+        calls = _record_fallocate(monkeypatch)  # a length of 0 is EINVAL
+        rundir._write_atomic(target, b"")
+        assert calls == [] and target.read_bytes() == b""
+        assert sorted(p.name for p in target.parent.iterdir()) == ["result.json"]
+
+    @pytest.mark.parametrize(
+        "case", ["missing", errno.EOPNOTSUPP, errno.EINVAL], ids=["missing", "EOPNOTSUPP", "EINVAL"]
+    )
+    def test_writes_without_preallocation_where_there_is_none(self, target, monkeypatch, case):
+        if case == "missing":  # macOS
+            monkeypatch.delattr(os, "posix_fallocate")
+        else:  # a file system without fallocate
+            calls = _record_fallocate(monkeypatch, OSError(case, os.strerror(case)))
+        rundir._write_atomic(target, self.DATA)
+        assert case == "missing" or len(calls) == 1
+        assert target.read_bytes() == self.DATA
+        assert sorted(p.name for p in target.parent.iterdir()) == ["result.json"]
+
+    def test_full_disk_raises_and_leaves_the_old_file(self, target, monkeypatch):
+        _record_fallocate(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        with pytest.raises(OSError) as info:
+            rundir._write_atomic(target, self.DATA)
+        assert info.value.errno == errno.ENOSPC
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in target.parent.iterdir()) == ["result.json"]
 
 
 class TestCrashRecovery:

@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from optbench import engine
+from optbench import engine, rundir
 from optbench.config import run_id
 from optbench.errors import BadParameterError, RunIdMismatchError, SchemaError
 from optbench.hpo import (
@@ -445,6 +447,40 @@ class TestLockstepRungs:
             train_run(cfg, tmp_path / "alone" / run_id(cfg))
         for alone in (tmp_path / "alone").iterdir():
             assert run_dir_files(alone) == run_dir_files(tmp_path / "best" / "retrain" / alone.name)
+
+    def test_writes_each_trial_file_once_per_rung_and_the_log_once_per_wave(
+        self, tmp_path, monkeypatch
+    ):
+        # the search of the first test in this class: 17 rungs trained in 3 waves
+        space = parse_space({"optimizer.learning_rate": {"log_uniform": [1e-3, 1e-1]}})
+        targets, moves = Counter(), []
+        real_atomic, real_replace = rundir._write_atomic, os.replace
+
+        def write_atomic(path, data):
+            targets[Path(path).relative_to(tmp_path).as_posix()] += 1
+            real_atomic(path, data)
+
+        def replace(src, dst, **kwargs):
+            if Path(src).name == "next.ckpt":  # _Run.finish
+                moves.append(Path(dst).exists())
+            real_replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(rundir, "_write_atomic", write_atomic)
+        monkeypatch.setattr(os, "replace", replace)
+        outcome = run_hpo(mlp_base(), space, 12, 0.1, 9, 3, 4, tmp_path)
+        monkeypatch.undo()
+        log = [json.loads(x) for x in (tmp_path / "trials.jsonl").read_text().splitlines()]
+        rungs = Counter(entry["trial_id"] for entry in log)
+        expected = Counter({"trials.jsonl": 3})
+        for trial in outcome.trials:
+            for name in ("config.resolved.yaml", "result.json"):
+                expected[f"trials/{trial.workdir.name}/{name}"] = rungs[trial.trial_id]
+        assert targets == expected
+        assert sum(targets.values()) == 2 * 17 + 3
+        # a fresh run of an odd number of epochs ends in next.ckpt: the 9 trials
+        # at 1 epoch (before any last.ckpt), the 2 at 3 and the 1 at 9; an
+        # extension starts from last.ckpt and trains an even number, 2 or 6
+        assert sorted(moves) == [False] * 9 + [True] * 3
 
 
 class TestRetrainBest:
