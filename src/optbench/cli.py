@@ -155,9 +155,13 @@ def cmd_plot(args) -> int:
 
 
 def cmd_list(args) -> int:
-    """Tabulate every run dir; an unreadable one is a ``corrupt`` row (reason
-    on stderr) and makes the exit code 1 once the table is printed."""
-    states, corrupt = _read_runs(sorted(Path(args.output_dir).glob("*/runs/*/")))
+    """Tabulate every run dir, a search's trial and retrain dirs included; an
+    unreadable one is a ``corrupt`` row (reason on stderr) and makes the exit
+    code 1 once the table is printed."""
+    root = Path(args.output_dir)
+    states, corrupt = _read_runs(sorted(
+        d for pattern in ("*/runs/*/", "*/trials/*/", "*/retrain/*/") for d in root.glob(pattern)
+    ))
     print(f"{'run_id':<18}{'status':<12}{'epoch':<7}best_val")
     for run_dir, state in states:
         ckpt = state.ckpt  # none before a run's first epoch ends

@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 from functools import lru_cache
 from importlib import resources
 from typing import Any
@@ -327,13 +328,23 @@ def set_path(config: dict, path: str, value) -> None:
 
 
 # libyaml's parser and emitter when PyYAML has them; the pure-Python ones build the same trees and bytes
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_LOADER = type("Loader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
+_DUMPER = type("Dumper", (getattr(yaml, "CSafeDumper", yaml.SafeDumper),), {})
+# PyYAML reads floats by YAML 1.1 rules, which need a dot and a signed
+# exponent, so `1e-3`, `1E5` and `.5e3` would load as strings. The YAML 1.2
+# exponent forms resolve as floats here; the dumper quotes a string of that form.
+for _yaml_cls in (_LOADER, _DUMPER):
+    _yaml_cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
 
 
 def dump_config(config: dict) -> str:
     """Deterministic YAML text for a resolved config (round-trip safe), the
-    bytes of ``yaml.safe_dump(config, sort_keys=True, default_flow_style=False)``."""
+    bytes of ``yaml.safe_dump(config, sort_keys=True, default_flow_style=False)``
+    except that a string such as ``"1e3"`` is quoted."""
     return yaml.dump(config, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
 
 

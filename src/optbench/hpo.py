@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import _LOADER, check_keys, identity_view, run_id, set_path
+from .config import _LOADER, check_keys, dump_config, identity_view, run_id, set_path
 from . import rundir
 from .errors import BadParameterError, BenchmarkError, ConfigError, SchemaError
 from .evaluation import AggregateCell, aggregate
@@ -378,7 +378,7 @@ def load_hpo_file(path: str | Path) -> dict:
         exp_path = (path.parent / raw["experiment"]).resolve()
         raw["experiment_text"] = exp_path.read_text(encoding="utf-8")
     elif isinstance(raw["experiment"], dict):
-        raw["experiment_text"] = yaml.safe_dump(raw["experiment"])
+        raw["experiment_text"] = dump_config(raw["experiment"])
     else:
         raise ConfigError("`experiment` must be a mapping or a path string")
     if raw.get("retrain_seeds") is not None:

@@ -31,7 +31,6 @@ Weight regularization differs by design between the baselines:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -295,8 +294,7 @@ def adafactor_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack,
     cfg = stack.config
     t = stack.advance()
     beta2t = 1.0 - t ** (-0.8)
-    lr = _column(lr_t)
-    update = np.empty_like(params)
+    v_hat = np.zeros(params.shape)  # a run whose row mean is not positive keeps v_hat = 0
     for g in stack.groups:
         sl = slice(g.start, g.end)
         grad = grads[:, sl]
@@ -308,20 +306,24 @@ def adafactor_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack,
             row += (1.0 - beta2t) * (sq.sum(axis=2) / cols)
             col *= beta2t
             col += (1.0 - beta2t) * (sq.sum(axis=1) / rows)
-            means = (row.sum(axis=1) / rows).tolist()
-            v_hat = (row[:, :, None] * col[:, None, :]).reshape(len(row), g.size)  # outer(row, col)
-            if all(mean > 0.0 for mean in means):
-                v_hat /= _column(means)
-            else:  # a run whose row mean is not positive takes v_hat = 0
-                v_hat = np.array([v / m if m > 0.0 else np.zeros(g.size) for v, m in zip(v_hat, means)])
+            means = row.sum(axis=1, keepdims=True) / rows
+            outer = (row[:, :, None] * col[:, None, :]).reshape(len(row), g.size)
+            np.divide(outer, means, out=v_hat[:, sl], where=means > 0.0)
         else:
             v = stack.buffers[f"{g.name}.v"]
             v *= beta2t
             v += (1.0 - beta2t) * grad * grad
-            v_hat = v
-        u = grad / np.sqrt(v_hat + cfg.epsilon)
-        clip = [max(1.0, math.sqrt(x)) for x in ((u * u).sum(axis=1) / g.size).tolist()]
-        update[:, sl] = lr * (u / _column(clip))  # clip to unit RMS: threshold d = 1
+            v_hat[:, sl] = v
+    u = grads / np.sqrt(v_hat + cfg.epsilon)
+    sq = u * u
+    # each group's mean u^2, one group at a time: np.add.reduceat over the
+    # group bounds sums in another order and changes the bits
+    rms2 = np.empty((len(params), len(stack.groups)))
+    for j, g in enumerate(stack.groups):
+        rms2[:, j] = sq[:, g.start : g.end].sum(axis=1) / g.size
+    clip = np.fmax(1.0, np.sqrt(rms2))  # clip to unit RMS: threshold d = 1; fmax maps nan to 1
+    lr = _column(lr_t)
+    update = lr * (u / clip.repeat([g.size for g in stack.groups], axis=1))
     _add_decay(update, params, lr * cfg.weight_decay, stack)
     params -= update
 

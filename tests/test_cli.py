@@ -137,6 +137,14 @@ class TestRun:
         for d, stamp in stamps.items():
             assert (d / "result.json").stat().st_mtime_ns == stamp
 
+    def test_an_exponent_without_a_dot_is_a_float(self, project, capsys):
+        exp = write(project / "lr.yaml", "task: {name: quadratic, max_epochs: 2}\n"
+                    "optimizer: {name: adamw_baseline, learning_rate: 1e-3}\n")
+        assert main(["run", exp]) == 0
+        (run_dir,) = (project / "output" / "lr" / "runs").iterdir()
+        config = yaml.safe_load((run_dir / "config.resolved.yaml").read_text())
+        assert config["optimizer"]["learning_rate"] == 0.001
+
     def test_group_index_trains_one_group(self, project, capsys):
         exp = write(project / "duo.yaml", DUO)
         assert main(["run", exp, "--group-index", "1"]) == 0
@@ -423,6 +431,25 @@ evaluation:
         ]
         assert all("completed" in l for l in lines[3:])
         assert "JSONDecodeError" in captured.err and "CorruptCheckpointError" in captured.err
+
+    def test_list_shows_a_search_trials_and_retrains(self, project, capsys):
+        hpo_file = write(project / "search.yaml", """
+experiment: {task: {name: quadratic, max_epochs: 3}, optimizer: {name: adamw_baseline}}
+space: {optimizer.learning_rate: {log_uniform: [1.0e-3, 1.0e-1]}}
+n_trials: 3
+init_fraction: 1.0
+eta: 3
+retrain_seeds: [1, 2]
+""")
+        assert main(["hpo", hpo_file]) == 0
+        capsys.readouterr()
+        assert main(["list", str(project / "output")]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        search = project / "output" / "search_hpo"
+        dirs = sorted([*(search / "retrain").iterdir(), *(search / "trials").iterdir()])
+        assert len(dirs) == 5
+        assert [row.split()[0] for row in rows] == [d.name for d in dirs]
+        assert all(row.split()[1] == "completed" for row in rows)
 
     def test_list_shows_incomplete(self, project, capsys, monkeypatch):
         from optbench.cli import _expand_file, _experiment_dir, _run_workdir

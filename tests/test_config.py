@@ -406,6 +406,13 @@ EDGE_TREE = {
 }
 
 
+# the pure-Python loader and emitter with config's resolvers: its YAML 1.2 floats included
+PY_LOADER = type("PyLoader", (yaml.SafeLoader,), {
+    "yaml_implicit_resolvers": config_module._LOADER.yaml_implicit_resolvers})
+PY_DUMPER = type("PyDumper", (yaml.SafeDumper,), {
+    "yaml_implicit_resolvers": config_module._DUMPER.yaml_implicit_resolvers})
+
+
 @pytest.mark.parametrize("configs", [
     lambda: expand_grid(merge_defaults(parse_experiment(GRID_MLP))),
     _search_configs,
@@ -413,9 +420,11 @@ EDGE_TREE = {
 ], ids=["grid_mlp", "mlp_synth_search", "edge_tree"])
 def test_dump_config_bytes_are_safe_dump_bytes(configs):
     # with libyaml present, dump_config takes its emitter: the comparison is between two emitters
-    assert config_module._DUMPER is (yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper)
+    assert issubclass(config_module._DUMPER, yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper)
     for tree in configs():
-        assert dump_config(tree) == yaml.safe_dump(tree, sort_keys=True, default_flow_style=False)
+        assert dump_config(tree) == yaml.dump(tree, Dumper=PY_DUMPER, sort_keys=True, default_flow_style=False)
+        if tree is not EDGE_TREE:  # which alone holds a float-looking string, "1e-5"
+            assert dump_config(tree) == yaml.safe_dump(tree, sort_keys=True, default_flow_style=False)
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -425,12 +434,44 @@ YAML_FILES = sorted([*REPO.glob("configs/*.yaml"), *REPO.glob("src/optbench/defa
 @pytest.mark.parametrize("path", YAML_FILES, ids=[p.relative_to(REPO).as_posix() for p in YAML_FILES])
 def test_libyaml_loader_builds_the_trees_of_the_python_one(path):
     # with libyaml present, every load takes its parser: the comparison is between two parsers
-    assert config_module._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    assert issubclass(config_module._LOADER, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
     text = path.read_text(encoding="utf-8")
-    assert yaml.load(text, Loader=config_module._LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=config_module._LOADER) == yaml.load(text, Loader=PY_LOADER)
 
 
 def test_libyaml_loader_reads_dumped_edge_values():
     text = dump_config(EDGE_TREE)
-    trees = [yaml.load(text, Loader=loader) for loader in (config_module._LOADER, yaml.SafeLoader)]
-    assert dump_config(trees[0]) == dump_config(trees[1]) == text
+    trees = [yaml.load(text, Loader=loader) for loader in (config_module._LOADER, PY_LOADER, yaml.SafeLoader)]
+    assert dump_config(trees[0]) == dump_config(trees[1]) == dump_config(trees[2]) == text
+
+
+class TestYaml12Floats:
+    @pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("1E5", 1e5), ("1.0e5", 1e5), (".5e3", 500.0)])
+    def test_exponent_forms_load_as_floats(self, text, value):
+        spec = parse_experiment(f"optimizer: {{name: adamw_baseline, learning_rate: {text}}}")
+        loaded = spec["optimizer"]["learning_rate"]
+        assert type(loaded) is float and loaded == value
+
+    @pytest.mark.parametrize("text", ["-2.5e+3", "1.0e-5"])
+    def test_yaml_1_1_floats_load_as_before(self, text):
+        assert config_module.load_config(f"x: {text}") == yaml.safe_load(f"x: {text}")
+
+    def test_a_float_looking_string_round_trips(self):
+        assert dump_config({"x": "1e3"}) == "x: '1e3'\n"
+        assert config_module.load_config(dump_config({"x": "1e3"})) == {"x": "1e3"}
+
+    def test_pyyaml_loaders_are_left_as_they_are(self):
+        assert yaml.load("x: 1e-3", Loader=config_module._LOADER.__base__) == {"x": "1e-3"}
+
+    @pytest.mark.parametrize("path", sorted(REPO.glob("configs/*.yaml")), ids=lambda p: p.name)
+    def test_run_ids_of_shipped_configs_match_the_yaml_1_1_loader(self, path, monkeypatch):
+        from optbench import hpo as hpo_module
+
+        def ids():
+            text = hpo_module.load_hpo_file(path)["experiment_text"] if "hpo" in path.name else path.read_text()
+            return [run_id(cfg) for cfg in expand_grid(merge_defaults(parse_experiment(text)))]
+
+        now = ids()
+        monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(hpo_module, "_LOADER", yaml.SafeLoader)
+        assert ids() == now

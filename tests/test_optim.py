@@ -428,6 +428,15 @@ class TestScalarExamples:
         step_alone(params, np.zeros(7), state, 0.1)
         assert np.all(params == np.ones(7))
 
+    def test_adafactor_nan_rms_leaves_the_group_unclipped(self):
+        # max(1.0, nan) is 1.0: a nan in one entry of u leaves its group's other updates finite
+        groups = make_groups([((3,), False)])
+        cfg = OptimizerConfig("adafactor", 0.01, weight_decay=0.0, epsilon=1e-30)
+        state = configure_optimizer(groups, cfg)
+        params = np.zeros(3)
+        step_alone(params, np.array([np.nan, 0.5, -2.0]), state, 0.01)
+        assert np.isnan(params[0]) and params[1:].tolist() == [-0.01, 0.01]
+
     def test_adafactor_rank1_reconstruction_exact(self):
         # rank-1 gradient: the factored estimate equals g^2 elementwise, so
         # the first-step update matches the unfactored rule exactly

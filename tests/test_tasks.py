@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optbench import tasks as tasks_module
 from optbench.errors import BadParameterError, ShapeMismatchError, UnknownNameError
@@ -322,3 +324,40 @@ class TestMetricHelpers:
             MetricSpec("accuracy", "minimize")
         with pytest.raises(BadParameterError):
             MetricSpec("f1", "maximize")
+
+
+def _softmax_ce_by_reduction(logits, y):
+    """``_softmax_ce`` with numpy's axis-1 max and sum and [row, class] indexing,
+    the forms that its class fold and flat target index replace."""
+    s, n, c = logits.shape
+    logits, y = logits.reshape(s * n, c), y.ravel()
+    z = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    total = expz.sum(axis=1, keepdims=True)
+    rows = np.arange(s * n)
+    logp = z[rows, y] - np.log(total[:, 0])
+    losses = logp.reshape(s, n).sum(axis=1) / -n
+    dlogits = expz / total
+    dlogits[rows, y] -= 1.0
+    dlogits /= n
+    return losses, dlogits.reshape(s, n, c)
+
+
+# few distinct values, so rows hold ties, and magnitudes up to 1e300
+_LOGIT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), c=st.integers(2, 7), s=st.sampled_from([1, 3, 6, 12]), n=st.integers(1, 5))
+def test_softmax_ce_class_fold_matches_the_axis_reduction(data, c, s, n):
+    logits = np.array(data.draw(st.lists(_LOGIT, min_size=s * n * c, max_size=s * n * c))).reshape(s, n, c)
+    src, dst = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, c - 1))
+    if data.draw(st.booleans()):
+        logits[..., dst] = logits[..., src]  # two equal columns
+    y = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=s * n, max_size=s * n))).reshape(s, n)
+    got = tasks_module._softmax_ce(logits, y)
+    want = _softmax_ce_by_reduction(logits, y)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
