@@ -4,9 +4,9 @@ Each task bundles a model (as a flat parameter vector with named groups),
 fixed train/val/test splits generated from the task's own data seed, and
 a metric with an improvement direction. Gradients are analytic; there is
 no autodiff framework underneath, which keeps runs bit-reproducible.
-``loss_grads`` and ``metric_values`` take the [S, P] parameters of S runs
-in lockstep: stacked for ``mlp_synth`` and ``blobs_logreg``, ``loss_grad``
-and ``metric_value`` per row otherwise.
+A split is a ``DataSplit(inputs, targets)``. A task's ``loss_grads`` and
+``metric_values`` take the [S, P] parameters of S runs in lockstep; each
+row's values must equal, bit for bit, those of that row alone at S = 1.
 
 Registered tasks:
 
@@ -69,7 +69,6 @@ class ParamGroup:
 class DataSplit:
     inputs: np.ndarray  # [n, d]
     targets: np.ndarray  # [n]
-    indices: np.ndarray  # [n] global example ids, disjoint across splits
 
     @property
     def n(self) -> int:
@@ -79,8 +78,8 @@ class DataSplit:
         """Rows ``idx``: copies for an index array, views for a slice. An
         [S, n] index array takes S runs' rows; ``take(i)`` of those is run i's."""
         if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":  # take gathers faster than indexing
-            return DataSplit(*(a.take(idx, axis=0) for a in (self.inputs, self.targets, self.indices)))
-        return DataSplit(self.inputs[idx], self.targets[idx], self.indices[idx])
+            return DataSplit(self.inputs.take(idx, axis=0), self.targets.take(idx, axis=0))
+        return DataSplit(self.inputs[idx], self.targets[idx])
 
 
 def accuracy(predicted_classes: np.ndarray, targets: np.ndarray):
@@ -163,7 +162,7 @@ class TaskInstance:
             data_rng = Xoshiro256StarStar(derive_stream(self.data_seed, "data"))
             splits = self._generate_splits(data_rng)
             for split in splits.values():
-                for array in (split.inputs, split.targets, split.indices):
+                for array in (split.inputs, split.targets):
                     array.flags.writeable = False
             _SPLITS_MEMO.clear()
             if key is not None:
@@ -186,25 +185,14 @@ class TaskInstance:
     def init_params(self, rng: Xoshiro256StarStar) -> np.ndarray:
         raise NotImplementedError
 
-    def loss_grad(self, params: np.ndarray, batch: DataSplit) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
-
     def loss_grads(self, params: np.ndarray, batch: DataSplit) -> tuple[np.ndarray, np.ndarray]:
-        """Losses [S] and gradients [S, P] of row i of ``params`` on ``batch.take(i)``
-        for each run i; this default calls ``loss_grad`` on each row."""
-        pairs = [self.loss_grad(p, batch.take(i)) for i, p in enumerate(params)]
-        grads = np.array([grad for _, grad in pairs])
-        if grads.shape != params.shape:
-            raise ShapeMismatchError(f"gradients of shape {grads.shape} for {params.shape} parameters")
-        return np.array([loss for loss, _ in pairs]), grads
-
-    def metric_value(self, params: np.ndarray, split: DataSplit) -> float:
+        """Losses [S] and gradients [S, P] of row i of [S, P] ``params`` on
+        ``batch.take(i)``, for each run i."""
         raise NotImplementedError
 
     def metric_values(self, params: np.ndarray, split: DataSplit) -> list[float]:
-        """The metric of each row of [S, P] ``params`` over ``split``; this
-        default calls ``metric_value`` on each row."""
-        return [self.metric_value(p, split) for p in params]
+        """The metric of each row of [S, P] ``params`` over ``split``."""
+        raise NotImplementedError
 
     # common plumbing ------------------------------------------------------
     @property
@@ -222,15 +210,12 @@ class TaskInstance:
     def _dummy_splits(self) -> dict[str, DataSplit]:
         """Splits for analytic tasks whose loss ignores the data."""
         splits = {}
-        offset = 0
         for split_name in ("train", "val", "test"):
             n = self._sizes[f"{split_name}_size"]
             splits[split_name] = DataSplit(
                 inputs=np.zeros((n, 1)),
                 targets=np.zeros(n),
-                indices=np.arange(offset, offset + n, dtype=np.int64),
             )
-            offset += n
         return splits
 
     def _balanced_splits(self, rng, dim: int, sampler) -> dict[str, DataSplit]:
@@ -241,7 +226,6 @@ class TaskInstance:
         it into input rows.
         """
         splits = {}
-        offset = 0
         for split_name in ("train", "val", "test"):
             n = self._sizes[f"{split_name}_size"]
             if n % 2:
@@ -252,9 +236,7 @@ class TaskInstance:
             splits[split_name] = DataSplit(
                 inputs=np.concatenate([sampler(0, noise[: n // 2]), sampler(1, noise[n // 2 :])]),
                 targets=np.repeat(np.arange(2, dtype=np.int64), n // 2),
-                indices=np.arange(offset, offset + n, dtype=np.int64),
             )
-            offset += n
         return splits
 
 
@@ -283,12 +265,14 @@ class QuadraticTask(TaskInstance):
     def init_params(self, rng):
         return 0.5 * rng.normal_array(self.dim)
 
-    def loss_grad(self, params, batch):
-        loss = 0.5 * float(params @ self.a_matrix @ params)
-        return loss, self.a_matrix @ params
+    def loss_grads(self, params, batch):
+        # one matrix-vector product and one dot per row, the bits of a lone
+        # p @ A @ p and A @ p; a single gemm over the stack rounds otherwise
+        losses = 0.5 * (params[:, None, :] @ self.a_matrix @ params[..., None])[:, 0, 0]
+        return losses, (self.a_matrix @ params[..., None])[..., 0]
 
-    def metric_value(self, params, split):
-        return self.loss_grad(params, split)[0]
+    def metric_values(self, params, split):
+        return self.loss_grads(params, split)[0].tolist()
 
 
 class RosenbrockTask(TaskInstance):
@@ -311,16 +295,19 @@ class RosenbrockTask(TaskInstance):
     def init_params(self, rng):
         return np.array([-1.2, 1.0]) + 0.1 * rng.normal_array(2)
 
-    def loss_grad(self, params, batch):
-        x, y = params
+    def loss_grads(self, params, batch):
+        x, y = params[:, 0], params[:, 1]
         a, b = self.a, self.b
-        loss = (a - x) ** 2 + b * (y - x * x) ** 2
+        # float_power calls C pow on each element, as ``** 2`` of a lone float64
+        # does; ``** 2`` of an array multiplies, which rounds otherwise about
+        # once in a thousand squares
+        losses = np.float_power(a - x, 2) + b * np.float_power(y - x * x, 2)
         gx = -2.0 * (a - x) - 4.0 * b * x * (y - x * x)
         gy = 2.0 * b * (y - x * x)
-        return float(loss), np.array([gx, gy])
+        return losses, np.stack([gx, gy], axis=1)
 
-    def metric_value(self, params, split):
-        return self.loss_grad(params, split)[0]
+    def metric_values(self, params, split):
+        return self.loss_grads(params, split)[0].tolist()
 
 
 class BlobsLogregTask(TaskInstance):
@@ -485,14 +472,21 @@ def build_task(task_config: dict) -> TaskInstance:
 def forward_backward(task: TaskInstance, params: np.ndarray, batch: DataSplit):
     """Mean per-example loss over the batch and its exact gradient, of one
     run's flat params, or [S] losses and [S, P] gradients of an [S, P] stack
-    whose batch arrays lead with S. Only a single run's shapes are checked."""
-    if isinstance(params, np.ndarray) and params.ndim == 2:
-        return task.loss_grads(params, batch)
-    params = task.check_params(params)
-    if batch.n == 0:
-        raise ShapeMismatchError("empty batch")
-    losses, grads = task.loss_grads(params[None], batch.take(np.newaxis))
-    return float(losses[0]), grads[0]
+    whose batch arrays lead with S. Only a single run's params and batch are
+    checked; the task's losses and gradients are checked either way."""
+    stacked = isinstance(params, np.ndarray) and params.ndim == 2
+    if not stacked:
+        params = task.check_params(params)[None]
+        if batch.n == 0:
+            raise ShapeMismatchError("empty batch")
+        batch = batch.take(np.newaxis)
+    losses, grads = task.loss_grads(params, batch)
+    if np.shape(losses) != params.shape[:1] or np.shape(grads) != params.shape:
+        raise ShapeMismatchError(
+            f"losses of shape {np.shape(losses)} and gradients of shape"
+            f" {np.shape(grads)} for {params.shape} parameters"
+        )
+    return (losses, grads) if stacked else (float(losses[0]), grads[0])
 
 
 def evaluate(task: TaskInstance, params: np.ndarray, split: str):

@@ -51,6 +51,7 @@ configs = resolve('''
 task:
   - {name: mlp_synth, max_epochs: 2, train_size: 128}
   - {name: blobs_logreg, max_epochs: 2, train_size: 128}
+  - {name: quadratic, max_epochs: 2, dim: 24}
 optimizer:
   - {name: adamw_baseline, learning_rate: [0.01, 0.003]}
   - {name: adafactor, learning_rate: [0.01, 0.003]}
@@ -94,4 +95,4 @@ def test_group_matches_runs_alone_under_each_kernel(tmp_path, core):
         pytest.skip(f"{core}: numpy's BLAS does not report an OpenBLAS kernel")
     if report["core"].lower() != core.lower():
         pytest.skip(f"{core}: this OpenBLAS runs its {report['core']} kernels instead")
-    assert report["same"] == [True] * 16
+    assert report["same"] == [True] * 24

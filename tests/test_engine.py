@@ -782,14 +782,13 @@ class ValleyTask(TaskInstance):
     def init_params(self, rng):
         return np.zeros(1)
 
-    def loss_grad(self, params, batch):
-        x = params[0]
-        return float((x - 2.0) ** 2), np.array([2.0 * (x - 2.0)])
+    def loss_grads(self, params, batch):
+        return (params[:, 0] - 2.0) ** 2, 2.0 * (params - 2.0)
 
-    def metric_value(self, params, split):
+    def metric_values(self, params, split):
         if self.cfg.get("flat_metric"):
-            return 0.5
-        return float((params[0] - 1.0) ** 2)
+            return [0.5] * len(params)
+        return ((params[:, 0] - 1.0) ** 2).tolist()
 
 
 VALLEY_CONFIG = {
@@ -1442,13 +1441,13 @@ class CliffTask(TaskInstance):
     def init_params(self, rng):
         return np.ones(1)
 
-    def loss_grad(self, params, batch):
-        x = params[0]
-        loss = np.inf if x > 10.0 else float(min(x * x, 100.0))
-        return loss, np.array([-np.inf if x < -10.0 else 2.0 * x])
+    def loss_grads(self, params, batch):
+        x = params[:, 0]
+        losses = np.where(x > 10.0, np.inf, np.minimum(x * x, 100.0))
+        return losses, np.where(params < -10.0, -np.inf, 2.0 * params)
 
-    def metric_value(self, params, split):
-        return float(abs(params[0]))
+    def metric_values(self, params, split):
+        return np.abs(params[:, 0]).tolist()
 
 
 class TestLockstep:
