@@ -38,7 +38,7 @@ def _expand_file(experiment_file: str) -> tuple[str, list[dict]]:
 
 
 def _experiment_dir(configs: list[dict], name: str) -> Path:
-    return Path(configs[0]["engine"].get("output_dir", "output")) / name
+    return Path(configs[0]["engine"]["output_dir"]) / name
 
 
 def _run_workdir(exp_dir: Path, cfg: dict) -> Path:
@@ -182,9 +182,7 @@ def cmd_hpo(args) -> int:
         raise ConfigError("hpo base experiment must resolve to a single run")
     base = configs[0]
     space = hpomod.parse_space(raw["space"])
-    workdir = Path(base["engine"].get("output_dir", "output")) / (
-        Path(args.hpo_file).stem + "_hpo"
-    )
+    workdir = Path(base["engine"]["output_dir"]) / (Path(args.hpo_file).stem + "_hpo")
     outcome = hpomod.run_hpo(
         base, space, raw["n_trials"], raw["init_fraction"], raw["R"], raw["eta"], raw["seed"], workdir
     )
@@ -273,8 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (BenchmarkError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BenchmarkError, OSError, json.JSONDecodeError, MemoryError) as exc:  # a size too large to allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

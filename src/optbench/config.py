@@ -8,7 +8,7 @@ internal axes). Expansion takes the cartesian product of all axes, where
 a branch list contributes the concatenation of its branches' internal
 expansions as a single axis. A block's default tree (for ``task`` and
 ``optimizer``, the named one's) is also its schema: ``check_keys`` is the
-one check of which keys a config may hold.
+one check of which keys a config may hold and of what kind each value is.
 
 The ``evaluation`` block configures post-processing only: its lists are
 semantic (output types, plot axes), never grid axes, and it is excluded
@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import re
 from functools import lru_cache
 from importlib import resources
@@ -41,10 +42,7 @@ TOP_LEVEL_KEYS = ("task", "optimizer", "engine", "evaluation")
 OPTIMIZER_ALIASES = {"adamcpr_fast": "adamcpr"}
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
-
-
-def _is_scalar(x: Any) -> bool:
-    return isinstance(x, _SCALAR_TYPES)
+_INT64 = 1 << 63  # every int of a config lies in [-_INT64, _INT64)
 
 
 def parse_experiment(yaml_text: str) -> dict:
@@ -163,19 +161,47 @@ def default_tree(kind: str, name: str) -> dict | None:
     return tree if tree is not None else _packaged_defaults()[kind].get(name)
 
 
-def check_keys(node: dict, tree: dict, prefix: str = "") -> None:
-    """Raise ``SchemaError`` naming the first path of ``node`` that ``tree``
-    lacks. A block's default tree is its schema: a key no default file holds
-    would be written into the run's identity and then ignored. The mappings
-    in a list (the branches of a grid axis) are checked one by one."""
+def _kind_error(value, default) -> str | None:
+    """What ``value`` must be under a key whose default is ``default``, or None if it is:
+    a mapping under a mapping, a string under a string, a whole number under an int, a
+    finite number under a float (never a bool), a scalar else; no int beyond 64 bits."""
+    if isinstance(default, dict):
+        return None if isinstance(value, dict) else "a mapping"
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and isinstance(value, int) and not -_INT64 <= value < _INT64:
+        return "a number in the signed 64-bit range"
+    if isinstance(default, bool) or not isinstance(default, (int, float)):
+        return None if isinstance(value, _SCALAR_TYPES) else "a scalar"
+    if isinstance(default, int):  # 3.0 is 3: int() of it is exact
+        whole = number and value % 1 == 0 and -_INT64 <= value < _INT64
+        return None if whole else "a whole number in the signed 64-bit range"
+    return None if number and math.isfinite(value) else "a finite number"
+
+
+def check_keys(node: dict, tree: dict, prefix: str = "", axes: bool = True) -> None:
+    """Raise ``SchemaError`` naming the first path of ``node`` that ``tree`` lacks or
+    whose value is not of its default's kind (``_kind_error``): a key no default file
+    holds would be written into the run's identity and then ignored. With ``axes``, a
+    list is a grid axis or branch list, checked entry by entry; without (the
+    ``evaluation`` block), a list default takes a string, null or a list of strings."""
     for key, value in node.items():
         path = f"{prefix}.{key}" if prefix else key
         if key not in tree:
             raise SchemaError(f"unknown key `{path}`")
-        sub = tree[key] if isinstance(tree[key], dict) else {}
-        for branch in value if isinstance(value, list) else [value]:
-            if isinstance(branch, dict):
-                check_keys(branch, sub, path)
+        default = tree[key]
+        if isinstance(default, list) and not axes:
+            entries = [value] if isinstance(value, str) else [] if value is None else value
+            if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
+                raise SchemaError(f"`{path}` must be a string or a list of strings, got {value!r}")
+            continue
+        for entry in value if axes and isinstance(value, list) else [value]:
+            if isinstance(entry, dict):  # a subtree where the default is a leaf has unknown keys
+                check_keys(entry, default if isinstance(default, dict) else {}, path, axes)
+            what = _kind_error(entry, default)
+            if what is not None:
+                raise SchemaError(f"`{path}` must be {what}, got {entry!r}")
 
 
 def _split_by_name(node: dict) -> list[dict]:
@@ -219,7 +245,7 @@ def merge_defaults(spec: dict) -> dict:
     list-valued ``name``), each branch is merged against its own default
     file and the node stays a list of complete subtrees. A key that its
     block's default tree lacks (for ``task``/``optimizer``, the named one's
-    tree) is a ``SchemaError``.
+    tree), or a value of another kind than its default, is a ``SchemaError``.
     """
     defaults = load_defaults()
     merged = {
@@ -229,7 +255,7 @@ def merge_defaults(spec: dict) -> dict:
         ),
     }
     for block in ("engine", "evaluation"):
-        check_keys(spec.get(block, {}), defaults[block], block)
+        check_keys(spec.get(block, {}), defaults[block], block, axes=block == "engine")
         merged[block] = deep_merge(defaults[block], spec.get(block, {}))
     return merged
 
@@ -239,11 +265,9 @@ def _expand_node(node) -> list:
     if isinstance(node, list):
         if not node:
             raise EmptyListError("grid axis with zero entries")
-        if all(_is_scalar(x) for x in node):
-            return list(node)
         if all(isinstance(x, dict) for x in node):
             return [variant for branch in node for variant in _expand_node(branch)]
-        raise SchemaError(f"list mixes scalars and structures: {node!r}")
+        return list(node)  # ``check_keys`` lets only scalars into any other list
     if isinstance(node, dict):
         variants: list[dict] = [{}]
         for key, value in node.items():

@@ -62,7 +62,8 @@ import numpy as np
 
 from . import rundir
 from .config import dump_config, run_id
-from .errors import BadParameterError, CheckpointError, CorruptCheckpointError, VersionMismatchError
+from .errors import BadHyperparameterError, BadParameterError, CheckpointError, CorruptCheckpointError
+from .errors import VersionMismatchError
 from .optim import OptimizerConfig, OptimizerStack, OptimizerState, configure_optimizer, optimizer_step
 from .rng import Xoshiro256StarStar, derive_child, derive_stream, permutations
 from .rundir import RunResult, _paths
@@ -290,21 +291,25 @@ def steps_per_epoch(task: TaskInstance) -> int:
 
 
 def _build_schedule(task: TaskInstance, opt_cfg_dict: dict, max_epochs: int) -> ScheduleSpec:
-    total = max_epochs * steps_per_epoch(task)
-    return ScheduleSpec(
-        base_lr=float(opt_cfg_dict["learning_rate"]),
-        total_steps=total,
-        warmup_fraction=float(opt_cfg_dict.get("lr_warmup", 0.01)),
-        min_lr_fraction=float(opt_cfg_dict.get("lr_min_factor", 0.01)),
-    )
+    """The run's schedule; a range error names the optimizer key it read."""
+    keys = dict(base_lr="learning_rate", warmup_fraction="lr_warmup", min_lr_fraction="lr_min_factor")
+    values = {field: float(opt_cfg_dict.get(key, 0.01)) for field, key in keys.items()}
+    try:
+        return ScheduleSpec(total_steps=max_epochs * steps_per_epoch(task), **values)
+    except BadHyperparameterError as exc:
+        field, _, rule = str(exc).partition(" ")  # "<field> must be ..."
+        if field not in keys:
+            raise
+        raise BadHyperparameterError(f"`optimizer.{keys[field]}` {rule}, got {values[field]!r}") from None
 
 
 # --- training ----------------------------------------------------------------
 
 class _Run:
-    """One run of a ``_run``: files, schedule, optimizer state, checkpoint, result."""
+    """One run of a ``_run``: files, schedule, optimizer state, checkpoint, result; built without file I/O."""
 
     def __init__(self, task: TaskInstance, inits: dict, config: dict, workdir: Path, ckpt, slot):
+        self.task, self.config = task, config
         self.paths = paths = _paths(workdir)
         self.rid = run_id(config)
         self.schedule = _build_schedule(task, config["optimizer"], task.max_epochs)
@@ -312,8 +317,6 @@ class _Run:
         self.opt_state = configure_optimizer(task.groups, opt_cfg)
         seeds = derive_seeds(int(config["engine"]["seed"]))
         self.shuffle_seed = seeds["shuffle"]
-        paths["last"].parent.mkdir(parents=True, exist_ok=True)
-        rundir._write_atomic(paths["config"], dump_config(config).encode("utf-8"))
         if ckpt is None:  # epoch 0: the config fixes it, so no file holds it
             if seeds["init"] not in inits:  # the group's runs of one engine.seed share it
                 inits[seeds["init"]] = task.init_params(Xoshiro256StarStar(seeds["init"]))
@@ -327,8 +330,8 @@ class _Run:
         self.newest = int(slot == paths["next"])  # the slot that holds ckpt; epochs write the other one
         info = ("total_steps", "warmup_steps", "warmup_clamped")
         self.result = RunResult(
-            self.rid, "completed", _truncate_metrics(paths["metrics"], ckpt.epoch), seeds_used=seeds,
-            budgets=ckpt.budgets, metric={"kind": task.metric.kind, "direction": task.metric.direction},
+            self.rid, "completed", seeds_used=seeds, budgets=ckpt.budgets,
+            metric={"kind": task.metric.kind, "direction": task.metric.direction},
             schedule_info={k: getattr(self.schedule, k) for k in info},
         )
 
@@ -373,12 +376,19 @@ class _Run:
         result.save(paths["result"])
 
 
+def _prepare(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> list[_Run]:
+    """Build a lockstep group's task and its runs, each ``(config, workdir, ckpt, slot)``
+    to start from ``ckpt`` (``None``: epoch 0): every range check, and no file written."""
+    task = build_task(starts[0][0]["task"])
+    inits = {}  # init seed -> epoch-0 params, read-only
+    return [_Run(task, inits, *start) for start in starts]
+
+
 @np.errstate(all="ignore")  # divergence is a result: a non-finite loss or gradient aborts its run
-def _run(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> list[RunResult]:
-    """The one run lifecycle, for S >= 1 runs in lockstep: train each
-    ``(config, workdir, ckpt, slot)`` from ``ckpt``, read from ``slot`` and
-    checked by the caller against ``config`` (``None``: from epoch 0), up to
-    ``task.max_epochs`` and write its ``result.json``.
+def _run(runs: list[_Run]) -> list[RunResult]:
+    """The one run lifecycle, for S >= 1 runs in lockstep: write each run's
+    dir and config, train it from its checkpoint up to ``task.max_epochs``
+    and write its ``result.json``.
 
     The runs share their task config and start epoch, so they take the same
     steps; each run's batches follow its own batch orders. A run whose loss
@@ -386,9 +396,11 @@ def _run(starts: list[tuple[dict, Path, Checkpoint | None, Path | None]]) -> lis
     is one ``evaluate`` of the stack per epoch; ``test_best`` and
     ``test_last`` one each of the runs that complete, none if every run
     aborted."""
-    task = build_task(starts[0][0]["task"])
-    inits = {}  # init seed -> epoch-0 params, read-only
-    runs = [_Run(task, inits, *start) for start in starts]
+    task = runs[0].task
+    for run in runs:  # the group's first writes: each run's dir, config and history
+        run.paths["last"].parent.mkdir(parents=True, exist_ok=True)
+        rundir._write_atomic(run.paths["config"], dump_config(run.config).encode("utf-8"))
+        run.result.history = _truncate_metrics(run.paths["metrics"], run.ckpt.epoch)
     live = list(runs)  # the runs still in the stack, one per row
     train, batch = task.splits["train"], task.batch_size
     batches = [slice(b, b + batch) for b in range(0, train.n, batch)]

@@ -266,15 +266,11 @@ def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, l
     axis that is the y axis, or a plot axis that names no grouping key of
     any config.
     """
-    plot_cfg = evaluation_cfg.get("plot", {}) or {}
-    if not isinstance(plot_cfg, dict):
-        raise SchemaError(f"`evaluation.plot` must be a mapping, got {plot_cfg!r}")
+    plot_cfg = evaluation_cfg.get("plot", {})
     formats = ("svg", "csv")
     output_types = _entries(evaluation_cfg.get("output_types", list(formats)), "output_types", formats)
     x_keys = _entries(plot_cfg.get("x_axis", []), "plot.x_axis")
     y_key = plot_cfg.get("y_axis", "optimizer.learning_rate")
-    if not isinstance(y_key, str):
-        raise SchemaError(f"`evaluation.plot.y_axis` must be a string, got {y_key!r}")
     values = _entries(plot_cfg.get("value", ["best"]), "plot.value", ("best", "last"))
     if y_key in x_keys:
         raise SchemaError(f"plot x axis `{y_key}` is the y axis: a heatmap needs two distinct axes")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import _LOADER, check_keys, dump_config, identity_view, run_id, set_path
+from .config import _LOADER, _kind_error, check_keys, dump_config, get_path, identity_view, run_id, set_path
 from . import rundir
 from .errors import BadParameterError, BenchmarkError, ConfigError, SchemaError
 from .evaluation import AggregateCell, aggregate
@@ -105,12 +105,9 @@ def parse_space(raw: dict) -> SearchSpace:
 
 
 def _bounds(path: str, kind: str, args) -> tuple[float, float]:
-    """``[lo, hi]`` of a range entry as floats; a boolean is no bound."""
-    try:
-        if isinstance(args, list) and len(args) == 2 and not any(isinstance(a, bool) for a in args):
-            return float(args[0]), float(args[1])
-    except (TypeError, ValueError):
-        pass
+    """``[lo, hi]`` of a range entry as floats; each must be a finite number, never a bool."""
+    if isinstance(args, list) and len(args) == 2 and not any(_kind_error(a, 0.0) for a in args):
+        return float(args[0]), float(args[1])
     raise SchemaError(f"`{kind}` for {path!r} needs a list of two numbers, got {args!r}")
 
 
@@ -245,8 +242,10 @@ def run_hpo(
     Every space path must name a key of ``base_config`` that the trained
     run reads: one inside run identity other than ``task.max_epochs``, which
     each rung sets to its budget, and other than a ``name``, which picks the
-    task or optimizer and so the keys its config may hold (a ``SchemaError``
-    before anything is written otherwise).
+    task or optimizer and so the keys its config may hold. Each categorical
+    value must be of the type of the base value at its path, and a uniform or
+    log-uniform path's base value a float. Otherwise a ``SchemaError`` is
+    raised before anything is written, as is any range error of a trial.
 
     The cohorts of ``search_plan`` advance together: wave k trains rung k
     of every cohort that has one, in one ``train_runs`` call. Each rung
@@ -265,25 +264,28 @@ def run_hpo(
     for path in sorted(space):  # an unused path would train every trial alike
         if path.rsplit(".", 1)[-1] == "name":  # the other name's keys would not fit the config
             raise SchemaError(f"space path `{path}` cannot be searched: run one search per name")
-        node = None
-        for part in reversed(path.split(".")):
-            node = {part: node}
+        base_value, node = get_path(base_config, path), {}
+        set_path(node, path, base_value)
         check_keys(node, base_config)
         try:
             check_keys(node, trained)
         except SchemaError:
             raise SchemaError(f"space path `{path}` never reaches the trained run") from None
+        if isinstance(space[path], Categorical):  # each value, as an entry of a grid axis
+            set_path(node, path, list(space[path].values))
+            check_keys(node, base_config)
+        elif not isinstance(base_value, float):
+            raise SchemaError(f"space path `{path}` holds {base_value!r}: uniform and log_uniform draw floats")
     if R is None:
         R = int(base_config["task"]["max_epochs"])
     plan = search_plan(n_trials, init_fraction, R, eta)
-    workdir = Path(workdir)
+    workdir = Path(workdir)  # the first wave's run dirs make it
     rng = Xoshiro256StarStar(derive_stream(seed, "hpo"))
     trials = []
     for tid in range(n_trials):
         overlay = sample(space, rng)
         config = _apply_overlay(base_config, overlay, R)
         trials.append(Trial(tid, overlay, config, workdir / "trials" / f"trial_{tid:04d}"))
-    workdir.mkdir(parents=True, exist_ok=True)
     log_path, log = workdir / "trials.jsonl", ""
     logged = log_path.read_text(encoding="utf-8") if log_path.exists() else ""  # an earlier search's
     rungs = [[trials[tid] for tid in ids] for ids, _ in plan]  # each cohort's newest rung
@@ -321,8 +323,8 @@ def run_hpo(
 
 def _distinct_seeds(seeds: list) -> list[int]:
     """The seeds, a list of integers; a repeated one would aggregate one run twice."""
-    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):  # no bool, no 1.5
-        raise SchemaError(f"`retrain_seeds` must be a list of integers, got {seeds!r}")
+    if not isinstance(seeds, list) or not all(type(s) is int and 0 <= s < 1 << 63 for s in seeds):  # no 1.5
+        raise SchemaError(f"`retrain_seeds` must be a list of integers in [0, 2**63), got {seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise BadParameterError(f"retrain_seeds must not repeat a seed: {seeds}")
     return seeds
@@ -344,11 +346,11 @@ def retrain_best(
 
 
 _HPO_NUMBERS = {  # key: (default, accepted types, what a value must be)
-    "n_trials": (10, int, "an integer"),
-    "init_fraction": (0.1, (int, float), "a number"),
-    "R": (None, (int, type(None)), "an integer"),  # None: the task's max_epochs
-    "eta": (3, int, "an integer"),
-    "seed": (0, int, "an integer"),
+    "n_trials": (10, int, "a 64-bit integer"),
+    "init_fraction": (0.1, (int, float), "a finite number"),
+    "R": (None, (int, type(None)), "a 64-bit integer"),  # None: the task's max_epochs
+    "eta": (3, int, "a 64-bit integer"),
+    "seed": (0, int, "a 64-bit integer"),
 }
 
 
@@ -372,11 +374,13 @@ def load_hpo_file(path: str | Path) -> dict:
         raise SchemaError(f"unknown hpo file keys {unknown}")
     for key, (default, kinds, what) in _HPO_NUMBERS.items():
         value = raw.setdefault(key, default)
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if not isinstance(value, kinds) or value is not None and _kind_error(value, 0.0):  # no bool, no NaN
             raise SchemaError(f"`{key}` must be {what}, got {value!r}")
     if isinstance(raw["experiment"], str):
-        exp_path = (path.parent / raw["experiment"]).resolve()
-        raw["experiment_text"] = exp_path.read_text(encoding="utf-8")
+        try:
+            raw["experiment_text"] = (path.parent / raw["experiment"]).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"`experiment` names no readable file: {exc}") from None
     elif isinstance(raw["experiment"], dict):
         raw["experiment_text"] = dump_config(raw["experiment"])
     else:

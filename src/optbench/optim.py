@@ -61,24 +61,19 @@ class OptimizerConfig:
     kappa_init_method: str = "warm_start"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise BadHyperparameterError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise BadHyperparameterError("weight_decay must be >= 0")
-        if not 0 < self.one_minus_beta1 < 1:
-            raise BadHyperparameterError("one_minus_beta1 must be in (0, 1)")
-        if not 0 < self.beta2 < 1:
-            raise BadHyperparameterError("beta2 must be in (0, 1)")
-        if not 0 <= self.momentum <= 1:
-            raise BadHyperparameterError("momentum must be in [0, 1]")
-        if self.epsilon <= 0:
-            raise BadHyperparameterError("epsilon must be positive")
-        if self.kappa_init_param < 0:
-            raise BadHyperparameterError("kappa_init_param must be >= 0")
-        if self.kappa_init_method != "warm_start":
-            raise BadHyperparameterError(
-                f"unsupported kappa_init_method {self.kappa_init_method!r}"
-            )
+        rules = (  # (field, holds, what it must be): an error names the config key
+            ("learning_rate", self.learning_rate > 0, "positive"),
+            ("weight_decay", self.weight_decay >= 0, ">= 0"),
+            ("one_minus_beta1", 0 < self.one_minus_beta1 < 1, "in (0, 1)"),
+            ("beta2", 0 < self.beta2 < 1, "in (0, 1)"),
+            ("momentum", 0 <= self.momentum <= 1, "in [0, 1]"),
+            ("epsilon", self.epsilon > 0, "positive"),
+            ("kappa_init_param", self.kappa_init_param >= 0, ">= 0"),
+            ("kappa_init_method", self.kappa_init_method == "warm_start", "warm_start"),
+        )
+        for key, holds, what in rules:
+            if not holds:
+                raise BadHyperparameterError(f"`optimizer.{key}` must be {what}, got {getattr(self, key)!r}")
 
     @property
     def beta1(self) -> float:

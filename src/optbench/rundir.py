@@ -179,8 +179,9 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
     run aborted in its first epoch, which has no checkpoint. Any other stored
     run, a smaller budget among them, raises ``RunIdMismatchError``, and a
     corrupt run dir its ``CheckpointError``.
-    Every job is read and checked before any trains; the runs left to train
-    that share ``lockstep_key`` and their start epoch train as one ``_run``.
+    Every job is read and checked, and every group's task and runs built,
+    before any writes; the runs left to train that share ``lockstep_key`` and
+    their start epoch train as one ``_run``.
     """
     if len({Path(workdir) for _, workdir in jobs}) != len(jobs):  # two runs would share one dir
         raise BadParameterError("train_runs got one workdir twice")
@@ -204,10 +205,10 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
         key = (*lockstep_key(config), 0 if state.ckpt is None else state.ckpt.epoch)
         groups.setdefault(key, []).append((i, (config, workdir, state.ckpt, state.slot)))
     if groups:
-        from .engine import _run
-    for members in groups.values():
-        indices, starts = zip(*members)
-        for i, result in zip(indices, _run(list(starts))):
+        from . import engine
+    prepared = [(members, engine._prepare([start for _, start in members])) for members in groups.values()]
+    for members, runs in prepared:
+        for (i, _), result in zip(members, engine._run(runs)):
             results[i] = result
     return results
 

@@ -707,15 +707,15 @@ class TestExtendBudget:
         starts = []
         real = engine._run
 
-        def recording(jobs):
-            starts.extend(jobs)
-            return real(jobs)
+        def recording(runs):
+            starts.extend(run.ckpt for run in runs)  # each run's start, before it trains
+            return real(runs)
 
         monkeypatch.setattr(engine, "_run", recording)
         assert train_run(cfg, workdir) == aborted and starts == []  # the same budget: stored
         longer = with_epochs(cfg, 16)
         extended = train_run(longer, workdir)
-        [(_, _, ckpt, _)] = starts
+        [ckpt] = starts
         assert (ckpt.epoch, ckpt.budgets) == (2, [8, 16])
         assert encode_checkpoint(replace(ckpt, budgets=[8])) == last
         assert (extended.run_id, extended.budgets) == (run_id(longer), [8, 16])
