@@ -19,8 +19,7 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {  # module -> the public names it defines; each loads on first use
-    "config": ("expand_grid", "merge_defaults", "parse_experiment", "register_optimizer_defaults",
-               "register_task_defaults", "run_id"),
+    "config": ("expand_grid", "merge_defaults", "parse_experiment", "run_id"),
     "engine": ("derive_seeds", "load_checkpoint"),
     "evaluation": ("AggregateCell", "HeatmapSpec", "aggregate", "export_table", "render_heatmap"),
     "hpo": ("hyperband_schedule", "retrain_best", "run_hpo"),

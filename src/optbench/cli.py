@@ -18,7 +18,7 @@ from pathlib import Path
 from . import config as cfgmod
 from .errors import BenchmarkError, ConfigError
 from .evaluation import check_evaluation, run_evaluation
-from .rundir import RunState, lockstep_groups, read_run, train_runs
+from .rundir import RunState, _train_runs, lockstep_groups, read_run, train_runs
 
 
 def _expand_file(experiment_file: str) -> tuple[str, list[dict]]:
@@ -80,14 +80,15 @@ def cmd_run(args) -> int:
         groups = [groups[args.group_index]]
 
     exp_dir = _experiment_dir(configs, name)
-    jobs = [[(configs[i], _run_workdir(exp_dir, configs[i])) for i in group] for group in groups]
-    if args.workers > 1 and len(jobs) > 1:
+    jobs = [(configs[i], _run_workdir(exp_dir, configs[i])) for group in groups for i in group]
+    # one call, so every run dir is read and checked and every group built before any trains
+    if args.workers > 1 and len(groups) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = sum(pool.map(train_runs, jobs), [])
-    else:  # one call, so every run dir is read and checked before any trains
-        results = train_runs(sum(jobs, []))
+            results = _train_runs(jobs, pool.map)  # each worker trains whole groups
+    else:
+        results = train_runs(jobs)
 
     pairs = [(configs[i], result) for i, result in zip(sum(groups, []), results)]
     for _, result in pairs:
@@ -95,7 +96,7 @@ def cmd_run(args) -> int:
 
     failed = any(r.status != "completed" for r in results)
     if args.group_index is None and not failed:
-        for p in run_evaluation(pairs, configs[0]["evaluation"], exp_dir, checked):
+        for p in run_evaluation(pairs, checked, exp_dir):
             print(f"wrote {p}")
     return 1 if failed else 0
 
@@ -142,13 +143,15 @@ def cmd_plot(args) -> int:
         if state.status != "completed":  # extending: config.resolved.yaml holds the new budget
             continue
         cfg = cfgmod.load_config((rd / "config.resolved.yaml").read_text(encoding="utf-8"))
-        if evaluation_cfg is None:
+        if evaluation_cfg is None:  # a file the run wrote, checked as merge_defaults checks it
             evaluation_cfg = cfg.get("evaluation", {})
+            tree = cfgmod.load_defaults()["evaluation"]
+            cfgmod.check_keys({"evaluation": evaluation_cfg}, {"evaluation": tree}, axes=False)
         pairs.append((cfg, state.result))
     if not pairs:
         print("no completed runs found", file=sys.stderr)
         return 1
-    paths = run_evaluation(pairs, evaluation_cfg or {}, exp_dir)
+    paths = run_evaluation(pairs, check_evaluation(evaluation_cfg, [cfg for cfg, _ in pairs]), exp_dir)
     for p in paths:
         print(f"wrote {p}")
     return 1 if corrupt else 0

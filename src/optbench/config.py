@@ -110,16 +110,15 @@ def _registered_names(kind: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-# defaults contributed by plugin tasks/optimizers registered at runtime
+# the default trees of the tasks/optimizers registered at runtime
 _EXTRA_DEFAULTS: dict[str, dict] = {"tasks": {}, "optimizers": {}}
 
 
-def register_task_defaults(name: str, tree: dict) -> None:
-    _EXTRA_DEFAULTS["tasks"][name] = {"name": name, **copy.deepcopy(tree)}
-
-
-def register_optimizer_defaults(name: str, tree: dict) -> None:
-    _EXTRA_DEFAULTS["optimizers"][name] = {"name": name, **copy.deepcopy(tree)}
+def _register_tree(kind: str, name: str, defaults: dict) -> None:
+    """Store the default tree of a ``register_task`` or ``register_optimizer``
+    plugin (``kind`` is ``"tasks"`` or ``"optimizers"``): its schema, as a
+    packaged default file is a built-in's."""
+    _EXTRA_DEFAULTS[kind][name] = {"name": name, **copy.deepcopy(defaults)}
 
 
 @lru_cache(maxsize=None)
@@ -151,14 +150,22 @@ def load_defaults() -> dict:
     return defaults
 
 
-def default_tree(kind: str, name: str) -> dict | None:
+def default_tree(kind: str, name) -> dict:
     """The default tree of one task or optimizer (``kind`` is ``"tasks"`` or
-    ``"optimizers"``), variant names resolved; None if the name has none.
-    Shared with every caller, so never mutate it."""
+    ``"optimizers"``), variant names resolved; an ``UnknownNameError`` naming
+    every registered one if ``name`` has none. Shared with every caller, so
+    never mutate it."""
     if kind == "optimizers":
         name = OPTIMIZER_ALIASES.get(name, name)
-    tree = _EXTRA_DEFAULTS[kind].get(name)
-    return tree if tree is not None else _packaged_defaults()[kind].get(name)
+    tree = _EXTRA_DEFAULTS[kind].get(name) or _packaged_defaults()[kind].get(name)
+    if tree is None:
+        raise UnknownNameError(f"unknown {kind[:-1]} {name!r}; registered: {_names(kind)}")
+    return tree
+
+
+def _names(kind: str) -> list[str]:
+    """Every registered task or optimizer name, packaged or plugin, sorted."""
+    return sorted({*_packaged_defaults()[kind], *_EXTRA_DEFAULTS[kind]})
 
 
 def _kind_error(value, default) -> str | None:
@@ -214,7 +221,7 @@ def _split_by_name(node: dict) -> list[dict]:
     return [node]
 
 
-def _merge_named_node(node, table: dict, kind: str):
+def _merge_named_node(node, kind: str):
     """Merge a task/optimizer node (mapping or list of mappings) with defaults."""
     if isinstance(node, dict):
         branches = _split_by_name(node)
@@ -224,14 +231,8 @@ def _merge_named_node(node, table: dict, kind: str):
     for branch in branches:
         name = branch.get("name")
         if not isinstance(name, str):
-            raise SchemaError(
-                f"every {kind} entry needs a scalar `name`; registered: {sorted(table)}"
-            )
+            raise SchemaError(f"every {kind} entry needs a scalar `name`; registered: {_names(kind + 's')}")
         tree = default_tree(f"{kind}s", name)
-        if tree is None:
-            raise UnknownNameError(
-                f"unknown {kind} {name!r}; registered: {sorted(table)}"
-            )
         check_keys(branch, tree, kind)
         # variant names keep their own identity
         merged.append(deep_merge({**tree, "name": name}, branch))
@@ -249,10 +250,8 @@ def merge_defaults(spec: dict) -> dict:
     """
     defaults = load_defaults()
     merged = {
-        "task": _merge_named_node(spec.get("task", {}), defaults["tasks"], "task"),
-        "optimizer": _merge_named_node(
-            spec.get("optimizer", {}), defaults["optimizers"], "optimizer"
-        ),
+        "task": _merge_named_node(spec.get("task", {}), "task"),
+        "optimizer": _merge_named_node(spec.get("optimizer", {}), "optimizer"),
     }
     for block in ("engine", "evaluation"):
         check_keys(spec.get(block, {}), defaults[block], block, axes=block == "engine")

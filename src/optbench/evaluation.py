@@ -281,21 +281,16 @@ def check_evaluation(evaluation_cfg: dict, configs: list[dict]) -> tuple[list, l
     return output_types, x_keys, y_key, values
 
 
-def run_evaluation(
-    results: list[tuple[dict, RunResult]], evaluation_cfg: dict, out_dir: str | Path,
-    checked: tuple | None = None,
-) -> list[Path]:
-    """Aggregate results and write tables/heatmaps per the evaluation block.
+def run_evaluation(results: list[tuple[dict, RunResult]], checked: tuple, out_dir: str | Path) -> list[Path]:
+    """Aggregate results and write tables/heatmaps per an evaluation block,
+    given as ``checked``: its ``check_evaluation``.
 
     One heatmap is rendered per (optimizer name, x-axis key, value kind)
-    for every x key applicable to that optimizer's cells. ``checked`` is
-    ``check_evaluation`` of the block and the results' configs, when the
-    caller has it. A file that already holds its bytes is not rewritten.
+    for every x key applicable to that optimizer's cells. A file that
+    already holds its bytes is not rewritten.
     """
     out_dir = Path(out_dir)
-    output_types, x_keys, y_key, values = checked or check_evaluation(
-        evaluation_cfg, [c for c, _ in results]
-    )
+    output_types, x_keys, y_key, values = checked
     completed = [(c, r) for c, r in results if r.status == "completed"]
     if not completed:
         raise EmptyGridError("no completed runs to evaluate")

@@ -2,13 +2,12 @@
 
 Every optimizer is a pair of functions: ``configure`` builds zeroed state
 for a list of parameter groups, and ``step`` advances parameters in place
-given gradients and the scheduled learning rates. A built-in step takes an
+given gradients and the scheduled learning rates. A step takes an
 ``OptimizerStack`` of S >= 1 runs with [S, P] parameters and gradients and
-a list of S learning rates; a lone run is S = 1. A ``register_optimizer``
-plugin's step takes one run's row: its flat vectors, its ``OptimizerState``
-and its learning rate. Adding an optimizer means adding one entry to
-``OPTIMIZERS`` plus a default file; nothing else in the harness changes.
-Variant names resolve through ``config.OPTIMIZER_ALIASES``.
+a list of S learning rates; a lone run is S = 1. A built-in is one entry of
+``OPTIMIZERS`` plus a packaged default file; a plugin is one
+``register_optimizer`` call with its default tree, and its step is called
+as a built-in's is. Variant names resolve through ``config.OPTIMIZER_ALIASES``.
 
 Each run's hyperparameters enter a stack as a column of the Python floats
 it would use alone, so it gets the same bits in any stack.
@@ -36,8 +35,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import OPTIMIZER_ALIASES, check_keys, default_tree
-from .errors import BadHyperparameterError, ShapeMismatchError, UnknownNameError
+from .config import OPTIMIZER_ALIASES, _register_tree, check_keys, default_tree
+from .errors import BadHyperparameterError, ShapeMismatchError
 from .sched import ScheduleSpec
 from .tasks import ParamGroup
 
@@ -81,11 +80,10 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict, schedule: ScheduleSpec | None = None) -> "OptimizerConfig":
-        """Check ``cfg`` against its optimizer's default tree, if it has one,
-        and take the fields it states; unstated fields keep their defaults."""
-        tree = default_tree("optimizers", cfg["name"])
-        if tree is not None:
-            check_keys(cfg, tree, "optimizer")
+        """Check ``cfg`` against its optimizer's default tree (an unregistered
+        name is an ``UnknownNameError``) and take the fields it states;
+        unstated fields keep their defaults."""
+        check_keys(cfg, default_tree("optimizers", cfg["name"]), "optimizer")
         kwargs = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
         return cls(**kwargs | {"schedule": schedule})
 
@@ -110,9 +108,10 @@ class OptimizerState:
 
 
 class OptimizerStack:
-    """S runs' states stepped together on [S, P] arrays. A built-in optimizer's
-    buffers become row views of the stack's [S, ...] ones, so each run's state
-    still encodes its own rows. ``config`` holds each hyperparameter as a ``_column``."""
+    """S runs' states stepped together on [S, P] arrays by their optimizer's
+    ``step``. Each run's buffers become row views of the stack's [S, ...]
+    ones, so its state still encodes its own rows. ``config`` holds each
+    hyperparameter as a ``_column``."""
 
     def __init__(self, states: list[OptimizerState]):
         self.states, self.groups = states, states[0].groups
@@ -125,11 +124,10 @@ class OptimizerStack:
         # the rows ``_add_decay`` touches: all, some or none of the runs
         self.decay_rows = slice(None) if len(decaying) == len(states) else decaying or None
         self.decay_slices = [slice(g.start, g.end) for g in self.groups if g.weight_decay_eligible]
-        self.buffers = {}
-        if _impl(self.config.name).stacked:  # a plugin's step keeps its own buffers
-            self.buffers = {k: np.array([s.buffers[k] for s in states]) for k in states[0].buffers}
-            for i, state in enumerate(states):
-                state.buffers = {k: b[i] for k, b in self.buffers.items()}
+        self.step = _impl(self.config.name).step
+        self.buffers = {k: np.array([s.buffers[k] for s in states]) for k in states[0].buffers}
+        for i, state in enumerate(states):
+            state.buffers = {k: b[i] for k, b in self.buffers.items()}
 
     def advance(self) -> int:
         """Count a step in every run; returns the step number, which all share."""
@@ -327,7 +325,6 @@ def adafactor_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack,
 class OptimizerImpl:
     configure: callable
     step: callable
-    stacked: bool = True  # step takes an OptimizerStack; a plugin's takes one run
 
 
 OPTIMIZERS: dict[str, OptimizerImpl] = {
@@ -341,16 +338,18 @@ OPTIMIZERS: dict[str, OptimizerImpl] = {
 }
 
 
-def register_optimizer(name: str, configure, step) -> None:
-    """Plugin hook: one configure function plus one step function of one run."""
-    OPTIMIZERS[name] = OptimizerImpl(configure, step, stacked=False)
+def register_optimizer(name: str, configure, step, defaults: dict) -> None:
+    """Plugin hook: ``configure(groups, config)`` returns an ``OptimizerState``,
+    ``step(params, grads, stack, lr_t)`` steps an ``OptimizerStack`` as the
+    built-ins' steps do, and ``defaults`` is the default tree, which is the
+    optimizer's schema as a packaged default file is a built-in's."""
+    _register_tree("optimizers", name, defaults)
+    OPTIMIZERS[name] = OptimizerImpl(configure, step)
 
 
 def _impl(name: str) -> OptimizerImpl:
-    impl = OPTIMIZERS.get(OPTIMIZER_ALIASES.get(name, name))
-    if impl is None:
-        raise UnknownNameError(f"unknown optimizer {name!r}; registered: {sorted(OPTIMIZERS)}")
-    return impl
+    default_tree("optimizers", name)  # an UnknownNameError naming the registered optimizers
+    return OPTIMIZERS[OPTIMIZER_ALIASES.get(name, name)]
 
 
 def configure_optimizer(groups: list[ParamGroup], config: OptimizerConfig) -> OptimizerState:
@@ -362,11 +361,5 @@ def configure_optimizer(groups: list[ParamGroup], config: OptimizerConfig) -> Op
 
 
 def optimizer_step(params: np.ndarray, grads: np.ndarray, stack: OptimizerStack, lr_t: list) -> None:
-    """One step of an ``OptimizerStack`` on [S, P] arrays with a list of S
-    learning rates: a built-in step takes the stack, a plugin's each row."""
-    impl = _impl(stack.config.name)
-    if impl.stacked:
-        impl.step(params, grads, stack, lr_t)
-    else:
-        for i, run in enumerate(stack.states):
-            impl.step(params[i], grads[i], run, lr_t[i])
+    """One step of an ``OptimizerStack`` on [S, P] arrays with a list of S learning rates."""
+    stack.step(params, grads, stack, lr_t)

@@ -183,6 +183,12 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
     before any writes; the runs left to train that share ``lockstep_key`` and
     their start epoch train as one ``_run``.
     """
+    return _train_runs(jobs, map)
+
+
+def _train_runs(jobs: list[tuple[dict, str | Path]], map_) -> list[RunResult]:
+    """``train_runs``, whose prepared groups ``map_(engine._run, groups)``
+    trains: ``map`` here, a process pool's ``map`` for ``optbench run --workers``."""
     if len({Path(workdir) for _, workdir in jobs}) != len(jobs):  # two runs would share one dir
         raise BadParameterError("train_runs got one workdir twice")
     results: list[RunResult | None] = [None] * len(jobs)
@@ -204,11 +210,13 @@ def train_runs(jobs: list[tuple[dict, str | Path]]) -> list[RunResult]:
                 state.ckpt.budgets = state.ckpt.budgets + [int(config["task"]["max_epochs"])]
         key = (*lockstep_key(config), 0 if state.ckpt is None else state.ckpt.epoch)
         groups.setdefault(key, []).append((i, (config, workdir, state.ckpt, state.slot)))
-    if groups:
-        from . import engine
-    prepared = [(members, engine._prepare([start for _, start in members])) for members in groups.values()]
-    for members, runs in prepared:
-        for (i, _), result in zip(members, engine._run(runs)):
+    if not groups:
+        return results
+    from . import engine
+
+    prepared = [engine._prepare([start for _, start in members]) for members in groups.values()]
+    for members, trained in zip(groups.values(), map_(engine._run, prepared)):
+        for (i, _), result in zip(members, trained):
             results[i] = result
     return results
 

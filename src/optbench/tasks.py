@@ -25,12 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import check_keys, deep_merge, default_tree
-from .errors import (
-    BadParameterError,
-    ShapeMismatchError,
-    UnknownNameError,
-)
+from .config import _register_tree, check_keys, deep_merge, default_tree
+from .errors import BadParameterError, ShapeMismatchError
 from .rng import Xoshiro256StarStar, derive_stream
 
 
@@ -123,13 +119,10 @@ _TRAINING_KEYS = ("max_epochs", "batch_size")
 _SPLITS_MEMO: dict[tuple, dict[str, DataSplit]] = {}
 
 
-def _data_key(task_cls: type, cfg: dict, data_seed: int) -> tuple | None:
-    """Memo key for a task's splits, or None if its config has no JSON form."""
+def _data_key(task_cls: type, cfg: dict, data_seed: int) -> tuple:
+    """Memo key for a task's splits; a config that passed ``check_keys`` has a JSON form."""
     data_cfg = {k: v for k, v in cfg.items() if k not in _TRAINING_KEYS}
-    try:
-        return (task_cls, json.dumps(data_cfg, sort_keys=True), data_seed)
-    except (TypeError, ValueError):
-        return None
+    return (task_cls, json.dumps(data_cfg, sort_keys=True), data_seed)
 
 
 class TaskInstance:
@@ -165,8 +158,7 @@ class TaskInstance:
                 for array in (split.inputs, split.targets):
                     array.flags.writeable = False
             _SPLITS_MEMO.clear()
-            if key is not None:
-                _SPLITS_MEMO[key] = splits
+            _SPLITS_MEMO[key] = splits
         self.splits = dict(splits)
         self.groups = self._build_groups()
 
@@ -443,30 +435,26 @@ TASKS: dict[str, type[TaskInstance]] = {
 }
 
 
-def register_task(name: str, cls: type[TaskInstance]) -> None:
-    """Add a task implementation to the registry (plugin hook)."""
+def register_task(name: str, cls: type[TaskInstance], defaults: dict) -> None:
+    """Plugin hook: a ``TaskInstance`` subclass and its default tree, which is
+    its schema as a packaged default file is a built-in's."""
+    _register_tree("tasks", name, defaults)
     TASKS[name] = cls
 
 
 def build_task(task_config: dict) -> TaskInstance:
-    """Build a task instance; missing keys are filled from its default file,
-    and a key the file lacks is a ``SchemaError``. A task registered without
-    defaults takes its config as given.
+    """Build a task instance of a registered name (else ``UnknownNameError``);
+    missing keys are filled from its default tree, and a key the tree lacks
+    is a ``SchemaError``.
 
     The same config (its ``data_seed`` included) always yields a
     bit-identical instance: splits, default initialization, and any derived
     constants.
     """
-    name = task_config.get("name")
-    if name not in TASKS:
-        raise UnknownNameError(f"unknown task {name!r}; registered: {sorted(TASKS)}")
-    tree = default_tree("tasks", name)
-    if tree is not None:
-        check_keys(task_config, tree, "task")
-        cfg = deep_merge(tree, task_config)
-    else:
-        cfg = dict(task_config)
-    return TASKS[name](cfg, int(cfg.get("data_seed", 42)))
+    tree = default_tree("tasks", task_config.get("name"))
+    check_keys(task_config, tree, "task")
+    cfg = deep_merge(tree, task_config)
+    return TASKS[cfg["name"]](cfg, int(cfg.get("data_seed", 42)))
 
 
 def forward_backward(task: TaskInstance, params: np.ndarray, batch: DataSplit):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,6 +114,39 @@ def quad_config(epochs: int = 5, seed: int = 42) -> dict:
 @pytest.fixture
 def workdir(tmp_path):
     return tmp_path / "run"
+
+
+@pytest.fixture
+def plugins(monkeypatch):
+    """Registries of tasks, optimizers and their default trees that the
+    test's end restores, so that every ``register_task`` and
+    ``register_optimizer`` call of the test is undone (a built-in that a
+    plugin replaced comes back). ``plugins.task`` and ``plugins.optimizer``
+    are those two calls."""
+    from optbench import config, optim, tasks
+
+    monkeypatch.setattr(tasks, "TASKS", dict(tasks.TASKS))
+    monkeypatch.setattr(optim, "OPTIMIZERS", dict(optim.OPTIMIZERS))
+    monkeypatch.setattr(config, "_EXTRA_DEFAULTS", {k: dict(v) for k, v in config._EXTRA_DEFAULTS.items()})
+    return SimpleNamespace(task=tasks.register_task, optimizer=optim.register_optimizer)
+
+
+SIGNSGD_DEFAULTS = {"learning_rate": 0.05, "lr_warmup": 0.01, "lr_min_factor": 0.01}
+
+
+def signsgd_configure(groups, config):
+    """A plugin optimizer's state: a step counter buffer of one entry."""
+    from optbench.optim import OptimizerState
+
+    return OptimizerState("signsgd", list(groups), config, buffers={"n": np.zeros(1)})
+
+
+def signsgd_step(params, grads, stack, lr_t):
+    """A plugin optimizer's step of an [S, P] stack: theta <- theta - lr * sign(g)."""
+    assert params.shape == grads.shape == (len(stack.states), stack.groups[-1].end)
+    stack.advance()
+    stack.buffers["n"] += 1.0
+    params -= np.array(lr_t)[:, None] * np.sign(grads)
 
 
 class Interrupted(Exception):

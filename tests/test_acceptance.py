@@ -272,11 +272,10 @@ def test_hyperband_accounting(tmp_path):
 
 
 @criterion("best/last protocol (interior validation optimum)")
-def test_best_last_protocol(tmp_path):
-    from test_engine import VALLEY_CONFIG, ValleyTask
-    from optbench.tasks import register_task
+def test_best_last_protocol(tmp_path, plugins):
+    from test_engine import DUMMY_TASK_DEFAULTS, VALLEY_CONFIG, ValleyTask
 
-    register_task("valley", ValleyTask)
+    plugins.task("valley", ValleyTask, DUMMY_TASK_DEFAULTS)
     workdir = tmp_path / "valley"
     result = train_run(copy.deepcopy(VALLEY_CONFIG), workdir)
     vals = [h["val_metric"] for h in result.history]

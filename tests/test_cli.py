@@ -385,6 +385,25 @@ evaluation:
         assert main(["plot", str(project / "output" / "tiny")]) == 0
         assert (project / "output" / "tiny" / "aggregated.csv").exists()
 
+    @pytest.mark.parametrize("block, message", [
+        ({"plot": "x"}, "`evaluation.plot` must be a mapping, got 'x'"),
+        ("x", "`evaluation` must be a mapping, got 'x'"),
+        ({"plots": {}}, "unknown key `evaluation.plots`"),
+    ])
+    def test_plot_from_directory_checks_the_evaluation_block(self, project, capsys, block, message):
+        exp = write(project / "tiny.yaml", TINY_EXPERIMENT)
+        assert main(["run", exp]) == 0
+        exp_dir = project / "output" / "tiny"
+        (exp_dir / "aggregated.csv").unlink()
+        for path in exp_dir.glob("runs/*/config.resolved.yaml"):
+            cfg = yaml.safe_load(path.read_text())
+            path.write_text(yaml.safe_dump({**cfg, "evaluation": block}))
+        stamps = _file_stamps(project)
+        capsys.readouterr()
+        assert main(["plot", str(exp_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert _file_stamps(project) == stamps
+
     def test_plot_empty_dir_exit_1(self, project, capsys):
         empty = project / "output" / "nothing"
         empty.mkdir(parents=True)
@@ -506,6 +525,18 @@ class TestWorkers:
         assert main(["run", exp]) == 0
         assert {d.name: run_dir_files(d) for d in runs.iterdir()} == parallel
 
+    def test_a_bad_group_stops_the_run_before_any_worker_writes(self, project, capsys):
+        exp = write(
+            project / "bad.yaml",
+            "task: {name: quadratic, max_epochs: 2}\n"
+            "optimizer:\n"
+            "  - {name: adamw_baseline, learning_rate: 0.1}\n"
+            "  - {name: sgd_baseline, learning_rate: -0.1}\n",
+        )
+        assert main(["run", exp, "--workers", "2"]) == 2
+        assert "`optimizer.learning_rate` must be positive" in capsys.readouterr().err
+        assert not (project / "output").exists()
+
     def test_workers_split_groups_not_runs(self, project, capsys, monkeypatch):
         class InlinePool:  # the jobs each worker would get, run in this process
             def __init__(self, max_workers):
@@ -517,9 +548,9 @@ class TestWorkers:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                calls.append([[Path(workdir).name for _, workdir in group] for group in jobs])
-                return map(fn, jobs)
+            def map(self, fn, groups):  # each group's runs, read and built by the parent
+                calls.append([[run.rid for run in group] for group in groups])
+                return map(fn, groups)
 
         calls = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)

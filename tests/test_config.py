@@ -17,7 +17,6 @@ from optbench.config import (
     load_defaults,
     merge_defaults,
     parse_experiment,
-    register_task_defaults,
     run_id,
 )
 from optbench.errors import (
@@ -342,10 +341,11 @@ class TestRoundTrip:
             "adafactor",
         }
 
-    def test_late_registered_defaults_visible(self, monkeypatch):
-        monkeypatch.setattr(config_module, "_EXTRA_DEFAULTS", {"tasks": {}, "optimizers": {}})
+    def test_late_registered_defaults_visible(self, plugins):
+        from optbench.tasks import TaskInstance
+
         assert "late_task" not in load_defaults()["tasks"]
-        register_task_defaults("late_task", {"max_epochs": 3})
+        plugins.task("late_task", TaskInstance, {"max_epochs": 3})
         assert load_defaults()["tasks"]["late_task"] == {"name": "late_task", "max_epochs": 3}
 
     def test_returned_defaults_are_fresh_copies(self):

@@ -40,8 +40,9 @@ from optbench.errors import (
 from optbench.optim import OptimizerConfig, configure_optimizer
 from optbench.rng import Xoshiro256StarStar, derive_child
 from optbench.rundir import read_run, train_run, train_runs
-from optbench.tasks import MetricSpec, MlpSynthTask, ParamGroup, TaskInstance, register_task
+from optbench.tasks import MetricSpec, MlpSynthTask, ParamGroup, TaskInstance
 from conftest import (
+    SIGNSGD_DEFAULTS,
     SLOT_MOVE,
     SLOT_REMOVE,
     Interrupted,
@@ -52,6 +53,8 @@ from conftest import (
     quad_config,
     resolve,
     run_dir_files,
+    signsgd_configure,
+    signsgd_step,
     stop_after_epoch,
     strip_wall,
     with_epochs,
@@ -722,8 +725,7 @@ class TestExtendBudget:
         assert strip_wall(extended.history[:2]) == strip_wall(aborted.history)
         assert train_run(longer, workdir) == extended and len(starts) == 1
 
-    def test_a_run_aborted_in_its_first_epoch_restarts_at_a_larger_budget(self, tmp_path):
-        register_task("cliff", CliffTask)
+    def test_a_run_aborted_in_its_first_epoch_restarts_at_a_larger_budget(self, tmp_path, cliff):
         cfg = copy.deepcopy(VALLEY_CONFIG)
         cfg["task"].update(name="cliff", batch_size=1, max_epochs=3)  # 4 steps an epoch
         cfg["optimizer"].update(learning_rate=6.0, lr_warmup=0.1)  # step 0 jumps past -10
@@ -791,6 +793,28 @@ class ValleyTask(TaskInstance):
         return ((params[:, 0] - 1.0) ** 2).tolist()
 
 
+# the default tree of the valley and cliff plugin tasks
+DUMMY_TASK_DEFAULTS = {
+    "train_size": 4,
+    "val_size": 2,
+    "test_size": 2,
+    "batch_size": 4,
+    "max_epochs": 10,
+    "data_seed": 42,
+    "flat_metric": False,
+}
+
+
+@pytest.fixture
+def valley(plugins):
+    plugins.task("valley", ValleyTask, DUMMY_TASK_DEFAULTS)
+
+
+@pytest.fixture
+def cliff(plugins):
+    plugins.task("cliff", CliffTask, DUMMY_TASK_DEFAULTS)
+
+
 VALLEY_CONFIG = {
     "task": {
         "name": "valley",
@@ -815,43 +839,18 @@ VALLEY_CONFIG = {
 
 
 class TestOptimizerPlugin:
-    def test_custom_optimizer_end_to_end(self, workdir):
-        # the plugin surface: one configure function, one step function,
-        # one defaults entry; nothing else changes
-        import numpy as np
-
-        from optbench import register_optimizer, register_optimizer_defaults
-        from optbench.optim import OptimizerState
-
-        def configure(groups, config):
-            return OptimizerState("signsgd", list(groups), config)
-
-        def step(params, grads, state, lr_t):
-            state.step_count += 1
-            params -= lr_t * np.sign(grads)
-
-        register_optimizer("signsgd", configure, step)
-        register_optimizer_defaults(
-            "signsgd", {"learning_rate": 0.05, "lr_warmup": 0.01, "lr_min_factor": 0.01}
-        )
-        try:
-            cfg = resolve(
-                "task: {name: quadratic, max_epochs: 5}\noptimizer: {name: signsgd}"
-            )[0]
-            result = train_run(cfg, workdir)
-            assert result.status == "completed"
-            assert result.history[0]["train_loss"] > result.history[-1]["train_loss"]
-        finally:
-            from optbench import config as cfgmod
-            from optbench import optim as optmod
-
-            optmod.OPTIMIZERS.pop("signsgd", None)
-            cfgmod._EXTRA_DEFAULTS["optimizers"].pop("signsgd", None)
+    def test_custom_optimizer_end_to_end(self, workdir, plugins):
+        # the plugin surface: one call with a configure function, a step
+        # function and a default tree; nothing else changes
+        plugins.optimizer("signsgd", signsgd_configure, signsgd_step, SIGNSGD_DEFAULTS)
+        cfg = resolve("task: {name: quadratic, max_epochs: 5}\noptimizer: {name: signsgd}")[0]
+        result = train_run(cfg, workdir)
+        assert result.status == "completed"
+        assert result.history[0]["train_loss"] > result.history[-1]["train_loss"]
 
 
 class TestBestLastProtocol:
-    def test_interior_best_epoch(self, workdir):
-        register_task("valley", ValleyTask)
+    def test_interior_best_epoch(self, workdir, valley):
         result = train_run(copy.deepcopy(VALLEY_CONFIG), workdir)
         assert result.status == "completed"
         vals = [h["val_metric"] for h in result.history]
@@ -864,8 +863,7 @@ class TestBestLastProtocol:
         assert result.test_last == float((last_ckpt.params[0] - 1.0) ** 2)
         assert result.test_best < result.test_last
 
-    def test_tie_keeps_earlier_epoch(self, tmp_path, monkeypatch):
-        register_task("valley", ValleyTask)
+    def test_tie_keeps_earlier_epoch(self, tmp_path, monkeypatch, valley):
         cfg = copy.deepcopy(VALLEY_CONFIG)
         cfg["task"]["flat_metric"] = True  # every epoch scores exactly 0.5
         result = train_run(cfg, tmp_path / "full")
@@ -1008,8 +1006,7 @@ class TestWriteAtomic:
 
 
 class TestCrashRecovery:
-    def test_kill_at_every_write_resumes_identically(self, tmp_path, monkeypatch):
-        register_task("valley", ValleyTask)
+    def test_kill_at_every_write_resumes_identically(self, tmp_path, monkeypatch, valley):
         cfg = copy.deepcopy(VALLEY_CONFIG)  # 10 epochs, epochs 1-3 improve
         writes = _record_writes(monkeypatch, train_run, cfg, tmp_path / "full")
         expected = run_dir_files(tmp_path / "full")
@@ -1051,8 +1048,7 @@ class TestCrashRecovery:
         assert train_run(cfg, wd).status == "completed"
         assert run_dir_files(wd) == run_dir_files(tmp_path / "full")
 
-    def test_kill_at_every_write_of_a_resume_from_next_ckpt(self, tmp_path, monkeypatch):
-        register_task("valley", ValleyTask)
+    def test_kill_at_every_write_of_a_resume_from_next_ckpt(self, tmp_path, monkeypatch, valley):
         cfg = copy.deepcopy(VALLEY_CONFIG)
         train_run(cfg, tmp_path / "full")
         expected = run_dir_files(tmp_path / "full")
@@ -1083,14 +1079,14 @@ class TestCrashRecovery:
             assert train_run(cfg, wd).status == "completed"
             assert run_dir_files(wd) == expected, (i, name, nth, torn)
 
-    def test_kill_at_every_write_of_an_extension(self, tmp_path, monkeypatch):
+    def test_kill_at_every_write_of_an_extension(self, tmp_path, monkeypatch, valley):
         writes = self._kill_at_every_write_of_an_extension(tmp_path, monkeypatch, 4)
         # a clean extension keeps metrics.jsonl; 6 epochs end in last.ckpt
         assert writes == (
             ["config.resolved.yaml"] + ["next.ckpt", "last.ckpt"] * 3 + [SLOT_REMOVE, "result.json"]
         )
 
-    def test_kill_at_every_write_of_an_extension_from_an_odd_epoch(self, tmp_path, monkeypatch):
+    def test_kill_at_every_write_of_an_extension_from_an_odd_epoch(self, tmp_path, monkeypatch, valley):
         writes = self._kill_at_every_write_of_an_extension(tmp_path, monkeypatch, 3)
         # 7 epochs end in next.ckpt: epoch parity would overwrite epoch 3 first
         assert writes == (
@@ -1103,7 +1099,6 @@ class TestCrashRecovery:
     def _kill_at_every_write_of_an_extension(tmp_path, monkeypatch, base_epochs):
         """Extend a ``base_epochs`` run to 10 epochs, killed at each write of
         the extension in turn, and finish it; returns the extension's writes."""
-        register_task("valley", ValleyTask)
         cfg = copy.deepcopy(VALLEY_CONFIG)
         cfg["task"]["max_epochs"] = base_epochs
         train_run(cfg, tmp_path / "base")
@@ -1474,9 +1469,8 @@ class TestLockstep:
         assert calls == {"forward_backward": steps, "optimizer_step": steps, "evaluate": 3 + 2}
 
     def test_diverging_runs_leave_the_stack_with_the_errors_of_runs_alone(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, cliff
     ):
-        register_task("cliff", CliffTask)
         jobs = []
         for i, lr in enumerate([0.1, 1.5, 2.0, 0.2]):
             cfg = copy.deepcopy(VALLEY_CONFIG)  # 10 epochs of 1 step, sgd without momentum
@@ -1493,43 +1487,26 @@ class TestLockstep:
         assert errors[2].endswith("non-finite gradient")
         assert calls["forward_backward"] == 10  # the survivors keep one stack
 
-    def test_a_plugin_optimizer_steps_each_row(self, tmp_path):
-        from optbench import register_optimizer, register_optimizer_defaults
-        from optbench import config as cfgmod
-        from optbench import optim as optmod
-        from optbench.optim import OptimizerState
-
-        def configure(groups, config):
-            return OptimizerState("signsgd", list(groups), config, buffers={"n": np.zeros(1)})
-
-        def step(params, grads, state, lr_t):  # one run's rows at a time
-            assert params.shape == grads.shape == (state.groups[-1].end,)
-            state.step_count += 1
-            state.buffers["n"] += 1.0
-            params -= lr_t * np.sign(grads)
-
-        register_optimizer("signsgd", configure, step)
-        register_optimizer_defaults(
-            "signsgd", {"learning_rate": 0.05, "lr_warmup": 0.01, "lr_min_factor": 0.01}
+    def test_a_plugin_optimizer_steps_the_stack(self, tmp_path, plugins, monkeypatch):
+        plugins.optimizer("signsgd", signsgd_configure, signsgd_step, SIGNSGD_DEFAULTS)
+        text = (
+            "task: {name: quadratic, max_epochs: 3}\n"
+            "optimizer: {name: signsgd, learning_rate: [0.05, 0.01]}\n"
+            "engine: {seed: [1, 2]}"
         )
-        try:
-            text = (
-                "task: {name: quadratic, max_epochs: 3}\n"
-                "optimizer: {name: signsgd, learning_rate: [0.05, 0.01]}\n"
-                "engine: {seed: [1, 2]}"
-            )
-            jobs = _lockstep_jobs(tmp_path, text, "group")
-            alone = _alone(jobs, tmp_path)
-            train_runs(jobs)
-            assert [run_dir_files(wd) for _, wd in jobs] == alone
-        finally:
-            optmod.OPTIMIZERS.pop("signsgd", None)
-            cfgmod._EXTRA_DEFAULTS["optimizers"].pop("signsgd", None)
+        jobs = _lockstep_jobs(tmp_path, text, "group")
+        alone = _alone(jobs, tmp_path)
+        calls = _count_steps(monkeypatch)
+        train_runs(jobs)
+        assert [run_dir_files(wd) for _, wd in jobs] == alone
+        steps = 3 * steps_per_epoch(build_task(jobs[0][0]["task"]))
+        assert calls["optimizer_step"] == steps  # one call a step for the 4 runs
+        ckpt = load_checkpoint(jobs[0][1] / "checkpoints" / "last.ckpt")
+        assert np.frombuffer(ckpt.optimizer_state["buffers"]["n"], "<f8").tolist() == [steps]  # its row
 
-    def test_a_group_evaluates_once_per_epoch_and_tests_only_its_survivors(self, tmp_path, monkeypatch):
+    def test_a_group_evaluates_once_per_epoch_and_tests_only_its_survivors(self, tmp_path, monkeypatch, cliff):
         from optbench import engine
 
-        register_task("cliff", CliffTask)
         calls = []
         real = engine.evaluate
 

@@ -232,12 +232,17 @@ class TestRunEvaluation:
                     results.append(fake_run(cfg, lr + wd, lr))
         return results
 
+    def run_block(self, eval_cfg, out_dir, results=None):
+        """``run_evaluation`` of the fake results per the evaluation block ``eval_cfg``."""
+        results = self.make_results() if results is None else results
+        return run_evaluation(results, check_evaluation(eval_cfg, [c for c, _ in results]), out_dir)
+
     def test_best_and_last_give_two_plots(self, tmp_path):
         eval_cfg = {
             "output_types": ["svg", "csv"],
             "plot": {"x_axis": ["optimizer.weight_decay"], "value": ["best", "last"]},
         }
-        written = run_evaluation(self.make_results(), eval_cfg, tmp_path)
+        written = self.run_block(eval_cfg, tmp_path)
         names = sorted(p.name for p in written)
         assert names == [
             "adamw_baseline.optimizer.weight_decay.best.svg",
@@ -247,28 +252,28 @@ class TestRunEvaluation:
 
     def test_unknown_output_type_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
-            run_evaluation(self.make_results(), {"output_types": ["pdf"]}, tmp_path)
+            self.run_block({"output_types": ["pdf"]}, tmp_path)
 
     def test_x_axis_equal_to_the_y_axis_rejected(self, tmp_path):
         eval_cfg = {"plot": {"x_axis": ["optimizer.weight_decay", "optimizer.learning_rate"]}}
         with pytest.raises(SchemaError, match="x axis `optimizer.learning_rate` is the y axis"):
-            run_evaluation(self.make_results(), eval_cfg, tmp_path)
+            self.run_block(eval_cfg, tmp_path)
         assert not list(tmp_path.iterdir())
 
     def test_rerun_rewrites_only_changed_files(self, tmp_path):
         eval_cfg = {"plot": {"x_axis": ["optimizer.weight_decay"], "value": ["best", "last"]}}
-        written = run_evaluation(self.make_results(), eval_cfg, tmp_path)
+        written = self.run_block(eval_cfg, tmp_path)
         stamps = {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in written}
-        assert run_evaluation(self.make_results(), eval_cfg, tmp_path) == written
+        assert self.run_block(eval_cfg, tmp_path) == written
         assert {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in written} == stamps
-        run_evaluation(self.make_results()[1:], eval_cfg, tmp_path)  # one seed fewer, same means
+        self.run_block(eval_cfg, tmp_path, self.make_results()[1:])  # one seed fewer, same means
         for p in written:  # the table's n changed; the plots show only means
             kept = (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) == stamps[p]
             assert kept == (p.suffix == ".svg"), p
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(written)
 
     def test_csv_only(self, tmp_path):
-        written = run_evaluation(self.make_results(), {"output_types": ["csv"]}, tmp_path)
+        written = self.run_block({"output_types": ["csv"]}, tmp_path)
         assert [p.name for p in written] == ["aggregated.csv"]
 
     def test_a_single_string_is_one_entry(self, tmp_path):
@@ -277,7 +282,7 @@ class TestRunEvaluation:
         as_strings = {"output_types": "svg", "plot": {"x_axis": axis, "value": "last"}}
         configs = [cfg for cfg, _ in self.make_results()]
         assert check_evaluation(as_strings, configs) == check_evaluation(as_lists, configs)
-        written = run_evaluation(self.make_results(), as_strings, tmp_path)
+        written = self.run_block(as_strings, tmp_path)
         assert [p.name for p in written] == ["adamw_baseline.optimizer.weight_decay.last.svg"]
         bad_blocks = [
             ({"output_types": 3}, "`evaluation.output_types` must be svg/csv or a list of them, got 3"),

@@ -18,10 +18,19 @@ from conftest import loads_numpy
 REPO = Path(__file__).resolve().parents[1]
 
 
-def readme_library_block() -> str:
+def readme_library_blocks() -> list[str]:
     readme = (REPO / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library use", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def readme_library_block() -> str:
+    return readme_library_blocks()[0]
+
+
+def readme_custom_components_block() -> str:
+    """The block that registers a task and an optimizer and trains one run."""
+    return readme_library_blocks()[1]
 
 
 def docstring_example() -> str:
@@ -51,8 +60,8 @@ def test_import_loads_no_numpy(statement):
     assert loads_numpy(f"{statement}\noptbench.build_task")  # its module loads on first use
 
 
-@pytest.mark.parametrize("source", [readme_library_block, docstring_example])
-def test_documented_example_runs(source, tmp_path, monkeypatch):
+@pytest.mark.parametrize("source", [readme_library_block, docstring_example, readme_custom_components_block])
+def test_documented_example_runs(source, tmp_path, monkeypatch, plugins):
     shutil.copytree(REPO / "configs", tmp_path / "configs")
     shutil.copy(REPO / "configs" / "quadratic_adamw.yaml", tmp_path / "experiment.yaml")
     monkeypatch.chdir(tmp_path)

@@ -192,17 +192,6 @@ class TestSplitMemo:
             shifted.splits["train"].inputs, plain.splits["train"].inputs + 1.0
         )
 
-    def test_unkeyable_config_still_builds(self, monkeypatch):
-        # a plugin task without default file accepts any value; one with no
-        # JSON form skips the memo instead of failing the build
-        monkeypatch.setitem(TASKS, "tagged_quadratic", tasks_module.QuadraticTask)
-        cfg = {"name": "tagged_quadratic", "dim": 3, "tag": object()}
-        cfg.update(max_epochs=1, batch_size=1, train_size=2, val_size=2, test_size=2)
-        a = build_task(cfg)
-        b = build_task(cfg)
-        assert a.splits["train"].inputs is not b.splits["train"].inputs
-        assert a.splits["train"].inputs.tobytes() == b.splits["train"].inputs.tobytes()
-
     def test_grid_and_extension_generate_data_once(self, monkeypatch, tmp_path):
         calls = []
         generate = MlpSynthTask._generate_splits
